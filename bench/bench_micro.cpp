@@ -3,35 +3,27 @@
 // (family, n, Delta, rounds, messages, work_items, wall-ms, throughput) so
 // the perf trajectory is tracked across PRs.
 //
-// Three headline numbers:
-//   * message-passing throughput of the mailbox runtime on a G(n, Delta)
-//     flood workload, against an in-repo replica of the original packet
-//     engine (per-message heap-allocated payload vectors + per-round
-//     counting sort);
-//   * phase-boundary cost of a composed pipeline: a fresh Engine per phase
-//     (re-allocating arenas and re-spawning shard threads, the pre-Runtime
-//     architecture) against one persistent sim::Runtime running the same
-//     phases via run_phase();
-//   * round-loop cost of the sparse active-set scheduler on tail-heavy
-//     workloads (a small live frontier inside a large graph) against the
-//     legacy dense full-sweep executor, with bit-identity checked on every
-//     comparison. `./bench_micro --smoke=scheduler` runs a seconds-scale
-//     variant as a ctest gate (see CMakeLists.txt).
+// Sections:
+//   * message-passing throughput of the runtime on a G(n, Delta) flood;
+//   * round-loop cost of the live-list executor on tail-heavy workloads (a
+//     small live frontier inside a large graph) and on an all-live flood,
+//     with the work_items and peak_live counters that make the cost
+//     auditable;
+//   * per-array CSR footprint;
+//   * substrate end-to-end costs (h_partition, legal_coloring per phase,
+//     degeneracy).
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "bench_stats.hpp"
-#include "core/api.hpp"
 #include "core/legal_coloring.hpp"
 #include "decomp/h_partition.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace {
 
@@ -55,88 +47,6 @@ class FloodAll : public sim::VertexProgram {
   }
 };
 
-// Replica of the pre-mailbox engine's data flow (heap-allocated payload per
-// message, packet list, per-round counting sort into a receiver-bucketed
-// view) running the same flood schedule. This is the baseline the mailbox
-// runtime is measured against.
-struct LegacyPacketEngine {
-  struct Packet {
-    V receiver;
-    int port;
-    std::vector<std::int64_t> data;
-  };
-  struct Stats {
-    int rounds = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t words = 0;
-  };
-
-  explicit LegacyPacketEngine(const Graph& g) : g(&g) {}
-
-  void send_all(V v, std::vector<Packet>& outgoing, Stats& stats) const {
-    const int deg = g->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      std::vector<std::int64_t> payload{1};  // per-message heap allocation
-      const std::int64_t peer_slot = g->mirror_slot(g->slot(v, p));
-      Packet pkt;
-      // The old engine had an O(1) owner table; the compact CSR derives
-      // owners by binary search instead. Resolve receiver/port the O(1) way
-      // (adjacency + slot base) so the replica keeps modelling the OLD
-      // engine's per-message cost, not the new owner-lookup path.
-      pkt.receiver = g->neighbor(v, p);
-      pkt.port = static_cast<int>(peer_slot - g->slot(pkt.receiver, 0));
-      pkt.data = std::move(payload);
-      stats.messages += 1;
-      stats.words += pkt.data.size();
-      outgoing.push_back(std::move(pkt));
-    }
-  }
-
-  Stats run_flood() const {
-    const V n = g->num_vertices();
-    Stats stats;
-    std::vector<Packet> outgoing;
-    for (V v = 0; v < n; ++v) send_all(v, outgoing, stats);
-
-    std::vector<Packet> in_flight;
-    std::vector<std::int64_t> first(static_cast<std::size_t>(n) + 1, 0);
-    std::uint64_t consumed = 0;
-    for (int round = 1; round <= kFloodRounds; ++round) {
-      stats.rounds = round;
-      in_flight.swap(outgoing);
-      outgoing.clear();
-      // Bucket packets by receiver (counting sort), as the old engine did.
-      std::fill(first.begin(), first.end(), 0);
-      for (const Packet& pkt : in_flight) {
-        ++first[static_cast<std::size_t>(pkt.receiver) + 1];
-      }
-      for (V v = 0; v < n; ++v) {
-        first[static_cast<std::size_t>(v) + 1] += first[static_cast<std::size_t>(v)];
-      }
-      std::vector<const Packet*> sorted(in_flight.size());
-      {
-        std::vector<std::int64_t> cursor(first.begin(), first.end() - 1);
-        for (const Packet& pkt : in_flight) {
-          sorted[static_cast<std::size_t>(
-              cursor[static_cast<std::size_t>(pkt.receiver)]++)] = &pkt;
-        }
-      }
-      for (V v = 0; v < n; ++v) {
-        for (std::int64_t i = first[static_cast<std::size_t>(v)];
-             i < first[static_cast<std::size_t>(v) + 1]; ++i) {
-          consumed += static_cast<std::uint64_t>(
-              sorted[static_cast<std::size_t>(i)]->data[0]);
-        }
-        if (round < kFloodRounds) send_all(v, outgoing, stats);
-      }
-    }
-    if (consumed == 0) std::cerr << "";  // keep the reads observable
-    return stats;
-  }
-
-  const Graph* g;
-};
-
 void bench_flood_throughput(benchio::JsonSink& sink) {
   std::cout << "== message-passing throughput: G(n, Delta) flood, "
             << kFloodRounds << " rounds ==\n";
@@ -144,36 +54,20 @@ void bench_flood_throughput(benchio::JsonSink& sink) {
   for (const Config cfg : {Config{1 << 13, 8}, Config{1 << 15, 8},
                            Config{1 << 15, 32}}) {
     const Graph g = random_near_regular(cfg.n, cfg.delta, 1);
-    constexpr int kReps = 3;  // best-of-N to damp scheduler noise
+    constexpr int kReps = 3;  // best-of-N to damp OS noise
 
-    // Mailbox runtime (single shard: the apples-to-apples comparison).
-    sim::Engine engine(g, /*shards=*/1);
+    sim::Runtime rt(g, /*shards=*/1);
     sim::RunStats stats;
-    const double mailbox_ms = benchio::min_ms_over(kReps, [&] {
+    const double ms = benchio::min_ms_over(kReps, [&] {
       FloodAll prog;
-      stats = engine.run(prog, kFloodRounds + 4);
+      stats = rt.run_phase(prog, kFloodRounds + 4);
     });
-
-    // Legacy packet-engine replica on the identical schedule.
-    LegacyPacketEngine legacy(g);
-    LegacyPacketEngine::Stats legacy_stats;
-    const double legacy_ms = benchio::min_ms_over(
-        kReps, [&] { legacy_stats = legacy.run_flood(); });
-
-    const double mailbox_mps =
-        static_cast<double>(stats.messages) / (mailbox_ms / 1e3);
-    const double legacy_mps =
-        static_cast<double>(legacy_stats.messages) / (legacy_ms / 1e3);
-    const double speedup = mailbox_mps / legacy_mps;
+    const double mps = static_cast<double>(stats.messages) / (ms / 1e3);
     std::cout << "n=" << g.num_vertices() << " Delta=" << g.max_degree()
-              << ": mailbox " << static_cast<std::int64_t>(mailbox_mps / 1e3)
-              << " kmsg/s, packet-replica "
-              << static_cast<std::int64_t>(legacy_mps / 1e3)
-              << " kmsg/s, speedup " << speedup << "x\n";
+              << ": " << static_cast<std::int64_t>(mps / 1e3) << " kmsg/s\n";
 
     sink.add(benchio::JsonRecord()
                  .field("bench", "flood_throughput")
-                 .field("engine", "mailbox")
                  .field("family", "near_regular")
                  .field("n", static_cast<std::int64_t>(g.num_vertices()))
                  .field("delta", g.max_degree())
@@ -183,123 +77,19 @@ void bench_flood_throughput(benchio::JsonSink& sink) {
                  .field("work_items", stats.work_items)
                  .field("max_msg_words",
                         static_cast<std::int64_t>(stats.max_msg_words))
-                 .field("wall_ms", mailbox_ms)
-                 .field("msgs_per_sec", mailbox_mps)
-                 .field("speedup_vs_packet_engine", speedup));
-    sink.add(benchio::JsonRecord()
-                 .field("bench", "flood_throughput")
-                 .field("engine", "packet_replica")
-                 .field("family", "near_regular")
-                 .field("n", static_cast<std::int64_t>(g.num_vertices()))
-                 .field("delta", g.max_degree())
-                 .field("rounds", legacy_stats.rounds)
-                 .field("messages", legacy_stats.messages)
-                 .field("words", legacy_stats.words)
-                 .field("wall_ms", legacy_ms)
-                 .field("msgs_per_sec", legacy_mps));
+                 .field("wall_ms", ms)
+                 .field("msgs_per_sec", mps));
   }
 }
 
-// A short flood phase, as seen at the boundary between two pipeline stages:
-// most of the paper's composed procedures run many brief programs back to
-// back, so per-phase setup cost is what the Runtime exists to amortize.
-// rounds == 0 is the pure boundary (every vertex decides locally and
-// halts), the shape of trivial subproblems deep in a recursion.
-class FloodPhase : public sim::VertexProgram {
- public:
-  explicit FloodPhase(int rounds) : rounds_(rounds) {}
-  std::string name() const override { return "flood-phase"; }
-  void begin(sim::Ctx& ctx) override {
-    if (rounds_ == 0) ctx.halt();
-    else ctx.broadcast({1});
-  }
-  void step(sim::Ctx& ctx, const sim::Inbox&) override {
-    if (ctx.round() >= rounds_) ctx.halt();
-    else ctx.broadcast({1});
-  }
- private:
-  int rounds_;
-};
-
-void bench_phase_boundary(benchio::JsonSink& sink) {
-  std::cout << "\n== phase-boundary cost: fresh Engine per phase vs one "
-               "Runtime session ==\n";
-  constexpr int kPhases = 48;
-  constexpr int kReps = 3;
-  struct Config { V n; int delta; int shards; int rounds; };
-  for (const Config cfg :
-       {Config{1 << 12, 8, 1, 1}, Config{1 << 12, 8, 4, 1},
-        Config{1 << 14, 8, 4, 1}, Config{1 << 14, 8, 4, 0}}) {
-    const Graph g = random_near_regular(cfg.n, cfg.delta, 5);
-
-    // Pre-Runtime architecture: every phase constructs its own engine,
-    // re-allocating all arenas and re-spawning shards-1 worker threads.
-    sim::RunStats fresh_stats;
-    const double fresh_ms = benchio::min_ms_over(kReps, [&] {
-      sim::RunStats total;
-      for (int phase = 0; phase < kPhases; ++phase) {
-        sim::Engine engine(g, cfg.shards);
-        FloodPhase prog(cfg.rounds);
-        total += engine.run(prog, cfg.rounds + sim::kRoundCapSlack);
-      }
-      fresh_stats = total;
-    });
-
-    // One session: arenas and the parked pool persist across all phases.
-    sim::RunStats runtime_stats;
-    const double runtime_ms = benchio::min_ms_over(kReps, [&] {
-      sim::Runtime rt(g, cfg.shards);
-      sim::RunStats total;
-      for (int phase = 0; phase < kPhases; ++phase) {
-        FloodPhase prog(cfg.rounds);
-        total += rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack);
-      }
-      runtime_stats = total;
-    });
-
-    const double speedup = fresh_ms / runtime_ms;
-    std::cout << "n=" << g.num_vertices() << " shards=" << cfg.shards
-              << " rounds/phase=" << cfg.rounds << ": " << kPhases
-              << " phases, fresh-engine " << fresh_ms << " ms, runtime "
-              << runtime_ms << " ms, speedup " << speedup << "x\n";
-
-    sink.add(benchio::JsonRecord()
-                 .field("bench", "phase_boundary")
-                 .field("engine", "fresh_engine_per_phase")
-                 .field("family", "near_regular")
-                 .field("n", static_cast<std::int64_t>(g.num_vertices()))
-                 .field("delta", g.max_degree())
-                 .field("shards", cfg.shards)
-                 .field("phases", kPhases)
-                 .field("rounds_per_phase", cfg.rounds)
-                 .field("rounds", fresh_stats.rounds)
-                 .field("messages", fresh_stats.messages)
-                 .field("wall_ms", fresh_ms));
-    sink.add(benchio::JsonRecord()
-                 .field("bench", "phase_boundary")
-                 .field("engine", "runtime_reuse")
-                 .field("family", "near_regular")
-                 .field("n", static_cast<std::int64_t>(g.num_vertices()))
-                 .field("delta", g.max_degree())
-                 .field("shards", cfg.shards)
-                 .field("phases", kPhases)
-                 .field("rounds_per_phase", cfg.rounds)
-                 .field("rounds", runtime_stats.rounds)
-                 .field("messages", runtime_stats.messages)
-                 .field("work_items", runtime_stats.work_items)
-                 .field("wall_ms", runtime_ms)
-                 .field("speedup_vs_fresh_engine", speedup));
-  }
-}
-
-// Tail-heavy scheduler workload: 1-in-`sparsity` vertices survive begin()
-// and keep exchanging 1-word messages on up to `fanout` ports (fanout < 0:
+// Tail-heavy workload: 1-in-`sparsity` vertices survive begin() and keep
+// exchanging 1-word messages on up to `fanout` ports (fanout < 0:
 // broadcast) for `rounds` rounds, on a staggered schedule -- a survivor
 // sends only on its 1-in-`period` rounds, the way the pipeline's greedy
 // sweeps let one color class speak per round. This is the shape of the
 // layer-peeling and refinement tails, where the paper's "all vertices
-// active" observation does not hold and the dense executor still pays O(n)
-// per round for a frontier of n/sparsity vertices.
+// active" observation does not hold; sparsity 1 / period 1 is the all-live
+// flood where it does.
 class TailExchange : public sim::VertexProgram {
  public:
   TailExchange(int sparsity, int fanout, int period, int rounds)
@@ -333,40 +123,10 @@ class TailExchange : public sim::VertexProgram {
   int rounds_;
 };
 
-/// Times the workload under both schedulers on persistent sessions,
-/// interleaving the repetitions (dense, sparse, dense, ...) so clock drift
-/// and thermal throttling bias neither side; best-of-`reps` each.
-void time_schedulers(const Graph& g, int sparsity, int fanout, int period,
-                     int rounds, int reps, sim::RunStats& dense_stats,
-                     double& dense_ms, sim::RunStats& sparse_stats,
-                     double& sparse_ms) {
-  sim::Runtime dense_rt(g, /*shards=*/1);
-  dense_rt.set_scheduler(sim::Scheduler::kDense);
-  sim::Runtime sparse_rt(g, /*shards=*/1);
-  sparse_rt.set_scheduler(sim::Scheduler::kSparse);
-  dense_ms = 1e300;
-  sparse_ms = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    {
-      TailExchange prog(sparsity, fanout, period, rounds);
-      const auto t0 = Clock::now();
-      dense_stats = dense_rt.run_phase(prog, rounds + sim::kRoundCapSlack);
-      dense_ms = std::min(dense_ms, ms_since(t0));
-    }
-    {
-      TailExchange prog(sparsity, fanout, period, rounds);
-      const auto t0 = Clock::now();
-      sparse_stats = sparse_rt.run_phase(prog, rounds + sim::kRoundCapSlack);
-      sparse_ms = std::min(sparse_ms, ms_since(t0));
-    }
-  }
-}
-
-/// Sparse vs dense scheduler A/B. Returns false if any bit-identity or
-/// (in smoke mode, release builds only) speedup expectation fails.
-bool bench_scheduler(benchio::JsonSink& sink, bool smoke) {
-  std::cout << "\n== scheduler: sparse active-set vs dense full-sweep ==\n";
-  bool ok = true;
+/// Round-loop cost of the executor on tail-heavy workloads and the all-live
+/// flood, best-of-3 on a persistent single-shard session.
+void bench_tail(benchio::JsonSink& sink) {
+  std::cout << "\n== round loop: tail-heavy frontiers and the all-live flood ==\n";
   struct Config {
     const char* label;
     const char* family;
@@ -377,194 +137,65 @@ bool bench_scheduler(benchio::JsonSink& sink, bool smoke) {
     int rounds;
   };
   std::vector<Config> configs;
-  if (smoke) {
-    configs.push_back({"smoke tail", "near_regular",
-                       random_near_regular(1 << 15, 16, 7), 32, 2, 8, 64});
-  } else {
-    configs.push_back({"sparse tail, staggered 2-port frontier",
-                       "near_regular", random_near_regular(1 << 17, 16, 7),
-                       128, 2, 8, 256});
-    configs.push_back({"sparse tail, staggered broadcast frontier",
-                       "planted_arboricity",
-                       planted_arboricity(1 << 16, 16, 7), 64, -1, 16, 192});
-  }
-  const int reps = 3;
-  for (Config& cfg : configs) {
-    sim::RunStats dense_stats, sparse_stats;
-    double dense_ms = 0, sparse_ms = 0;
-    time_schedulers(cfg.g, cfg.sparsity, cfg.fanout, cfg.period, cfg.rounds,
-                    reps, dense_stats, dense_ms, sparse_stats, sparse_ms);
-    const bool identical = (dense_stats == sparse_stats);
-    const double speedup = dense_ms / sparse_ms;
+  configs.push_back({"sparse tail, staggered 2-port frontier", "near_regular",
+                     random_near_regular(1 << 17, 16, 7), 128, 2, 8, 256});
+  configs.push_back({"sparse tail, staggered broadcast frontier",
+                     "planted_arboricity", planted_arboricity(1 << 16, 16, 7),
+                     64, -1, 16, 192});
+  configs.push_back({"all-live flood", "near_regular",
+                     random_near_regular(1 << 15, 16, 9), 1, -1, 1, 64});
+  constexpr int kReps = 3;
+  for (const Config& cfg : configs) {
+    sim::Runtime rt(cfg.g, /*shards=*/1);
+    sim::RunStats stats;
+    const double ms = benchio::min_ms_over(kReps, [&] {
+      TailExchange prog(cfg.sparsity, cfg.fanout, cfg.period, cfg.rounds);
+      stats = rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack);
+    });
     const double live_fraction =
-        static_cast<double>(peak_active(sparse_stats)) /
+        static_cast<double>(peak_active(stats)) /
         static_cast<double>(cfg.g.num_vertices());
     std::cout << cfg.label << ": n=" << cfg.g.num_vertices()
-              << " live<=" << peak_active(sparse_stats) << " ("
-              << 100.0 * live_fraction << "%), dense " << dense_ms
-              << " ms, sparse " << sparse_ms << " ms, speedup " << speedup
-              << "x, bit-identical=" << (identical ? "yes" : "NO") << "\n";
-    if (!identical) ok = false;
-#ifdef NDEBUG
-    if (smoke && speedup < 1.5) {
-      std::cout << "SMOKE FAILURE: expected >=1.5x sparse speedup on the "
-                   "tail workload, got "
-                << speedup << "x\n";
-      ok = false;
-    }
-#endif
-    for (const auto& [sched, stats, wall] :
-         {std::tuple<const char*, const sim::RunStats*, double>{
-              "dense", &dense_stats, dense_ms},
-          {"sparse", &sparse_stats, sparse_ms}}) {
-      benchio::JsonRecord rec;
-      rec.field("bench", "scheduler_tail")
-          .field("config", cfg.label)
-          .field("scheduler", sched)
-          .field("family", cfg.family)
-          .field("n", static_cast<std::int64_t>(cfg.g.num_vertices()))
-          .field("delta", cfg.g.max_degree())
-          .field("rounds", stats->rounds)
-          .field("messages", stats->messages)
-          .field("work_items", stats->work_items)
-          .field("peak_live", peak_active(*stats))
-          .field("live_fraction", live_fraction)
-          .field("wall_ms", wall)
-          .field("bit_identical", identical ? 1 : 0);
-      if (std::strcmp(sched, "sparse") == 0) {
-        rec.field("speedup_vs_dense", speedup);
-      }
-      sink.add(rec);
-    }
-  }
-
-  // Dense-workload guard: with every vertex live and every port full, the
-  // sparse scheduler must not regress (its delivery falls back to a live
-  // port scan, so the only delta is live-list vs range iteration).
-  {
-    const Graph g = random_near_regular(smoke ? 1 << 14 : 1 << 15, 16, 9);
-    const int rounds = smoke ? 32 : 64;
-    sim::RunStats dense_stats, sparse_stats;
-    // sparsity 1 / period 1: every vertex live, every port full, every round.
-    double dense_ms = 0, sparse_ms = 0;
-    time_schedulers(g, 1, -1, 1, rounds, reps, dense_stats, dense_ms,
-                    sparse_stats, sparse_ms);
-    const bool identical = (dense_stats == sparse_stats);
-    const double ratio = sparse_ms / dense_ms;
-    std::cout << "all-live dense guard: n=" << g.num_vertices() << " dense "
-              << dense_ms << " ms, sparse " << sparse_ms
-              << " ms, sparse/dense " << ratio
-              << " (<= 1.05 required), bit-identical="
-              << (identical ? "yes" : "NO") << "\n";
-    if (!identical) ok = false;
-#ifdef NDEBUG
-    // Enforce the no-regression criterion, not just print it (interleaved
-    // best-of-N keeps the ratio stable enough to gate on; debug/sanitizer
-    // builds skip the wall-clock check, like the tail speedup above).
-    if (ratio > 1.05) {
-      std::cout << "GUARD FAILURE: sparse scheduler is >5% slower than "
-                   "dense on the all-live workload\n";
-      ok = false;
-    }
-#endif
+              << " live<=" << peak_active(stats) << " ("
+              << 100.0 * live_fraction << "%), " << ms << " ms\n";
     sink.add(benchio::JsonRecord()
-                 .field("bench", "scheduler_dense_guard")
-                 .field("family", "near_regular")
-                 .field("n", static_cast<std::int64_t>(g.num_vertices()))
-                 .field("delta", g.max_degree())
-                 .field("rounds", sparse_stats.rounds)
-                 .field("messages", sparse_stats.messages)
-                 .field("work_items", sparse_stats.work_items)
-                 .field("peak_live", peak_active(sparse_stats))
-                 .field("dense_wall_ms", dense_ms)
-                 .field("sparse_wall_ms", sparse_ms)
-                 .field("sparse_over_dense", ratio)
-                 .field("bit_identical", identical ? 1 : 0));
+                 .field("bench", "tail_exchange")
+                 .field("config", cfg.label)
+                 .field("family", cfg.family)
+                 .field("n", static_cast<std::int64_t>(cfg.g.num_vertices()))
+                 .field("delta", cfg.g.max_degree())
+                 .field("rounds", stats.rounds)
+                 .field("messages", stats.messages)
+                 .field("work_items", stats.work_items)
+                 .field("peak_live", peak_active(stats))
+                 .field("live_fraction", live_fraction)
+                 .field("wall_ms", ms));
   }
-
-  // End-to-end: the full PolylogTime pipeline on a high-arboricity planted
-  // graph, dense vs sparse, bit-identity across colors/stats/PhaseLog.
-  if (!smoke) {
-    const Graph g = planted_arboricity(1 << 14, 16, 11);
-    Knobs dense_knobs, sparse_knobs;
-    dense_knobs.scheduler = sim::Scheduler::kDense;
-    sparse_knobs.scheduler = sim::Scheduler::kSparse;
-    double dense_ms = 1e300, sparse_ms = 1e300;
-    LegalColoringResult dense_res, sparse_res;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto t0 = Clock::now();
-      dense_res = color_graph(g, 16, Preset::PolylogTime, dense_knobs);
-      dense_ms = std::min(dense_ms, ms_since(t0));
-      t0 = Clock::now();
-      sparse_res = color_graph(g, 16, Preset::PolylogTime, sparse_knobs);
-      sparse_ms = std::min(sparse_ms, ms_since(t0));
-    }
-    const bool identical = dense_res.colors == sparse_res.colors &&
-                           dense_res.total == sparse_res.total &&
-                           dense_res.phases == sparse_res.phases;
-    const double speedup = dense_ms / sparse_ms;
-    std::cout << "polylog pipeline (planted a=16, n=" << g.num_vertices()
-              << "): dense " << dense_ms << " ms, sparse " << sparse_ms
-              << " ms, speedup " << speedup << "x, work_items="
-              << sparse_res.total.work_items
-              << ", bit-identical=" << (identical ? "yes" : "NO") << "\n";
-    if (!identical) ok = false;
-    for (const auto& [sched, res, wall] :
-         {std::tuple<const char*, const LegalColoringResult*, double>{
-              "dense", &dense_res, dense_ms},
-          {"sparse", &sparse_res, sparse_ms}}) {
-      sink.add(benchio::JsonRecord()
-                   .field("bench", "scheduler_pipeline")
-                   .field("algorithm", preset_name(Preset::PolylogTime))
-                   .field("scheduler", sched)
-                   .field("family", "planted_arboricity")
-                   .field("n", static_cast<std::int64_t>(g.num_vertices()))
-                   .field("delta", g.max_degree())
-                   .field("colors", static_cast<std::int64_t>(res->distinct))
-                   .field("rounds", res->total.rounds)
-                   .field("messages", res->total.messages)
-                   .field("work_items", res->total.work_items)
-                   .field("peak_live", peak_active(res->total))
-                   .field("wall_ms", wall)
-                   .field("bit_identical", identical ? 1 : 0));
-    }
-  }
-  return ok;
 }
 
-// Per-array CSR footprint (satellite of the giant-graph work): reports the
-// compact layout's bytes/vertex next to a forced-wide build of the same
-// graph, so the 32-bit offset/mirror saving and the owner-table elimination
-// are tracked as first-class bench numbers.
+// Per-array CSR footprint (satellite of the giant-graph work): bytes per
+// vertex of the 32-bit offset/mirror layout, tracked as a first-class bench
+// number.
 void bench_graph_memory(benchio::JsonSink& sink) {
-  std::cout << "\n== graph memory: compact vs wide CSR ==\n";
+  std::cout << "\n== graph memory: CSR bytes per vertex ==\n";
   struct Config { const char* family; Graph g; };
   for (const Config& cfg :
        {Config{"near_regular", random_near_regular(1 << 15, 16, 3)},
         Config{"barabasi_albert", barabasi_albert(1 << 15, 8, 3)}}) {
-    const Graph wide = Graph::from_edges(cfg.g.num_vertices(), cfg.g.edges(),
-                                         Graph::Layout::kWide);
     const auto mb = cfg.g.memory_breakdown();
     const double bpv = static_cast<double>(cfg.g.memory_bytes()) /
                        static_cast<double>(cfg.g.num_vertices());
-    const double wide_bpv = static_cast<double>(wide.memory_bytes()) /
-                            static_cast<double>(wide.num_vertices());
-    std::cout << cfg.family << " n=" << cfg.g.num_vertices()
-              << ": compact " << bpv << " B/vertex, wide " << wide_bpv
-              << " B/vertex (" << (cfg.g.compact_layout() ? "compact" : "wide")
-              << " auto-selected)\n";
+    std::cout << cfg.family << " n=" << cfg.g.num_vertices() << ": " << bpv
+              << " B/vertex\n";
     sink.add(benchio::JsonRecord()
                  .field("bench", "graph_memory")
                  .field("family", cfg.family)
                  .field("n", static_cast<std::int64_t>(cfg.g.num_vertices()))
                  .field("edges", cfg.g.num_edges())
-                 .field("compact", cfg.g.compact_layout() ? 1 : 0)
                  .field("offsets_bytes", mb.offsets_bytes)
                  .field("adjacency_bytes", mb.adjacency_bytes)
                  .field("mirror_bytes", mb.mirror_bytes)
-                 .field("owner_bytes", mb.owner_bytes)
-                 .field("bytes_per_vertex", bpv)
-                 .field("wide_bytes_per_vertex", wide_bpv));
+                 .field("bytes_per_vertex", bpv));
   }
 }
 
@@ -610,7 +241,7 @@ void bench_substrate(benchio::JsonSink& sink) {
     // Per-phase breakdown from the session PhaseLog (depth encodes the
     // span tree; spans aggregate their subtrees). peak_live is derived
     // from each leaf's active_per_round series (spans: subtree max), so
-    // the sparse-scheduler speedup is auditable per phase from this file.
+    // the live-list executor's cost is auditable per phase from this file.
     for (std::size_t i = 0; i < res.phases.size(); ++i) {
       const auto& entry = res.phases[i];
       sink.add(benchio::JsonRecord()
@@ -645,23 +276,12 @@ void bench_substrate(benchio::JsonSink& sink) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // `--smoke=scheduler`: seconds-scale scheduler A/B for CI (ctest target
-  // bench_scheduler_smoke). Exit code 1 on a bit-identity violation, or --
-  // in release builds -- a missing sparse speedup on the tail workload.
-  if (argc > 1 && std::strcmp(argv[1], "--smoke=scheduler") == 0) {
-    std::cout << "E12 smoke: sparse-scheduler A/B gate\n";
-    benchio::JsonSink sink("micro_smoke");
-    const bool ok = bench_scheduler(sink, /*smoke=*/true);
-    std::cout << (ok ? "scheduler smoke OK\n" : "scheduler smoke FAILED\n");
-    return ok ? 0 : 1;
-  }
+int main() {
   std::cout << "E12: simulation-substrate microbenchmarks\n\n";
   benchio::JsonSink sink("micro");
   bench_flood_throughput(sink);
-  bench_phase_boundary(sink);
-  const bool scheduler_ok = bench_scheduler(sink, /*smoke=*/false);
+  bench_tail(sink);
   bench_graph_memory(sink);
   bench_substrate(sink);
-  return scheduler_ok ? 0 : 1;
+  return 0;
 }

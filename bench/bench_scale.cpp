@@ -60,8 +60,7 @@ bool run_config(benchio::JsonSink& sink, const std::string& family, int scale,
   const double build_ms = ms_since(t0);
   const auto n = static_cast<std::int64_t>(g.num_vertices());
   std::cout << "   built: n=" << n << " m=" << g.num_edges()
-            << " Delta=" << g.max_degree() << " layout="
-            << (g.compact_layout() ? "compact" : "wide") << " in " << build_ms
+            << " Delta=" << g.max_degree() << " in " << build_ms
             << " ms (" << g.memory_bytes() / (1 << 20) << " MiB CSR)\n";
 
   // Degeneracy is a certified arboricity bound (a <= degeneracy), computed
@@ -133,7 +132,6 @@ bool run_config(benchio::JsonSink& sink, const std::string& family, int scale,
                .field("edges", g.num_edges())
                .field("delta", g.max_degree())
                .field("arboricity_bound", bound)
-               .field("compact", g.compact_layout() ? 1 : 0)
                .field("shards", shards)
                .field("build_ms", build_ms)
                .field("degeneracy_ms", bound_ms)

@@ -9,7 +9,7 @@
 
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

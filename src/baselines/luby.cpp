@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 namespace {

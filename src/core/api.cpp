@@ -25,7 +25,6 @@ LegalColoringResult color_graph(sim::Runtime& rt, int arboricity_bound,
                                 Preset preset, const Knobs& knobs) {
   DVC_REQUIRE(arboricity_bound >= 1, "arboricity bound must be >= 1");
   const sim::ScopedCongestWords congest_guard(rt, knobs.congest_words);
-  const sim::ScopedScheduler scheduler_guard(rt, knobs.scheduler);
   const sim::ScopedFaultPlan fault_guard(rt, knobs.fault_plan);
   switch (preset) {
     case Preset::LinearColors:
@@ -45,7 +44,11 @@ LegalColoringResult color_graph(sim::Runtime& rt, int arboricity_bound,
       return fast_subquadratic_coloring(rt, arboricity_bound, f, knobs.eta, knobs.eps);
     }
     case Preset::TradeoffAT:
-      return tradeoff_coloring(rt, arboricity_bound, knobs.t, knobs.mu, knobs.eps);
+      // Effective t clamped to [1, a] (see Knobs::t): the default t = 2 is
+      // then valid on forests, where a = 1.
+      return tradeoff_coloring(rt, arboricity_bound,
+                               std::clamp(knobs.t, 1, arboricity_bound),
+                               knobs.mu, knobs.eps);
     case Preset::DeltaPlusOneLowArb:
       return delta_plus_one_low_arb(rt, arboricity_bound, knobs.eta, knobs.eps);
   }
@@ -63,7 +66,6 @@ LegalColoringResult color_graph(const Graph& g, int arboricity_bound, Preset pre
 
 MisResult mis_graph(sim::Runtime& rt, int arboricity_bound, const Knobs& knobs) {
   const sim::ScopedCongestWords congest_guard(rt, knobs.congest_words);
-  const sim::ScopedScheduler scheduler_guard(rt, knobs.scheduler);
   const sim::ScopedFaultPlan fault_guard(rt, knobs.fault_plan);
   return deterministic_mis(rt, arboricity_bound, knobs.mu, knobs.eps);
 }

@@ -10,7 +10,7 @@
 #include "core/mis.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 
@@ -45,7 +45,10 @@ inline constexpr int kCongestWordsPaperPath = 3;
 struct Knobs {
   double mu = 0.5;   // LinearColors / TradeoffAT exponent
   double eta = 0.5;  // NearLinearColors / DeltaPlusOneLowArb exponent
-  int t = 2;         // TradeoffAT
+  /// TradeoffAT palette/time trade-off. The preset runs with t clamped to
+  /// [1, a] (a = the arboricity bound), so the default is valid on every
+  /// input -- including forests, where the effective t is 1.
+  int t = 2;
   int f = 0;         // FastSubquadratic class arboricity (0: ~sqrt(a))
   double eps = 0.25; // H-partition slack
   /// Executor shards for every simulated phase (0 = keep thread default).
@@ -59,13 +62,6 @@ struct Knobs {
   /// program. Metering itself is always on (RunStats/PhaseLog bandwidth
   /// counters); the budget only adds enforcement.
   int congest_words = 0;
-  /// Executor choice for the pipeline's simulated phases. kSession (the
-  /// default) keeps the session's scheduler -- sparse on a fresh session.
-  /// kSparse forces the live-list O(live + messages) executor, kDense the
-  /// legacy full-sweep baseline; results are bit-identical either way
-  /// (colors, RunStats, PhaseLog), only wall-clock differs. Used for A/B
-  /// verification and the scheduler benchmarks.
-  sim::Scheduler scheduler = sim::Scheduler::kSession;
   /// Deterministic fault injection for the pipeline (chaos testing, see
   /// sim/fault.hpp): non-null installs the plan for the duration of the
   /// call via ScopedFaultPlan. DIRECT synchronous calls only -- the pointer

@@ -23,7 +23,7 @@
 #include "defective/kuhn.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

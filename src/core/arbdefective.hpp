@@ -15,7 +15,7 @@
 #include "decomp/orientations.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

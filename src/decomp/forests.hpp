@@ -12,7 +12,7 @@
 
 #include "decomp/orientations.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

@@ -33,7 +33,7 @@
 #include "defective/reduce.hpp"
 #include "graph/graph.hpp"
 #include "graph/orientation.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

@@ -21,7 +21,7 @@
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
 #include "graph/orientation.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 

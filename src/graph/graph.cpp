@@ -6,14 +6,14 @@
 
 namespace dvc {
 
-Graph Graph::from_edges(V n, const EdgeList& edges, Layout layout) {
+Graph Graph::from_edges(V n, const EdgeList& edges) {
   // Edge-list construction is now a thin client of the streaming builder:
   // two passes over the caller's list, no normalized copy, no global sort.
   CsrBuilder b(n);
   for (const auto& [u, v] : edges) b.add(u, v);
   b.next_pass();
   for (const auto& [u, v] : edges) b.add(u, v);
-  return b.finish(layout);
+  return b.finish();
 }
 
 V Graph::slot_owner(std::int64_t s) const {
@@ -22,13 +22,9 @@ V Graph::slot_owner(std::int64_t s) const {
   // the owner of s is the last v with off[v] <= s. Zero-degree vertices
   // collapse to repeated offsets and own no slots, which upper_bound skips
   // naturally.
-  if (compact_) {
-    const auto it = std::upper_bound(off32_.begin(), off32_.end(),
-                                     static_cast<std::uint32_t>(s));
-    return static_cast<V>((it - off32_.begin()) - 1);
-  }
-  const auto it = std::upper_bound(off64_.begin(), off64_.end(), s);
-  return static_cast<V>((it - off64_.begin()) - 1);
+  const auto it = std::upper_bound(off_.begin(), off_.end(),
+                                   static_cast<std::uint32_t>(s));
+  return static_cast<V>((it - off_.begin()) - 1);
 }
 
 int Graph::port_of(V v, V u) const {
@@ -61,12 +57,9 @@ EdgeList Graph::edges() const {
 
 Graph::MemoryBreakdown Graph::memory_breakdown() const {
   MemoryBreakdown mb;
-  mb.offsets_bytes = off32_.capacity() * sizeof(std::uint32_t) +
-                     off64_.capacity() * sizeof(std::int64_t);
+  mb.offsets_bytes = off_.capacity() * sizeof(std::uint32_t);
   mb.adjacency_bytes = adj_.capacity() * sizeof(V);
-  mb.mirror_bytes = mirror32_.capacity() * sizeof(std::uint32_t) +
-                    mirror64_.capacity() * sizeof(std::int64_t);
-  mb.owner_bytes = 0;  // derived by binary search; no per-slot table
+  mb.mirror_bytes = mirror_.capacity() * sizeof(std::uint32_t);
   return mb;
 }
 
@@ -92,7 +85,7 @@ void CsrBuilder::next_pass() {
   }
 }
 
-Graph CsrBuilder::finish(Graph::Layout layout) {
+Graph CsrBuilder::finish() {
   DVC_REQUIRE(!counting_, "finish called before the fill pass (next_pass)");
   DVC_REQUIRE(!finished_, "finish called twice");
   finished_ = true;
@@ -125,31 +118,18 @@ Graph CsrBuilder::finish(Graph::Layout layout) {
     max_deg = std::max(max_deg, detail::checked_port_cast(deg));
   }
   DVC_ENSURE(w % 2 == 0, "slot count must be even (one mirror per slot)");
+  detail::require_slot_count(w);
   g.m_ = w / 2;
   g.max_deg_ = max_deg;
   adj_.resize(static_cast<std::size_t>(w));
   adj_.shrink_to_fit();  // release the duplicate slack before mirrors
 
-  const bool fits_compact =
-      w <= static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max());
-  DVC_REQUIRE(layout != Graph::Layout::kCompact || fits_compact,
-              "2m does not fit the 32-bit compact layout");
-  g.compact_ = layout == Graph::Layout::kWide ? false : fits_compact;
-
-  if (g.compact_) {
-    g.off32_.resize(static_cast<std::size_t>(n_) + 1);
-    for (V v = 0; v < n_; ++v) {
-      g.off32_[static_cast<std::size_t>(v)] =
-          static_cast<std::uint32_t>(cur_[static_cast<std::size_t>(v)]);
-    }
-    g.off32_[static_cast<std::size_t>(n_)] = static_cast<std::uint32_t>(w);
-  } else {
-    g.off64_.resize(static_cast<std::size_t>(n_) + 1);
-    for (V v = 0; v < n_; ++v) {
-      g.off64_[static_cast<std::size_t>(v)] = cur_[static_cast<std::size_t>(v)];
-    }
-    g.off64_[static_cast<std::size_t>(n_)] = w;
+  g.off_.resize(static_cast<std::size_t>(n_) + 1);
+  for (V v = 0; v < n_; ++v) {
+    g.off_[static_cast<std::size_t>(v)] =
+        static_cast<std::uint32_t>(cur_[static_cast<std::size_t>(v)]);
   }
+  g.off_[static_cast<std::size_t>(n_)] = static_cast<std::uint32_t>(w);
   off_.clear();
   off_.shrink_to_fit();
   g.adj_ = std::move(adj_);
@@ -159,15 +139,9 @@ Graph CsrBuilder::finish(Graph::Layout layout) {
   // u's row -- so a per-vertex counter of already-mirrored smaller
   // neighbors names the back port directly, with no per-slot search.
   auto final_off = [&](V v) {
-    return g.compact_
-               ? static_cast<std::int64_t>(g.off32_[static_cast<std::size_t>(v)])
-               : g.off64_[static_cast<std::size_t>(v)];
+    return static_cast<std::int64_t>(g.off_[static_cast<std::size_t>(v)]);
   };
-  if (g.compact_) {
-    g.mirror32_.resize(static_cast<std::size_t>(w));
-  } else {
-    g.mirror64_.resize(static_cast<std::size_t>(w));
-  }
+  g.mirror_.resize(static_cast<std::size_t>(w));
   std::fill(cur_.begin(), cur_.end(), 0);
   for (V v = 0; v < n_; ++v) {
     const std::int64_t base = final_off(v);
@@ -179,13 +153,8 @@ Graph CsrBuilder::finish(Graph::Layout layout) {
       const std::int64_t t = final_off(u) + cur_[static_cast<std::size_t>(u)]++;
       DVC_ENSURE(g.adj_[static_cast<std::size_t>(t)] == v,
                  "mirror cursor desynchronized from the sorted adjacency");
-      if (g.compact_) {
-        g.mirror32_[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(t);
-        g.mirror32_[static_cast<std::size_t>(t)] = static_cast<std::uint32_t>(s);
-      } else {
-        g.mirror64_[static_cast<std::size_t>(s)] = t;
-        g.mirror64_[static_cast<std::size_t>(t)] = s;
-      }
+      g.mirror_[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(t);
+      g.mirror_[static_cast<std::size_t>(t)] = static_cast<std::uint32_t>(s);
     }
   }
   cur_.clear();
@@ -193,8 +162,7 @@ Graph CsrBuilder::finish(Graph::Layout layout) {
 
   // Content digest: the CSR arrays are canonical (adjacency sorted, edges
   // deduped), so hashing the degree+neighbor stream gives a representation-
-  // independent topology hash -- identical for compact and wide layouts.
-  // The per-vertex degree word keeps graphs with identical concatenated
+  // independent topology hash. The per-vertex degree word keeps graphs with identical concatenated
   // adjacency but different offsets apart.
   std::uint64_t h = detail::digest_mix(
       detail::digest_mix(0x64766367ULL /* "dvcg" */,

@@ -7,25 +7,21 @@
 // slot(v, port_v), one per endpoint. Slots index per-edge data (orientations,
 // message routing); mirror_slot maps a slot to the opposite endpoint's slot.
 //
-// Memory layout (see DESIGN.md, "Memory layout & giant graphs"): the CSR
-// arrays come in two layouts selected once at construction.
-//   * Compact (2m < 2^32): 32-bit slot offsets and 32-bit mirror indices --
-//     8 bytes per slot plus 4 bytes per vertex. This covers every graph up
-//     to ~2 billion directed slots, i.e. all Graph500-class instances this
-//     box can hold.
-//   * Wide (2m >= 2^32): 64-bit offsets and mirrors, the old layout.
-// The slot-owner table is eliminated in BOTH layouts: slot_owner() derives
-// the owner by binary search over the offset array (O(log n), used only on
-// cold paths -- the runtime's hot delivery paths carry receiver ids
-// explicitly precisely so they never pay an owner lookup). All accessors
-// hide the choice; programs, drivers and the runtime are layout-agnostic,
-// and two Graphs built from the same edge set are bit-identical in every
-// observable (adjacency, slots, mirrors, digest) regardless of layout.
+// Memory layout (see DESIGN.md, "Memory layout & giant graphs"): 32-bit
+// slot offsets and 32-bit mirror indices -- 8 bytes per slot plus 4 bytes
+// per vertex. Construction rejects graphs with 2m >= 2^32 directed slots
+// (precondition_error): by the per-slot budget such a graph needs well over
+// 150 GB of steady state, more than any target machine holds. There is no
+// slot-owner table: slot_owner() derives the owner by binary search over
+// the offset array (O(log n), used only on cold paths -- the runtime's hot
+// delivery paths carry receiver ids explicitly precisely so they never pay
+// an owner lookup).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,44 +59,44 @@ inline int checked_port_cast(std::int64_t d) {
   return static_cast<int>(d);
 }
 
+/// Documented slot-count cap: a Graph holds at most 2^32 - 1 directed
+/// slots, so offsets, mirrors and the runtime's slot indexes are 32-bit.
+inline constexpr std::int64_t kMaxSlots =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Build-time check of the slot-count cap: a graph past it fails with a
+/// structured precondition_error instead of silently wrapping 32-bit slots.
+inline void require_slot_count(std::int64_t slots) {
+  DVC_REQUIRE(slots <= kMaxSlots,
+              "graph has " + std::to_string(slots) +
+                  " directed slots (2m); the CSR layout holds at most "
+                  "2^32 - 1");
+}
+
 }  // namespace detail
 
 class Graph {
  public:
-  /// CSR storage width. kAuto picks compact iff 2m fits 32 bits; kCompact /
-  /// kWide force a layout (kCompact throws precondition_error if 2m does
-  /// not fit). Forcing exists for the layout bit-identity test suite and
-  /// A/B memory measurements; production callers use kAuto.
-  enum class Layout { kAuto, kCompact, kWide };
-
   Graph() = default;
 
   /// Builds from an edge list: self loops are dropped, parallel edges are
-  /// deduplicated, adjacency lists are sorted ascending.
-  static Graph from_edges(V n, const EdgeList& edges,
-                          Layout layout = Layout::kAuto);
+  /// deduplicated, adjacency lists are sorted ascending. Throws
+  /// precondition_error past the slot-count cap (detail::kMaxSlots).
+  static Graph from_edges(V n, const EdgeList& edges);
 
   V num_vertices() const { return n_; }
   std::int64_t num_edges() const { return m_; }
   std::int64_t num_slots() const { return 2 * m_; }
-  /// True when the 32-bit (compact) CSR layout is in use.
-  bool compact_layout() const { return compact_; }
 
   int degree(V v) const {
     const auto i = static_cast<std::size_t>(v);
-    return compact_
-               ? detail::checked_port_cast(
-                     static_cast<std::int64_t>(off32_[i + 1]) - off32_[i])
-               : detail::checked_port_cast(off64_[i + 1] - off64_[i]);
+    return detail::checked_port_cast(
+        static_cast<std::int64_t>(off_[i + 1]) - off_[i]);
   }
   std::span<const V> neighbors(V v) const {
     const auto i = static_cast<std::size_t>(v);
-    if (compact_) {
-      return {adj_.data() + off32_[i],
-              static_cast<std::size_t>(off32_[i + 1] - off32_[i])};
-    }
-    return {adj_.data() + off64_[i],
-            static_cast<std::size_t>(off64_[i + 1] - off64_[i])};
+    return {adj_.data() + off_[i],
+            static_cast<std::size_t>(off_[i + 1] - off_[i])};
   }
   V neighbor(V v, int port) const {
     return adj_[static_cast<std::size_t>(slot(v, port))];
@@ -109,20 +105,16 @@ class Graph {
 
   /// Directed slot id of (v, port).
   std::int64_t slot(V v, int port) const {
-    const auto i = static_cast<std::size_t>(v);
-    return (compact_ ? static_cast<std::int64_t>(off32_[i]) : off64_[i]) +
-           port;
+    return static_cast<std::int64_t>(off_[static_cast<std::size_t>(v)]) + port;
   }
   /// Slot of the reverse direction of the same undirected edge.
   std::int64_t mirror_slot(std::int64_t s) const {
-    const auto i = static_cast<std::size_t>(s);
-    return compact_ ? static_cast<std::int64_t>(mirror32_[i]) : mirror64_[i];
+    return mirror_[static_cast<std::size_t>(s)];
   }
   /// Owning vertex of slot s, derived from the offset array by binary
-  /// search (O(log n)). The per-slot owner table of the old layout is gone
-  /// -- no hot path looks owners up (the runtime's delivery index records
-  /// receivers at send time instead), and eliminating it saves 4 bytes per
-  /// slot in every layout.
+  /// search (O(log n)). There is no per-slot owner table -- no hot path
+  /// looks owners up (the runtime's delivery index records receivers at
+  /// send time instead), and omitting it saves 4 bytes per slot.
   V slot_owner(std::int64_t s) const;
   int slot_port(std::int64_t s) const {
     const V v = slot_owner(s);
@@ -145,23 +137,20 @@ class Graph {
   /// Stable 64-bit content hash over (n, m, per-vertex degree + adjacency),
   /// computed once at construction. Two Graphs built from the same vertex
   /// count and edge set (in any input order -- from_edges canonicalizes)
-  /// share a digest; relabeling vertices changes it. Layout-invariant: the
-  /// hash streams the canonical adjacency, which compact and wide layouts
-  /// represent identically. Used by the service layer's graph store to
-  /// intern topologies, and stable across processes and platforms (no
-  /// pointers, no ASLR, fixed-width arithmetic).
+  /// share a digest; relabeling vertices changes it. Used by the service
+  /// layer's graph store to intern topologies, and stable across processes
+  /// and platforms (no pointers, no ASLR, fixed-width arithmetic).
   std::uint64_t digest() const { return digest_; }
 
   /// Per-array heap footprint of the CSR representation, for the memory
   /// budget the scale benches report (bytes, capacity not size, so the
   /// number matches what the allocator actually holds).
   struct MemoryBreakdown {
-    std::uint64_t offsets_bytes = 0;    ///< off32_/off64_ (n+1 entries)
+    std::uint64_t offsets_bytes = 0;    ///< off_ (n+1 entries)
     std::uint64_t adjacency_bytes = 0;  ///< adj_ (2m entries)
-    std::uint64_t mirror_bytes = 0;     ///< mirror32_/mirror64_ (2m entries)
-    std::uint64_t owner_bytes = 0;      ///< always 0: the table is derived
+    std::uint64_t mirror_bytes = 0;     ///< mirror_ (2m entries)
     std::uint64_t total() const {
-      return offsets_bytes + adjacency_bytes + mirror_bytes + owner_bytes;
+      return offsets_bytes + adjacency_bytes + mirror_bytes;
     }
   };
   MemoryBreakdown memory_breakdown() const;
@@ -173,14 +162,10 @@ class Graph {
   V n_ = 0;
   std::int64_t m_ = 0;
   int max_deg_ = 0;
-  bool compact_ = true;  // the empty graph fits the compact layout
   std::uint64_t digest_ = detail::empty_graph_digest();
-  // Exactly one offset/mirror pair is populated, per `compact_`.
-  std::vector<std::uint32_t> off32_;    // size n+1 (compact)
-  std::vector<std::int64_t> off64_;     // size n+1 (wide)
-  std::vector<V> adj_;                  // size 2m, sorted per vertex
-  std::vector<std::uint32_t> mirror32_;  // size 2m (compact)
-  std::vector<std::int64_t> mirror64_;   // size 2m (wide)
+  std::vector<std::uint32_t> off_;     // size n+1
+  std::vector<V> adj_;                 // size 2m, sorted per vertex
+  std::vector<std::uint32_t> mirror_;  // size 2m
 };
 
 /// Two-pass streaming CSR construction: feed the edge stream once to count
@@ -225,7 +210,9 @@ class CsrBuilder {
 
   /// Canonicalizes (per-vertex sort + dedupe), builds mirrors, computes the
   /// digest, and returns the finished Graph. The builder is left empty.
-  Graph finish(Graph::Layout layout = Graph::Layout::kAuto);
+  /// Throws precondition_error when the deduplicated slot count exceeds
+  /// detail::kMaxSlots.
+  Graph finish();
 
  private:
   V n_ = 0;

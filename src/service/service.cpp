@@ -80,10 +80,9 @@ std::uint64_t knob_fingerprint(const Knobs& knobs, int effective_shards) {
   h = digest_mix(h, static_cast<std::uint64_t>(knobs.f));
   h = mix_double(h, knobs.eps);
   h = digest_mix(h, static_cast<std::uint64_t>(knobs.congest_words));
-  h = digest_mix(h, static_cast<std::uint64_t>(knobs.scheduler));
-  // Shards and scheduler are proven output-invariant (the determinism suite
-  // pins bit-identity across both), so folding them in can only split cache
-  // entries, never corrupt one -- the conservative direction.
+  // Shards are proven output-invariant (the determinism suite pins
+  // bit-identity across shard counts), so folding them in can only split
+  // cache entries, never corrupt one -- the conservative direction.
   h = digest_mix(h, static_cast<std::uint64_t>(effective_shards));
   return h;
 }

@@ -189,7 +189,7 @@ struct ServiceConfig {
 
 /// One unit of work: color `graph` with `preset` under `knobs`.
 /// knobs.shards selects the session shard count (0 = ServiceConfig
-/// default); knobs.congest_words / knobs.scheduler apply per job, scoped to
+/// default); knobs.congest_words applies per job, scoped to
 /// the job's session for exactly the duration of the run.
 struct JobSpec {
   GraphRef graph;
@@ -346,9 +346,9 @@ class SessionPool {
 
 /// 64-bit fingerprint of every Knobs field that selects the computation,
 /// plus the effective shard count -- the cache-key component that makes
-/// "identical job" mean identical output by construction. (Shards and
-/// scheduler are in fact proven output-invariant; including them keeps the
-/// cache correct even if that invariance ever regressed.)
+/// "identical job" mean identical output by construction. (Shards are in
+/// fact proven output-invariant; including them keeps the cache correct
+/// even if that invariance ever regressed.)
 std::uint64_t knob_fingerprint(const Knobs& knobs, int effective_shards);
 
 /// Thread-safe LRU cache of completed coloring results, keyed by

@@ -32,7 +32,8 @@ constexpr std::uint64_t kGroupedDeliveryFactor = 12;
 
 /// A grouped-delivery entry packs the sending shard above the slot id, so
 /// inbox assembly can find the sender's word buffer without a scattered
-/// adjacency lookup per message.
+/// adjacency lookup per message. Slot ids fit 32 bits (CsrBuilder::finish
+/// rejects larger graphs), so the packing never collides.
 constexpr int kTouchSenderShift = 48;
 constexpr std::int64_t kTouchSlotMask =
     (std::int64_t{1} << kTouchSenderShift) - 1;
@@ -62,7 +63,7 @@ std::uint64_t lane_slot_hash(std::int64_t slot,
 // encode/decode/checksum idioms live in common/wire.hpp, shared with the
 // distributed transport's frame protocol.
 constexpr std::uint64_t kCkptMagic = 0x647663434b505431ULL;  // "dvcCKPT1"
-constexpr std::uint32_t kCkptVersion = 1;
+constexpr std::uint32_t kCkptVersion = 2;
 
 std::uint64_t ckpt_checksum(std::span<const std::uint8_t> bytes) {
   return dvc::wire::checksum64(kCkptMagic, bytes);
@@ -235,7 +236,7 @@ namespace {
       "checkpoint replay diverged at log entry " + std::to_string(index) +
       " ('" + std::string(got_name) + "'): " + what +
       " -- the resumed run is not bit-identical to the checkpointed run "
-      "(different knobs, scheduler, graph, or nondeterminism)");
+      "(different knobs, graph, or nondeterminism)");
 }
 
 template <typename T>
@@ -445,8 +446,6 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   // reserve() maps pages without faulting them in.
   const auto slots = static_cast<std::size_t>(g.num_slots());
   slots_ = g.num_slots();
-  touch_idx_ok_ =
-      slots_ <= static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max());
   for (Arena& arena : arenas_) {
     arena.epoch = std::make_unique_for_overwrite<std::int32_t[]>(slots);
     arena.off = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
@@ -468,9 +467,6 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     for (auto& t : arena.touched) t.reserve(touch_cap_);
     for (auto& t : arena.touched_recv) t.reserve(touch_cap_);
   }
-  // Grouped-delivery entries pack the sender shard above the slot id.
-  DVC_REQUIRE(g.num_slots() < (std::int64_t{1} << kTouchSenderShift),
-              "graph slot space exceeds the grouped-delivery packing");
   halted_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
   recv_meta_ = std::make_unique_for_overwrite<RecvMeta[]>(
@@ -608,7 +604,7 @@ void Runtime::do_send(int shard, V from, int port,
     // scattered owner lookup), one flat append per message, capped so a
     // round that turns out dense stops paying for an index its delivery
     // (port scan) will not read. record_touched_ is false outright on
-    // rounds predicted dense (and under the dense scheduler).
+    // rounds predicted dense.
     auto& touched = out.touched[static_cast<std::size_t>(shard)];
     if (touched.size() < touch_cap_) {
       touched.push_back(static_cast<std::uint32_t>(s));
@@ -644,54 +640,20 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
         ProgramScope callback;
         program.begin(ctx);
       }
-      if (phase_sparse_) {
-        // Seed the live list from the one post-begin halted sweep; from
-        // here on it is only compacted, never re-derived.
-        sh.live.clear();
-        sh.live_ports = 0;
-        for (V v = sh.first; v < sh.last; ++v) {
-          if (halted_[static_cast<std::size_t>(v)]) continue;
-          sh.live.push_back(v);
-          sh.live_ports += static_cast<std::uint64_t>(g_->degree(v));
-        }
+      // Seed the live list from the one post-begin halted sweep; from here
+      // on it is only compacted, never re-derived.
+      sh.live.clear();
+      sh.live_ports = 0;
+      for (V v = sh.first; v < sh.last; ++v) {
+        if (halted_[static_cast<std::size_t>(v)]) continue;
+        sh.live.push_back(v);
+        sh.live_ports += static_cast<std::uint64_t>(g_->degree(v));
       }
       return;
     }
-    if (phase_sparse_) sparse_step(shard, program);
-    else dense_step(shard, program);
+    step_sweep(shard, program);
   } catch (...) {
     sh.error = std::current_exception();
-  }
-}
-
-void Runtime::dense_step(int shard, VertexProgram& program) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  const Arena& in = arenas_[in_idx_];
-  const std::int32_t want = stamp_base_ + round_ - 1;
-  // Single-shard fast path: every payload lives in the one word buffer.
-  const std::vector<std::int64_t>* sole_words =
-      num_shards_ == 1 ? in.words.data() : nullptr;
-  Inbox& inbox = sh.inbox;
-  for (V v = sh.first; v < sh.last; ++v) {
-    if (halted_[static_cast<std::size_t>(v)]) continue;
-    inbox.msgs_.clear();
-    const int deg = g_->degree(v);
-    const std::int64_t base = g_->slot(v, 0);
-    for (int p = 0; p < deg; ++p) {
-      const auto s = static_cast<std::size_t>(base + p);
-      if (in.epoch[s] != want) continue;
-      const auto& words =
-          sole_words
-              ? *sole_words
-              : in.words[static_cast<std::size_t>(shard_of(g_->neighbor(v, p)))];
-      inbox.msgs_.push_back(
-          MsgView{p, std::span<const std::int64_t>(
-                         words.data() + in.off[s], in.len[s])});
-    }
-    sh.work_items += 1 + inbox.msgs_.size();
-    Ctx ctx(*this, shard, v);
-    ProgramScope callback;
-    program.step(ctx, inbox);
   }
 }
 
@@ -737,7 +699,7 @@ void Runtime::assemble_grouped_inbox(int shard, V v, const Arena& in,
   }
 }
 
-void Runtime::sparse_step(int shard, VertexProgram& program) {
+void Runtime::step_sweep(int shard, VertexProgram& program) {
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
@@ -984,7 +946,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   std::fill(halted_.begin(), halted_.end(), 0);
   live_ = n;
   round_ = 0;
-  phase_sparse_ = scheduler_ == Scheduler::kSparse;
   idle_rounds_ = 0;
   lane_valid_ = false;
   if (fault_armed_) {
@@ -1049,12 +1010,11 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   } exec_guard{this, dist ? exec : nullptr, &program};
 
   // Begin() has no message history to predict from; record (capped), so a
-  // halt-heavy begin can hand round 1 a grouped delivery. touch_idx_ok_
-  // gates the whole index: a slot space past 32 bits delivers by port scan.
-  // An armed fault plan forces epoch-scan delivery for the whole phase:
-  // injected drops rewind a slot's epoch stamp, which the grouped
-  // (index-driven) path would not re-read.
-  record_touched_ = !dist && phase_sparse_ && touch_idx_ok_ && !fault_armed_;
+  // halt-heavy begin can hand round 1 a grouped delivery. An armed fault
+  // plan forces port-scan delivery for the whole phase: injected drops
+  // rewind a slot's epoch stamp, which the grouped (index-driven) path
+  // would not re-read.
+  record_touched_ = !dist && !fault_armed_;
   arenas_[1].indexed = record_touched_;
   std::uint64_t words_before = stats_.words;
   std::uint64_t msgs_before = stats_.messages;
@@ -1081,18 +1041,15 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     for (auto& t : out.touched) t.clear();
     for (auto& t : out.touched_recv) t.clear();
     std::fill(out.touch_overflow.begin(), out.touch_overflow.end(), 0);
-    if (phase_sparse_) {
-      // Record this round's sends only if the previous round's message
-      // volume was sparse relative to the CURRENT live port space --
-      // volume changes slowly round over round, and a wrong guess costs
-      // one round of port-scan delivery, already bounded by the compacted
-      // live list.
-      std::uint64_t total_ports = 0;
-      for (const Shard& sh : shards_) total_ports += sh.live_ports;
-      const std::uint64_t last_msgs = stats_.messages - msgs_before;
-      record_touched_ = !dist && touch_idx_ok_ && !fault_armed_ &&
-                        last_msgs * kTouchRecordFactor <= total_ports;
-    }
+    // Record this round's sends only if the previous round's message volume
+    // was sparse relative to the CURRENT live port space -- volume changes
+    // slowly round over round, and a wrong guess costs one round of
+    // port-scan delivery, already bounded by the compacted live list.
+    std::uint64_t total_ports = 0;
+    for (const Shard& sh : shards_) total_ports += sh.live_ports;
+    const std::uint64_t last_msgs = stats_.messages - msgs_before;
+    record_touched_ = !dist && !fault_armed_ &&
+                      last_msgs * kTouchRecordFactor <= total_ports;
     out.indexed = record_touched_;
     // Delivery-boundary integrity check: what this round is about to
     // deliver must match what last round's senders recorded in the lane.
@@ -1303,7 +1260,6 @@ std::vector<std::uint8_t> Runtime::checkpoint() const {
   w.i64(static_cast<std::int64_t>(g_->num_vertices()));
   w.i64(slots_);
   // Session configuration at the boundary.
-  w.i32(static_cast<std::int32_t>(scheduler_));
   w.i32(congest_words_);
   // Epoch-stamp base: at a phase boundary every arena cell is stale BY
   // CONSTRUCTION relative to this base (the stamp guard advanced it past
@@ -1369,11 +1325,6 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
   DVC_REQUIRE(r.i64() == static_cast<std::int64_t>(g_->num_vertices()),
               "resume: vertex count mismatch");
   DVC_REQUIRE(r.i64() == slots_, "resume: slot count mismatch");
-  const std::int32_t sched = r.i32();
-  DVC_REQUIRE(sched == static_cast<std::int32_t>(Scheduler::kSparse) ||
-                  sched == static_cast<std::int32_t>(Scheduler::kDense),
-              "resume: invalid scheduler in checkpoint");
-  scheduler_ = static_cast<Scheduler>(sched);
   congest_words_ = r.i32();
   // Monotonic: the restored base can only move this session's stamps
   // forward, never behind cells this session already wrote.

@@ -36,20 +36,19 @@
 // A vertex may send at most one message per incident edge per round (the
 // standard LOCAL convention; violating it throws invariant_error).
 //
-// Sparse scheduling (see DESIGN.md, "Sparse scheduling"): the paper's
-// Section 1.4 observation that "all vertices are active at (almost) all
-// times" holds for the headline presets as a whole, but most individual
-// sub-phases (layer peeling, greedy sweeps, refinement tails) spend the
-// bulk of their rounds with a small, shrinking live set. The default
-// Scheduler::kSparse therefore drives each round by the live set and the
-// messages actually written: every shard keeps a compacted, canonically
-// ordered live-vertex list (maintained incrementally as vertices halt, not
-// re-derived by an O(n) flag sweep), and senders record the slots they
-// write into per-shard touched-slot lists so a receiver's inbox can be
-// assembled from exactly the cells written for it. Per-round cost is
-// O(live + messages) instead of O(n + sum_{live} deg). Scheduler::kDense
-// preserves the legacy full-sweep executor for A/B verification; both
-// schedulers are bit-identical in outputs, RunStats and PhaseLog.
+// The executor (see DESIGN.md, "The executor"): the paper's Section 1.4
+// observation that "all vertices are active at (almost) all times" holds
+// for the headline presets as a whole, but most individual sub-phases
+// (layer peeling, greedy sweeps, refinement tails) spend the bulk of their
+// rounds with a small, shrinking live set. Each round is therefore driven
+// by the live set and the messages actually written: every shard keeps a
+// compacted, canonically ordered live-vertex list (maintained incrementally
+// as vertices halt, not re-derived by an O(n) flag sweep), and each round
+// assembles inboxes in one of two delivery modes -- a port scan over the
+// live vertices' slots (message-dense rounds), or grouped delivery from the
+// slots senders recorded writing (sparse rounds). Per-round cost is
+// O(live + messages); both modes are bit-identical in outputs, RunStats and
+// PhaseLog.
 //
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
@@ -124,30 +123,16 @@ class bandwidth_error : public invariant_error {
   bool from_contract;  ///< true: program max_words(); false: session budget
 };
 
-/// Executor scheduling strategy. The choice never affects program outputs,
-/// RunStats or the PhaseLog -- only wall-clock -- and is verified bit-
-/// identical by the test suite.
-enum class Scheduler {
-  /// Keep the session's current scheduler (used by Knobs-style toggles and
-  /// ScopedScheduler as the "no override" value).
-  kSession = 0,
-  /// Live-list + sender-driven delivery: O(live + messages) per round. The
-  /// default.
-  kSparse,
-  /// Legacy full-sweep executor: O(n + sum_{live} deg) per round. Kept as
-  /// the A/B baseline for the sparse path.
-  kDense,
-};
-
 struct RunStats {
   int rounds = 0;
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
   /// Algorithmic work of the phase: one item per program activation (a
   /// begin() or step() call) plus one per delivered inbox message. By
-  /// construction this is scheduler-invariant (it counts the work the
+  /// construction this is delivery-mode invariant (it counts the work the
   /// algorithm demands, not executor-internal scanning), so benches can
-  /// report work vs wall time and sparse/dense A/B runs stay bit-identical.
+  /// report work vs wall time and the delivery-mode oracle stays
+  /// bit-identical.
   std::uint64_t work_items = 0;
   /// Widest single message payload (words) observed during the phase; the
   /// phase ran within the CONGEST model iff this is <= the word budget.
@@ -165,7 +150,7 @@ struct RunStats {
   std::vector<std::uint64_t> words_per_round;
 
   /// Full bitwise comparison, counters and series alike: the test suite's
-  /// shard-count/scheduler bit-identity checks and the benches' A/B
+  /// shard-count/delivery-mode bit-identity checks and the benches' A/B
   /// attestations all compare through this one operator, so a new field
   /// can never be silently left out of an identity check.
   friend bool operator==(const RunStats&, const RunStats&) = default;
@@ -303,8 +288,8 @@ class PhaseLog {
 
   /// Peak per-round live-vertex count of entry i (spans: max over the
   /// subtree's leaves). 0 for phases with no communication rounds. This is
-  /// the `peak_live` field benches emit so the sparse-scheduler speedup
-  /// claims are auditable from bench artifacts alone.
+  /// the `peak_live` field benches emit so the live-list executor's cost
+  /// is auditable from bench artifacts alone.
   std::int32_t peak_active(std::size_t i) const;
 
   /// Sequential composition of all top-level (depth 0) entries: equals the
@@ -556,15 +541,6 @@ class Runtime {
   void set_congest_words(int words) { congest_words_ = words < 0 ? 0 : words; }
   int congest_words() const { return congest_words_; }
 
-  /// Selects the executor for subsequent run_phase calls. kSession is a
-  /// no-op (keeps the current choice); fresh sessions start on kSparse.
-  /// Program outputs, RunStats and the PhaseLog are bit-identical under
-  /// either scheduler -- only wall-clock differs.
-  void set_scheduler(Scheduler s) {
-    if (s != Scheduler::kSession) scheduler_ = s;
-  }
-  Scheduler scheduler() const { return scheduler_; }
-
   PhaseLog& log() { return log_; }
   const PhaseLog& log() const { return log_; }
   /// Forgets recorded phases but keeps log arena capacity (warm reuse
@@ -605,11 +581,13 @@ class Runtime {
   /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
-  /// While a plan with message faults or checksum is armed the sparse
-  /// scheduler's grouped delivery is disabled (delivery must re-read the
-  /// epoch stamps the injector rewinds); outputs are unchanged, per the
-  /// scheduler bit-identity contract. Pass a default-constructed plan to
-  /// clear; sessions handed across jobs must clear it (see ScopedFaultPlan).
+  /// While ANY plan is armed (FaultPlan::armed()) grouped delivery is
+  /// disabled and every round delivers by port scan (delivery must re-read
+  /// the epoch stamps the injector rewinds); outputs are unchanged, per the
+  /// delivery-mode bit-identity contract -- which is why an armed plan that
+  /// can never fire serves the test suite as the port-scan oracle. Pass a
+  /// default-constructed plan to clear; sessions handed across jobs must
+  /// clear it (see ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
     fault_plan_ = std::move(plan);
     fault_armed_ = fault_plan_.armed();
@@ -656,7 +634,7 @@ class Runtime {
   int phases_run() const { return phase_index_; }
 
   /// Serializes the session's phase-boundary state -- graph binding
-  /// fingerprint, scheduler and CONGEST budget, halted/live state, epoch
+  /// fingerprint, CONGEST budget, halted/live state, epoch
   /// stamp base, and the full PhaseLog -- into a flat byte buffer with a
   /// trailing content checksum. Only meaningful AT a phase boundary (which
   /// is the only place callers can run: run_phase is synchronous), e.g.
@@ -754,17 +732,15 @@ class Runtime {
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
     std::vector<std::vector<std::int64_t>> words;  // one per shard
-    /// Sender-driven delivery index (sparse scheduler only): the inbox
-    /// slots each sending shard wrote this round, as one flat list per
-    /// sender so recording costs a single bounds-checked append on the
-    /// send path (receivers filter by their contiguous slot range, which
+    /// Sender-driven delivery index (grouped delivery): the inbox slots
+    /// each sending shard wrote this round, as one flat list per sender so
+    /// recording costs a single bounds-checked append on the send path
+    /// (receivers filter by their contiguous slot range, which
     /// vertex-contiguous shards get for free). Recording stops at the
     /// runtime's touch cap -- the matching overflow flag forces port-scan
     /// delivery, which is the right mode at such message volumes anyway.
     /// Cleared per round; capacity persists. Entries are 32-bit slot ids:
-    /// recording is gated on num_slots() fitting 32 bits (a graph past
-    /// that -- half a terabyte of arenas -- delivers by port scan), which
-    /// halves the index's footprint on every graph this box can hold.
+    /// CsrBuilder::finish rejects graphs whose slot count does not fit.
     std::vector<std::vector<std::uint32_t>> touched;
     /// Receiver vertex of each touched slot, recorded by the sender (which
     /// reads it from its own cached adjacency row): the delivery gather
@@ -805,7 +781,7 @@ class Runtime {
     std::uint64_t lane_count = 0;
     std::uint64_t lane_xor_slots = 0;
     std::uint64_t lane_xor_words = 0;
-    /// Sparse scheduler: the shard's non-halted vertices in ascending
+    /// The shard's non-halted vertices in ascending
     /// (canonical) order. Rebuilt after begin(), then compacted in place
     /// during each step sweep -- a vertex can only halt itself, so the
     /// sweep that runs step(v) also decides v's survival. Never re-derived
@@ -835,12 +811,9 @@ class Runtime {
   void do_halt(int shard, V v);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
-  /// Step sweep of the legacy dense executor: full vertex-range scan with
-  /// per-port inbox assembly.
-  void dense_step(int shard, VertexProgram& program);
-  /// Step sweep of the sparse executor: live-list driven, with per-round
-  /// choice between sender-driven grouped delivery and a live port scan.
-  void sparse_step(int shard, VertexProgram& program);
+  /// Step sweep of one shard: live-list driven, with per-round choice
+  /// between sender-driven grouped delivery and a live port scan.
+  void step_sweep(int shard, VertexProgram& program);
   /// Assembles vertex v's inbox from its contiguous touched-slot group
   /// (sorted into canonical port order in place).
   void assemble_grouped_inbox(int shard, V v, const Arena& in, Inbox& inbox);
@@ -874,20 +847,12 @@ class Runtime {
   /// Cached g_->num_slots(): sizes the raw arena arrays (which, unlike
   /// vectors, do not carry their own length).
   std::int64_t slots_ = 0;
-  /// Whether slot ids fit the 32-bit touched index (num_slots() <= 2^32-1);
-  /// independent of the Graph's own layout choice, so a forced-wide small
-  /// graph still exercises grouped delivery.
-  bool touch_idx_ok_ = true;
   std::vector<Shard> shards_;
   Arena arenas_[2];
   int in_idx_ = 0;  // arenas_[in_idx_] feeds this round's inboxes
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  Scheduler scheduler_ = Scheduler::kSparse;
-  /// Scheduler captured at phase start, so a mid-phase set_scheduler call
-  /// cannot desynchronize the shards.
-  bool phase_sparse_ = true;
   /// Per-sender-shard cap on touched-slot recording per round: beyond it a
   /// round is dense enough that grouped delivery would lose to the port
   /// scan, so the sender stops paying for the index and flags overflow.
@@ -1000,28 +965,6 @@ class ScopedDefaultShards {
 
  private:
   int previous_;
-  bool active_;
-};
-
-/// Scoped override of a session's executor scheduler; Scheduler::kSession
-/// leaves the current choice untouched (no-op guard). Restores on
-/// destruction, so drivers can run an A/B phase without mutating a
-/// caller-provided session permanently.
-class ScopedScheduler {
- public:
-  ScopedScheduler(Runtime& rt, Scheduler s)
-      : rt_(&rt), previous_(rt.scheduler()), active_(s != Scheduler::kSession) {
-    if (active_) rt_->set_scheduler(s);
-  }
-  ~ScopedScheduler() {
-    if (active_) rt_->set_scheduler(previous_);
-  }
-  ScopedScheduler(const ScopedScheduler&) = delete;
-  ScopedScheduler& operator=(const ScopedScheduler&) = delete;
-
- private:
-  Runtime* rt_;
-  Scheduler previous_;
   bool active_;
 };
 

@@ -7,7 +7,7 @@
 #include "core/legal_coloring.hpp"
 #include "decomp/h_partition.hpp"
 #include "graph/generators.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 namespace {

@@ -56,6 +56,31 @@ TEST(Api, KnobsChangeTheTradeoff) {
   EXPECT_TRUE(is_legal_coloring(g, b.colors));
 }
 
+TEST(Api, TradeoffDefaultKnobsColorForestsThroughBothOverloads) {
+  // Default Knobs (t = 2) on arboricity bound 1: the facade clamps the
+  // effective t to [1, a], so forests color legally -- and exactly as with
+  // an explicit t = 1 -- through the Graph and the session overloads alike.
+  Knobs t1;
+  t1.t = 1;
+  for (const Graph& g : {path_graph(40), star_graph(40)}) {
+    const LegalColoringResult want = color_graph(g, 1, Preset::TradeoffAT, t1);
+    const LegalColoringResult by_graph = color_graph(g, 1, Preset::TradeoffAT);
+    sim::Runtime rt(g);
+    const LegalColoringResult by_session =
+        color_graph(rt, 1, Preset::TradeoffAT);
+    EXPECT_TRUE(is_legal_coloring(g, by_graph.colors));
+    EXPECT_TRUE(is_legal_coloring(g, by_session.colors));
+    EXPECT_EQ(by_graph.colors, want.colors);
+    EXPECT_EQ(by_session.colors, want.colors);
+  }
+  // Below the range clamps up to 1 as well.
+  Knobs t0;
+  t0.t = 0;
+  const Graph p = path_graph(16);
+  EXPECT_TRUE(is_legal_coloring(
+      p, color_graph(p, 1, Preset::TradeoffAT, t0).colors));
+}
+
 TEST(Api, MisIsMaximal) {
   Graph g = planted_arboricity(1024, 4, 3);
   const MisResult res = mis_graph(g, 4);

@@ -15,12 +15,14 @@
 
 #include <chrono>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 #include "core/api.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
@@ -414,6 +416,32 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     bad[bad.size() / 2] ^= 0x40;
     sim::Runtime fresh(g, 2);
     EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
+  }
+  {  // Another format version: the version field (after the 8-byte magic)
+    // is patched and the trailing checksum recomputed, so the bytes are
+    // intact and only the version check can reject them.
+    std::vector<std::uint8_t> other = ckpt;
+    wire::ByteReader r{other, 0, "checkpoint"};
+    const std::uint64_t magic = r.u64();  // also the checksum seed
+    const std::uint32_t version = r.u32();
+    for (int i = 0; i < 4; ++i) {
+      other[8 + i] = static_cast<std::uint8_t>((version + 1) >> (8 * i));
+    }
+    const std::size_t body = other.size() - 8;
+    const std::uint64_t sum = wire::checksum64(
+        magic, std::span<const std::uint8_t>(other.data(), body));
+    for (int i = 0; i < 8; ++i) {
+      other[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+    }
+    sim::Runtime fresh(g, 2);
+    try {
+      fresh.resume(other);
+      FAIL() << "a foreign checkpoint version was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+                std::string::npos)
+          << e.what();
+    }
   }
   {  // A divergent replay (different phase than the checkpointed run) must
     // be caught at the first re-recorded phase.

@@ -2,7 +2,7 @@
 
 #include "common/check.hpp"
 #include "graph/generators.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 namespace {
@@ -36,8 +36,8 @@ class FloodProgram : public sim::VertexProgram {
 TEST(Engine, FloodTakesEccentricityRounds) {
   Graph p = path_graph(6);
   FloodProgram prog(6);
-  sim::Engine engine(p);
-  const auto stats = engine.run(prog, 100);
+  sim::Runtime rt(p);
+  const auto stats = rt.run_phase(prog, 100);
   EXPECT_EQ(stats.rounds, 5);  // vertex 5 hears at round 5
   for (const auto h : prog.heard()) EXPECT_TRUE(h);
 }
@@ -53,8 +53,8 @@ TEST(Engine, CountsMessagesAndWords) {
     }
     void step(sim::Ctx&, const sim::Inbox&) override {}
   } prog;
-  sim::Engine engine(p);
-  const auto stats = engine.run(prog, 10);
+  sim::Runtime rt(p);
+  const auto stats = rt.run_phase(prog, 10);
   EXPECT_EQ(stats.rounds, 0);  // everyone halts in begin
   EXPECT_EQ(stats.messages, 4u);  // sum of degrees
   EXPECT_EQ(stats.words, 8u);
@@ -68,8 +68,8 @@ TEST(Engine, ThrowsOnRoundCapExceeded) {
     void begin(sim::Ctx& ctx) override { ctx.broadcast({0}); }
     void step(sim::Ctx& ctx, const sim::Inbox&) override { ctx.broadcast({0}); }
   } prog;
-  sim::Engine engine(p);
-  EXPECT_THROW(engine.run(prog, 5), invariant_error);
+  sim::Runtime rt(p);
+  EXPECT_THROW(rt.run_phase(prog, 5), invariant_error);
 }
 
 TEST(Engine, PortNumbersAreReceiverSide) {
@@ -91,8 +91,8 @@ TEST(Engine, PortNumbersAreReceiverSide) {
       ctx.halt();
     }
   } prog;
-  sim::Engine engine(p);
-  engine.run(prog, 10);
+  sim::Runtime rt(p);
+  rt.run_phase(prog, 10);
 }
 
 TEST(Engine, DirectedSendReachesOnlyTarget) {
@@ -115,8 +115,8 @@ TEST(Engine, DirectedSendReachesOnlyTarget) {
     }
     bool got_ = false;
   } prog;
-  sim::Engine engine(s);
-  engine.run(prog, 10);
+  sim::Runtime rt(s);
+  rt.run_phase(prog, 10);
   EXPECT_TRUE(prog.got_);
 }
 
@@ -128,8 +128,8 @@ TEST(Engine, HaltInBeginGivesZeroRounds) {
     void begin(sim::Ctx& ctx) override { ctx.halt(); }
     void step(sim::Ctx&, const sim::Inbox&) override {}
   } prog;
-  sim::Engine engine(g);
-  EXPECT_EQ(engine.run(prog, 10).rounds, 0);
+  sim::Runtime rt(g);
+  EXPECT_EQ(rt.run_phase(prog, 10).rounds, 0);
 }
 
 TEST(Engine, StatsAccumulateAcrossPhases) {

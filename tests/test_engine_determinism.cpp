@@ -11,7 +11,7 @@
 
 #include "core/api.hpp"
 #include "graph/generators.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 #include "test_support.hpp"
 
 namespace dvc {
@@ -111,9 +111,9 @@ TEST(EngineDeterminism, InboxIndependentOfSendOrderWithinRound) {
   const Graph g = random_near_regular(512, 6, 5);
   OrderProbe forward(g.num_vertices(), /*reverse_sends=*/false, 4);
   OrderProbe backward(g.num_vertices(), /*reverse_sends=*/true, 4);
-  sim::Engine e1(g, 1), e2(g, 1);
-  const sim::RunStats s1 = e1.run(forward, 16);
-  const sim::RunStats s2 = e2.run(backward, 16);
+  sim::Runtime rt1(g, 1), rt2(g, 1);
+  const sim::RunStats s1 = rt1.run_phase(forward, 16);
+  const sim::RunStats s2 = rt2.run_phase(backward, 16);
   EXPECT_TRUE(same_stats(s1, s2));
   EXPECT_EQ(forward.trace(), backward.trace());
 }
@@ -122,9 +122,9 @@ TEST(EngineDeterminism, PermutedSendsAndShardsCompose) {
   const Graph g = random_near_regular(512, 6, 9);
   OrderProbe base(g.num_vertices(), false, 4);
   OrderProbe permuted(g.num_vertices(), true, 4);
-  sim::Engine e1(g, 1), e2(g, 8);
-  const sim::RunStats s1 = e1.run(base, 16);
-  const sim::RunStats s2 = e2.run(permuted, 16);
+  sim::Runtime rt1(g, 1), rt2(g, 8);
+  const sim::RunStats s1 = rt1.run_phase(base, 16);
+  const sim::RunStats s2 = rt2.run_phase(permuted, 16);
   EXPECT_TRUE(same_stats(s1, s2));
   EXPECT_EQ(base.trace(), permuted.trace());
 }
@@ -135,14 +135,14 @@ TEST(EngineDeterminism, RoundLoopIsAllocationFreeOnceWarm) {
   const Graph g = random_near_regular(2048, 8, 3);
   constexpr int kRounds = 12;
   FloodAll prog(kRounds);
-  sim::Engine engine(g, 1);
+  sim::Runtime rt(g, 1);
   std::vector<std::uint64_t> per_round(kRounds + 2, 0);
-  engine.set_round_observer([&per_round](int round) {
+  rt.set_round_observer([&per_round](int round) {
     per_round[static_cast<std::size_t>(round)] =
         dvc_test::alloc_count();
   });
-  const sim::RunStats stats = engine.run(prog, kRounds + 4);
-  engine.set_round_observer(nullptr);
+  const sim::RunStats stats = rt.run_phase(prog, kRounds + 4);
+  rt.set_round_observer(nullptr);
   ASSERT_GE(stats.rounds, 6);
   // Rounds 1-2 warm the arena word buffers and the inbox; every later round
   // must allocate nothing despite moving ~2m messages per round.
@@ -155,26 +155,26 @@ TEST(EngineDeterminism, RoundLoopIsAllocationFreeOnceWarm) {
   EXPECT_GT(stats.messages, 0u);
 }
 
-// A second engine run on the same Engine object must also stay clean (arena
-// reuse across runs).
+// A second run on the same session must also stay clean (arena reuse across
+// runs).
 TEST(EngineDeterminism, SecondRunReusesArenas) {
   const Graph g = random_near_regular(1024, 6, 4);
-  sim::Engine engine(g, 1);
+  sim::Runtime rt(g, 1);
   constexpr int kRounds = 8;
   FloodAll warmup(kRounds);
-  engine.run(warmup, kRounds + 4);
+  rt.run_phase(warmup, kRounds + 4);
   FloodAll prog(kRounds);
   std::vector<std::uint64_t> per_round(kRounds + 2, 0);
-  engine.set_round_observer([&per_round](int round) {
+  rt.set_round_observer([&per_round](int round) {
     per_round[static_cast<std::size_t>(round)] =
         dvc_test::alloc_count();
   });
-  const sim::RunStats stats = engine.run(prog, kRounds + 4);
+  const sim::RunStats stats = rt.run_phase(prog, kRounds + 4);
   for (int r = 2; r <= stats.rounds; ++r) {
     EXPECT_EQ(per_round[static_cast<std::size_t>(r)] -
                   per_round[static_cast<std::size_t>(r - 1)],
               0u)
-        << "allocation in round " << r << " of a warm engine";
+        << "allocation in round " << r << " of a warm session";
   }
 }
 

@@ -1,52 +1,45 @@
-// Layout invariance of the dual-width CSR (DESIGN.md, "Memory layout &
-// giant graphs"):
-//   1. Compact (32-bit) and wide (64-bit) layouts agree on every observable
-//      accessor -- degree, neighbors, slots, mirrors, owners, ports, edges,
-//      digest -- on mixed graph families.
-//   2. Every coloring preset is bit-identical (colors, RunStats, PhaseLog)
-//      across layouts at shard counts 1/2/8.
-//   3. The compact layout is strictly smaller, and the owner table is gone
-//      from both layouts.
-//   4. The streaming CsrBuilder reproduces Graph::from_edges bit-for-bit,
-//      including the digest, and the degree/port narrowing paths fail as a
-//      structured invariant_error instead of silent int truncation.
+// The 32-bit CSR layout (DESIGN.md, "Memory layout & giant graphs"):
+//   1. A generator-built graph and its rebuild from the edge list agree on
+//      every observable accessor -- degree, neighbors, slots, mirrors,
+//      owners, ports, edges, digest -- on mixed graph families.
+//   2. The per-array memory accounting matches the layout (4 bytes per
+//      vertex offset, 8 bytes per slot), with no owner table.
+//   3. The streaming CsrBuilder reproduces Graph::from_edges bit-for-bit,
+//      including the digest, and the narrowing paths fail as structured
+//      errors instead of silent truncation: the degree/port int cap and
+//      the 2^32 slot-count cap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "sim/runtime.hpp"
-#include "test_helpers.hpp"
 
 namespace dvc {
 namespace {
 
-using dvc_test::same_stats;
-
-/// Rebuilds `g` from its edge list in the requested layout.
-Graph rebuild(const Graph& g, Graph::Layout layout) {
-  return Graph::from_edges(g.num_vertices(), g.edges(), layout);
+/// Rebuilds `g` from its edge list.
+Graph rebuild(const Graph& g) {
+  return Graph::from_edges(g.num_vertices(), g.edges());
 }
 
-/// The mixed family set the layout suite runs over, paired with a valid
-/// arboricity bound for the coloring presets.
 struct Workload {
   const char* family;
   Graph graph;
-  int arboricity_bound;
 };
 
 std::vector<Workload> mixed_workloads() {
   std::vector<Workload> out;
-  out.push_back({"planted_arboricity", planted_arboricity(512, 4, 7), 4});
-  out.push_back({"barabasi_albert", barabasi_albert(512, 5, 3), 5});
+  out.push_back({"planted_arboricity", planted_arboricity(512, 4, 7)});
+  out.push_back({"barabasi_albert", barabasi_albert(512, 5, 3)});
+  out.push_back({"near_regular", random_near_regular(256, 6, 11)});
   return out;
 }
 
-// --- 1. Accessor equivalence across layouts --------------------------------
+// --- 1. Accessor equivalence -----------------------------------------------
 
 void expect_accessors_agree(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -69,53 +62,39 @@ void expect_accessors_agree(const Graph& a, const Graph& b) {
       EXPECT_EQ(b.slot_owner(s), v);
       EXPECT_EQ(a.slot_port(s), p);
       EXPECT_EQ(b.slot_port(s), p);
-      // Mirror involution + endpoint consistency, both layouts.
+      // Mirror involution + endpoint consistency.
       EXPECT_EQ(a.mirror_slot(a.mirror_slot(s)), s);
       EXPECT_EQ(a.slot_owner(a.mirror_slot(s)), a.neighbor(v, p));
     }
   }
 }
 
-TEST(GraphCompact, LayoutsAgreeOnEveryAccessor) {
+TEST(GraphCompact, RebuildFromEdgesAgreesOnEveryAccessor) {
   for (const Workload& w : mixed_workloads()) {
     SCOPED_TRACE(w.family);
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
-    EXPECT_TRUE(compact.compact_layout());
-    EXPECT_FALSE(wide.compact_layout());
-    expect_accessors_agree(compact, wide);
+    expect_accessors_agree(w.graph, rebuild(w.graph));
   }
-}
-
-TEST(GraphCompact, AutoPicksCompactForSmallGraphs) {
-  const Graph g = random_near_regular(256, 6, 11);  // kAuto
-  EXPECT_TRUE(g.compact_layout());
-  expect_accessors_agree(g, rebuild(g, Graph::Layout::kWide));
 }
 
 TEST(GraphCompact, SlotOwnerHandlesIsolatedVerticesAndBoundaries) {
   // Empty adjacency rows exercise the upper_bound owner derivation: slots
-  // must skip degree-0 vertices in both layouts.
+  // must skip degree-0 vertices.
   const EdgeList edges = {{0, 1}, {5, 6}, {5, 9}};
-  for (const Graph::Layout layout :
-       {Graph::Layout::kCompact, Graph::Layout::kWide}) {
-    const Graph g = Graph::from_edges(10, edges, layout);
-    ASSERT_EQ(g.num_slots(), 6);
-    for (V v = 0; v < g.num_vertices(); ++v) {
-      for (int p = 0; p < g.degree(v); ++p) {
-        EXPECT_EQ(g.slot_owner(g.slot(v, p)), v);
-        EXPECT_EQ(g.slot_port(g.slot(v, p)), p);
-      }
+  const Graph g = Graph::from_edges(10, edges);
+  ASSERT_EQ(g.num_slots(), 6);
+  for (V v = 0; v < g.num_vertices(); ++v) {
+    for (int p = 0; p < g.degree(v); ++p) {
+      EXPECT_EQ(g.slot_owner(g.slot(v, p)), v);
+      EXPECT_EQ(g.slot_port(g.slot(v, p)), p);
     }
-    // First and last slots belong to the first/last non-isolated vertices.
-    EXPECT_EQ(g.slot_owner(0), 0);
-    EXPECT_EQ(g.slot_owner(g.num_slots() - 1), 9);
   }
+  // First and last slots belong to the first/last non-isolated vertices.
+  EXPECT_EQ(g.slot_owner(0), 0);
+  EXPECT_EQ(g.slot_owner(g.num_slots() - 1), 9);
 }
 
 TEST(GraphCompact, EmptyAndEdgelessGraphsDigestConsistently) {
   const Graph def;
-  EXPECT_TRUE(def.compact_layout());
   EXPECT_EQ(def.digest(), Graph::from_edges(0, {}).digest());
   const Graph iso = Graph::from_edges(5, {});
   EXPECT_EQ(iso.num_slots(), 0);
@@ -123,61 +102,23 @@ TEST(GraphCompact, EmptyAndEdgelessGraphsDigestConsistently) {
   EXPECT_NE(iso.digest(), def.digest());  // n participates in the digest
 }
 
-// --- 2. Preset bit-identity across layouts and shard counts ----------------
+// --- 2. Memory accounting --------------------------------------------------
 
-TEST(GraphCompact, AllPresetsBitIdenticalAcrossLayoutsAndShards) {
-  constexpr Preset kPresets[] = {
-      Preset::LinearColors,     Preset::NearLinearColors,
-      Preset::PolylogTime,      Preset::FastSubquadratic,
-      Preset::TradeoffAT,       Preset::DeltaPlusOneLowArb};
-  for (const Workload& w : mixed_workloads()) {
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
-    for (const Preset preset : kPresets) {
-      for (const int shards : {1, 2, 8}) {
-        SCOPED_TRACE(std::string(w.family) + " / " + preset_name(preset) +
-                     " / shards=" + std::to_string(shards));
-        Knobs knobs;
-        knobs.shards = shards;
-        const LegalColoringResult a =
-            color_graph(compact, w.arboricity_bound, preset, knobs);
-        const LegalColoringResult b =
-            color_graph(wide, w.arboricity_bound, preset, knobs);
-        EXPECT_EQ(a.colors, b.colors);
-        EXPECT_EQ(a.distinct, b.distinct);
-        EXPECT_TRUE(same_stats(a.total, b.total));
-        EXPECT_TRUE(a.phases == b.phases);
-      }
-    }
-  }
-}
-
-// --- 3. Memory accounting --------------------------------------------------
-
-TEST(GraphCompact, CompactLayoutIsStrictlySmaller) {
+TEST(GraphCompact, MemoryBreakdownMatchesTheLayout) {
   for (const Workload& w : mixed_workloads()) {
     SCOPED_TRACE(w.family);
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
-    const auto cb = compact.memory_breakdown();
-    const auto wb = wide.memory_breakdown();
-    // Owner table eliminated in BOTH layouts.
-    EXPECT_EQ(cb.owner_bytes, 0u);
-    EXPECT_EQ(wb.owner_bytes, 0u);
-    // Offsets and mirrors halve; adjacency is V-width either way.
-    EXPECT_LT(cb.offsets_bytes, wb.offsets_bytes);
-    EXPECT_LT(cb.mirror_bytes, wb.mirror_bytes);
-    EXPECT_EQ(cb.adjacency_bytes, wb.adjacency_bytes);
-    EXPECT_LT(compact.memory_bytes(), wide.memory_bytes());
-    EXPECT_EQ(compact.memory_bytes(), cb.total());
-    // Compact: 4B offset/vertex + 4B adj + 4B mirror per slot; capacity
-    // slack from vector growth stays within 2x of the exact size.
-    const auto slots = static_cast<std::uint64_t>(compact.num_slots());
+    const Graph& g = w.graph;
+    const auto mb = g.memory_breakdown();
+    EXPECT_EQ(g.memory_bytes(), mb.total());
+    EXPECT_EQ(mb.total(),
+              mb.offsets_bytes + mb.adjacency_bytes + mb.mirror_bytes);
+    // 4B offset/vertex + 4B adj + 4B mirror per slot; capacity slack from
+    // vector growth stays within 2x of the exact size.
+    const auto slots = static_cast<std::uint64_t>(g.num_slots());
     const std::uint64_t exact =
-        4 * (static_cast<std::uint64_t>(compact.num_vertices()) + 1) +
-        8 * slots;
-    EXPECT_GE(compact.memory_bytes(), exact);
-    EXPECT_LE(compact.memory_bytes(), 2 * exact);
+        4 * (static_cast<std::uint64_t>(g.num_vertices()) + 1) + 8 * slots;
+    EXPECT_GE(g.memory_bytes(), exact);
+    EXPECT_LE(g.memory_bytes(), 2 * exact);
   }
 }
 
@@ -190,7 +131,7 @@ TEST(GraphCompact, RuntimeMemoryBytesIsPositiveAndSized) {
   EXPECT_LT(bytes, 1u << 30);
 }
 
-// --- 4. Streaming builder equivalence + checked narrowing ------------------
+// --- 3. Streaming builder equivalence + checked narrowing ------------------
 
 TEST(GraphCompact, CsrBuilderMatchesFromEdgesBitForBit) {
   // A stream with self loops, duplicates and unordered endpoints: finish()
@@ -206,28 +147,18 @@ TEST(GraphCompact, CsrBuilderMatchesFromEdgesBitForBit) {
   EXPECT_EQ(streamed.digest(), reference.digest());
   EXPECT_EQ(streamed.edges(), reference.edges());
   expect_accessors_agree(streamed, reference);
-
-  // Forcing the wide layout through the builder preserves the digest too.
-  CsrBuilder bw(5);
-  for (const auto& [u, v] : stream) bw.add(u, v);
-  bw.next_pass();
-  for (const auto& [u, v] : stream) bw.add(u, v);
-  const Graph wide = bw.finish(Graph::Layout::kWide);
-  EXPECT_FALSE(wide.compact_layout());
-  EXPECT_EQ(wide.digest(), reference.digest());
 }
 
 TEST(GraphCompact, CsrBuilderRejectsBadInput) {
   CsrBuilder b(4);
   EXPECT_THROW(b.add(0, 4), precondition_error);
   EXPECT_THROW(b.add(-1, 2), precondition_error);
-  // Forcing kCompact on a graph that fits is fine.
   b.add(0, 1);
   b.next_pass();
   b.add(0, 1);
-  const Graph g = b.finish(Graph::Layout::kCompact);
-  EXPECT_TRUE(g.compact_layout());
+  const Graph g = b.finish();
   EXPECT_EQ(g.num_edges(), 1);
+  EXPECT_THROW(b.finish(), precondition_error);  // the builder is spent
 }
 
 TEST(GraphCompact, CheckedPortCastGuardsTheIntCap) {
@@ -241,6 +172,24 @@ TEST(GraphCompact, CheckedPortCastGuardsTheIntCap) {
   EXPECT_THROW(detail::checked_port_cast(std::int64_t{1} << 40),
                invariant_error);
   EXPECT_THROW(detail::checked_port_cast(-1), invariant_error);
+}
+
+TEST(GraphCompact, SlotCountCapRejectsTwoToThe32) {
+  // The check CsrBuilder::finish applies to the deduplicated slot count:
+  // the largest 32-bit slot space is accepted, one more slot is a
+  // structured precondition_error (no graph that size is ever built here).
+  EXPECT_EQ(detail::kMaxSlots, (std::int64_t{1} << 32) - 1);
+  EXPECT_NO_THROW(detail::require_slot_count(0));
+  EXPECT_NO_THROW(detail::require_slot_count((std::int64_t{1} << 32) - 1));
+  EXPECT_THROW(detail::require_slot_count(std::int64_t{1} << 32),
+               precondition_error);
+  try {
+    detail::require_slot_count(std::int64_t{1} << 33);
+    FAIL() << "expected precondition_error";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("8589934592"), std::string::npos)
+        << "the error names the rejected slot count";
+  }
 }
 
 }  // namespace

@@ -88,34 +88,29 @@ TEST(Runtime, PresetOnSessionMatchesFacadeAndIsShardInvariant) {
 TEST(Runtime, PhasesAfterTheFirstAllocateNothing) {
   const Graph g = random_near_regular(2048, 8, 3);
   constexpr int kRounds = 12;
-  for (const sim::Scheduler sched :
-       {sim::Scheduler::kSparse, sim::Scheduler::kDense}) {
-    for (const int shards : {1, 2, 8}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " scheduler=" +
-                   (sched == sim::Scheduler::kSparse ? "sparse" : "dense"));
-      sim::Runtime rt(g, shards);
-      rt.set_scheduler(sched);
-      // Metering enforcement on: the CONGEST budget check must not cost
-      // allocations either (FloodAll sends 3-word payloads).
-      rt.set_congest_words(3);
-      {
-        FloodAll warm(kRounds);
-        rt.run_phase(warm, kRounds + sim::kRoundCapSlack, "flood");
-      }
-      // Every subsequent phase -- including its PhaseLog entry -- must
-      // reuse warm capacity. The FloodAll program itself performs no
-      // allocations, so the whole-binary counter must not move.
-      const std::uint64_t before = dvc_test::alloc_count();
-      for (int i = 0; i < 3; ++i) {
-        FloodAll prog(kRounds);
-        const sim::RunStats& stats =
-            rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "flood");
-        if (stats.messages == 0) break;  // unreachable; keeps stats observable
-      }
-      EXPECT_EQ(dvc_test::alloc_count() - before, 0u)
-          << "a warm phase allocated at " << shards << " shards";
-      ASSERT_EQ(rt.log().size(), 4u);
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    // Metering enforcement on: the CONGEST budget check must not cost
+    // allocations either (FloodAll sends 3-word payloads).
+    rt.set_congest_words(3);
+    {
+      FloodAll warm(kRounds);
+      rt.run_phase(warm, kRounds + sim::kRoundCapSlack, "flood");
     }
+    // Every subsequent phase -- including its PhaseLog entry -- must reuse
+    // warm capacity. The FloodAll program itself performs no allocations,
+    // so the whole-binary counter must not move.
+    const std::uint64_t before = dvc_test::alloc_count();
+    for (int i = 0; i < 3; ++i) {
+      FloodAll prog(kRounds);
+      const sim::RunStats& stats =
+          rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "flood");
+      if (stats.messages == 0) break;  // unreachable; keeps stats observable
+    }
+    EXPECT_EQ(dvc_test::alloc_count() - before, 0u)
+        << "a warm phase allocated at " << shards << " shards";
+    ASSERT_EQ(rt.log().size(), 4u);
   }
 }
 
@@ -128,24 +123,18 @@ TEST(Runtime, WarmRoundsOfTheFirstPhaseAllocateNothing) {
   // touched arenas -- may allocate; from round 3 on the counter is frozen.
   const Graph g = random_near_regular(2048, 8, 5);
   constexpr int kRounds = 12;
-  for (const sim::Scheduler sched :
-       {sim::Scheduler::kSparse, sim::Scheduler::kDense}) {
-    for (const int shards : {1, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " scheduler=" +
-                   (sched == sim::Scheduler::kSparse ? "sparse" : "dense"));
-      sim::Runtime rt(g, shards);
-      rt.set_scheduler(sched);
-      std::uint64_t at_round2 = 0;
-      std::uint64_t late_allocs = 0;
-      rt.set_round_observer([&](int round) {
-        if (round == 2) at_round2 = dvc_test::alloc_count();
-        if (round > 2) late_allocs = dvc_test::alloc_count() - at_round2;
-      });
-      FloodAll prog(kRounds);
-      rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "flood");
-      EXPECT_EQ(late_allocs, 0u)
-          << "a round after the arena warm-up allocated";
-    }
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    std::uint64_t at_round2 = 0;
+    std::uint64_t late_allocs = 0;
+    rt.set_round_observer([&](int round) {
+      if (round == 2) at_round2 = dvc_test::alloc_count();
+      if (round > 2) late_allocs = dvc_test::alloc_count() - at_round2;
+    });
+    FloodAll prog(kRounds);
+    rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "flood");
+    EXPECT_EQ(late_allocs, 0u) << "a round after the arena warm-up allocated";
   }
 }
 
@@ -201,38 +190,33 @@ TEST(Runtime, CaughtProgramErrorDoesNotPoisonTheNextPhase) {
   EXPECT_NO_THROW(rt.run_phase(good, 4, "good"));
 }
 
-// --- 4. Sparse vs dense scheduler bit-identity ------------------------------
+// --- 4. Delivery-mode bit-identity against the port-scan oracle -----------
 
-TEST(Runtime, SparseAndDenseSchedulersAreBitIdenticalOnEveryPreset) {
-  // The scheduler is a pure executor choice: colors, RunStats (including
-  // work_items) and the PhaseLog must match bit for bit on all six presets
-  // at 1/2/8 shards.
+TEST(Runtime, DeliveryModesAreBitIdenticalOnEveryPreset) {
+  // Grouped vs port-scan delivery is a pure executor choice: colors,
+  // RunStats (including work_items) and the PhaseLog of a default session
+  // must match the port-scan oracle bit for bit on all six presets at
+  // 1/2/8 shards.
   const Graph g = planted_arboricity(1 << 10, 8, 21);
+  const sim::FaultPlan oracle_plan = dvc_test::port_scan_oracle_plan();
   for (const Preset preset :
        {Preset::LinearColors, Preset::NearLinearColors, Preset::PolylogTime,
         Preset::FastSubquadratic, Preset::TradeoffAT,
         Preset::DeltaPlusOneLowArb}) {
-    Knobs dense;
-    dense.scheduler = sim::Scheduler::kDense;
-    dense.shards = 1;
-    dense.t = 2;
-    const LegalColoringResult base = color_graph(g, 8, preset, dense);
+    Knobs oracle;
+    oracle.shards = 1;
+    oracle.fault_plan = &oracle_plan;
+    const LegalColoringResult base = color_graph(g, 8, preset, oracle);
     for (const int shards : {1, 2, 8}) {
       SCOPED_TRACE("preset=" + preset_name(preset) +
                    " shards=" + std::to_string(shards));
       sim::Runtime rt(g, shards);
-      ASSERT_EQ(rt.scheduler(), sim::Scheduler::kSparse);  // the default
-      Knobs sparse;
-      sparse.scheduler = sim::Scheduler::kSparse;
-      sparse.t = 2;
-      const LegalColoringResult res = color_graph(rt, 8, preset, sparse);
+      const LegalColoringResult res = color_graph(rt, 8, preset);
       EXPECT_EQ(res.colors, base.colors);
       EXPECT_EQ(res.distinct, base.distinct);
       EXPECT_TRUE(same_stats(res.total, base.total));
       EXPECT_TRUE(res.phases == base.phases)
-          << "phase log differs from the dense baseline";
-      // The Knobs override is scoped: the session scheduler is restored.
-      EXPECT_EQ(rt.scheduler(), sim::Scheduler::kSparse);
+          << "phase log differs from the port-scan oracle";
     }
   }
 }
@@ -244,7 +228,7 @@ namespace adversarial {
 /// halts, so the live list compacts a little every round. Round 1 delivers
 /// the dense begin() broadcasts (port-scan mode) while later rounds carry
 /// only the survivors' trickle (grouped sender-driven mode), exercising
-/// both sparse delivery modes -- plus messages addressed to already-halted
+/// both delivery modes -- plus messages addressed to already-halted
 /// vertices, which must be dropped -- in one phase. Each vertex folds its
 /// inbox into a per-vertex digest so tests can compare the exact delivered
 /// contents, not just counters.
@@ -276,13 +260,13 @@ class HaltHeavy : public sim::VertexProgram {
 
 }  // namespace adversarial
 
-TEST(Runtime, HaltHeavyProgramMatchesDenseSchedulerAtAnyShardCount) {
+TEST(Runtime, HaltHeavyProgramMatchesPortScanOracleAtAnyShardCount) {
   const Graph g = random_near_regular(1 << 11, 8, 29);
   const auto n = static_cast<std::size_t>(g.num_vertices());
 
   std::vector<std::int64_t> base_digest(n, 0);
   sim::Runtime base_rt(g, 1);
-  base_rt.set_scheduler(sim::Scheduler::kDense);
+  base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
   adversarial::HaltHeavy base_prog(base_digest);
   const sim::RunStats base = base_rt.run_phase(base_prog, 64, "halt-heavy");
   // The workload really is halt-heavy: ~10% of vertices survive begin().
@@ -300,12 +284,40 @@ TEST(Runtime, HaltHeavyProgramMatchesDenseSchedulerAtAnyShardCount) {
   }
 }
 
+TEST(Runtime, HaltHeavyLiveCountsMatchTheClosedForm) {
+  // HaltHeavy's schedule depends on ids alone: vertices with id % 10 != 0
+  // halt in begin(), and a survivor halts in round (id / 10) % 5 + 3. So
+  // the live count at the start of round r is the number of survivors whose
+  // halting round is >= r -- an oracle that shares no code with the
+  // executor's live-list compaction.
+  const Graph g = random_near_regular(1 << 11, 8, 29);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<std::int32_t> expected;
+  for (V v = 0; v < g.num_vertices(); ++v) {
+    const std::int64_t id = v + 1;
+    if (id % 10 != 0) continue;
+    const auto halt_round = static_cast<std::size_t>((id / 10) % 5 + 3);
+    if (expected.size() < halt_round) expected.resize(halt_round, 0);
+    for (std::size_t r = 0; r < halt_round; ++r) ++expected[r];
+  }
+  ASSERT_EQ(expected.size(), 7u);
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::vector<std::int64_t> digest(n, 0);
+    sim::Runtime rt(g, shards);
+    adversarial::HaltHeavy prog(digest);
+    const sim::RunStats& stats = rt.run_phase(prog, 64, "halt-heavy");
+    EXPECT_EQ(stats.active_per_round, expected);
+    EXPECT_EQ(stats.rounds, static_cast<int>(expected.size()));
+  }
+}
+
 namespace adversarial {
 
 /// Grouped-delivery workload: every vertex stays live for `rounds` rounds,
 /// but only 1-in-64 vertices send (one rotating port each round), so
-/// messages are far sparser than the live port space and the sparse
-/// scheduler's sender-driven grouped assembly is guaranteed to engage
+/// messages are far sparser than the live port space and the executor's
+/// sender-driven grouped assembly is guaranteed to engage
 /// (under any reasonable grouped-vs-scan threshold). Receivers fold their
 /// inboxes into a digest so the test compares exact delivered contents.
 class FewSenders : public sim::VertexProgram {
@@ -338,14 +350,14 @@ class FewSenders : public sim::VertexProgram {
 
 }  // namespace adversarial
 
-TEST(Runtime, GroupedDeliveryMatchesDenseSchedulerAtAnyShardCount) {
+TEST(Runtime, GroupedDeliveryMatchesPortScanOracleAtAnyShardCount) {
   const Graph g = random_near_regular(1 << 11, 8, 43);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   constexpr int kRounds = 12;
 
   std::vector<std::int64_t> base_digest(n, 0);
   sim::Runtime base_rt(g, 1);
-  base_rt.set_scheduler(sim::Scheduler::kDense);
+  base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
   adversarial::FewSenders base_prog(kRounds, base_digest);
   const sim::RunStats base =
       base_rt.run_phase(base_prog, kRounds + sim::kRoundCapSlack, "few");

@@ -834,26 +834,17 @@ TEST(Service, MetricsSnapshotIsCoherent) {
 TEST(Runtime, InterruptHookAbortsBetweenPhasesAndSessionStaysSound) {
   const Mixed& m = mixed_graphs()[0];
   // The abort-and-reuse contract must hold at every executor shape the
-  // service hands out: the single-shard default, and multi-shard sessions
-  // under the sparse scheduler (where interrupt polling shares run_phase's
-  // entry path with the live-list bookkeeping).
-  struct Config {
-    int shards;
-    sim::Scheduler scheduler;
-  };
-  for (const Config cfg : {Config{1, sim::Scheduler::kSession},
-                           Config{2, sim::Scheduler::kSparse},
-                           Config{8, sim::Scheduler::kSparse}}) {
-    SCOPED_TRACE(std::string("shards=") + std::to_string(cfg.shards) +
-                 (cfg.scheduler == sim::Scheduler::kSparse ? " sparse"
-                                                           : " session"));
+  // service hands out: the single-shard default and multi-shard sessions
+  // (where interrupt polling shares run_phase's entry path with the
+  // live-list bookkeeping).
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
     Knobs knobs;
-    knobs.shards = cfg.shards;
-    knobs.scheduler = cfg.scheduler;
+    knobs.shards = shards;
     const LegalColoringResult fresh =
         color_graph(m.g, m.arboricity_bound, Preset::NearLinearColors, knobs);
 
-    sim::Runtime rt(m.g, cfg.shards);
+    sim::Runtime rt(m.g, shards);
     // Deterministic mid-pipeline abort: let the first phase start, throw at
     // the second poll -- i.e. at the boundary before the second phase.
     int polls = 0;
