@@ -19,10 +19,11 @@ int main() {
                "rounds/log2(n)"});
   for (const V n : {1 << 12, 1 << 14, 1 << 16}) {
     const Graph g = planted_arboricity(n, a, 5);
+    sim::Runtime rt(g);
     const double logn = std::log2(static_cast<double>(n));
     for (const int t : {2, 4, 8}) {
       const int k = t;
-      const ArbdefectiveColoringResult res = arbdefective_coloring(g, a, t, k);
+      const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, t, k);
       const Orientation witness =
           make_arbdefect_witness(g, res.colors, res.orientation.sigma);
       table.row(n, t, k, distinct_colors(res.colors),

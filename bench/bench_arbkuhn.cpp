@@ -19,10 +19,11 @@ int main() {
   Table table({"n", "d=f(a)", "classes", "colors", "colors/a^2", "rounds"});
   for (const V n : {1 << 13, 1 << 15}) {
     const Graph g = planted_arboricity(n, a, 17);
+    sim::Runtime rt(g);
     for (const int d : {1, 2, 4, 8, 16}) {
       // The decomposition alone (palette = #classes):
-      const ArbKuhnResult decomp = arb_kuhn_arbdefective(g, a, d);
-      const LegalColoringResult res = fast_subquadratic_coloring(g, a, d);
+      const ArbKuhnResult decomp = arb_kuhn_arbdefective(rt, a, d);
+      const LegalColoringResult res = fast_subquadratic_coloring(rt, a, d);
       table.row(n, d, distinct_colors(decomp.colors), res.distinct,
                 static_cast<double>(res.distinct) / (static_cast<double>(a) * a),
                 res.total.rounds);

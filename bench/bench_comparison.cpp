@@ -105,18 +105,19 @@ int main() {
                             static_cast<std::int64_t>(entry.max_msg_words)));
       }
     }
+    sim::Runtime rt(g);
     {
       const auto t0 = Clock::now();
-      const DefectiveResult res = linial_coloring(g, g.max_degree());
+      const DefectiveResult res = linial_coloring(rt, g.max_degree());
       record("linial87 O(Delta^2)", "yes", distinct_colors(res.colors),
              res.stats, ms_since(t0));
     }
     {
       // BE08 Lemma 2.2(1).
       const auto t0 = Clock::now();
-      const CompleteOrientationResult ori = complete_orientation(g, a);
+      const CompleteOrientationResult ori = complete_orientation(rt, a);
       const ReduceResult greedy =
-          greedy_by_orientation(g, ori.sigma, ori.hp.threshold + 1);
+          greedy_by_orientation(rt, ori.sigma, ori.hp.threshold + 1);
       sim::RunStats total = ori.total;
       total += greedy.stats;
       record("be08 (2+eps)a+1 colors", "yes", distinct_colors(greedy.colors),
@@ -124,7 +125,7 @@ int main() {
     }
     {
       const auto t0 = Clock::now();
-      const RandColoringResult res = randomized_delta_plus_one(g, 7);
+      const RandColoringResult res = randomized_delta_plus_one(rt, 7);
       record("randomized Delta+1", "no", distinct_colors(res.colors),
              res.stats, ms_since(t0));
     }

@@ -19,9 +19,10 @@ int main() {
   for (const V n : {1 << 12, 1 << 16}) {
     for (const int d : {16, 64}) {
       const Graph g = random_near_regular(n, d, 7);
+      sim::Runtime rt(g);
       const int delta = g.max_degree();
       for (const int p : {2, 4, 8}) {
-        const DefectiveResult res = kuhn_defective_p(g, p);
+        const DefectiveResult res = kuhn_defective_p(rt, p);
         table.row(n, delta, p, coloring_defect(g, res.colors), delta / p,
                   res.palette,
                   static_cast<double>(res.palette) / (p * p), res.stats.rounds,

@@ -22,8 +22,9 @@ int main() {
   for (const int a : {3, 4, 6}) {
     for (const int hub : {64, 128, 256, 512}) {
       const Graph g = low_arboricity_high_degree(n, a, hub, 31);
+      sim::Runtime rt(g);
       const int delta = g.max_degree();
-      const LegalColoringResult res = delta_plus_one_low_arb(g, a);
+      const LegalColoringResult res = delta_plus_one_low_arb(rt, a);
       table.row(n, a, delta, res.distinct,
                 static_cast<double>(res.distinct) / delta,
                 res.distinct <= delta + 1 ? "yes" : "NO", res.total.rounds,

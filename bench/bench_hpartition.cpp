@@ -18,7 +18,8 @@ int main() {
   for (const int a : {2, 4, 8, 16}) {
     for (const V n : {1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18}) {
       const Graph g = planted_arboricity(n, a, 42 + a);
-      const HPartitionResult hp = h_partition(g, a);
+      sim::Runtime rt(g);
+      const HPartitionResult hp = h_partition(rt, a);
       const double logn = std::log2(static_cast<double>(n));
       table.row(n, a, hp.num_levels, hp.num_levels / logn, hp.threshold,
                 static_cast<int>(std::floor(2.25 * a)), hp.stats.rounds,

@@ -18,12 +18,12 @@
 namespace {
 
 // BE08 baseline = Lemma 2.2(1): Complete-Orientation + greedy along it.
-dvc::LegalColoringResult be08_coloring(const dvc::Graph& g, int a) {
+dvc::LegalColoringResult be08_coloring(dvc::sim::Runtime& rt, int a) {
   using namespace dvc;
   LegalColoringResult out;
-  const CompleteOrientationResult ori = complete_orientation(g, a);
+  const CompleteOrientationResult ori = complete_orientation(rt, a);
   const std::int64_t palette = ori.hp.threshold + 1;
-  const ReduceResult greedy = greedy_by_orientation(g, ori.sigma, palette);
+  const ReduceResult greedy = greedy_by_orientation(rt, ori.sigma, palette);
   out.colors = greedy.colors;
   out.distinct = distinct_colors(out.colors);
   out.total += ori.total;
@@ -41,15 +41,16 @@ int main() {
   for (const int a : {4, 8, 16, 32}) {
     for (const V n : {1 << 12, 1 << 14, 1 << 16}) {
       const Graph g = planted_arboricity(n, a, 10 + a);
+      sim::Runtime rt(g);
       const double logn = std::log2(static_cast<double>(n));
       {
-        const LegalColoringResult res = legal_coloring_linear(g, a, 0.5);
+        const LegalColoringResult res = legal_coloring_linear(rt, a, 0.5);
         table.row(n, a, "BE10 mu=0.5 (Thm 4.3)", res.distinct,
                   static_cast<double>(res.distinct) / a, res.total.rounds,
                   res.total.rounds / logn);
       }
       {
-        const LegalColoringResult res = be08_coloring(g, a);
+        const LegalColoringResult res = be08_coloring(rt, a);
         table.row(n, a, "BE08 (Lemma 2.2(1))", res.distinct,
                   static_cast<double>(res.distinct) / a, res.total.rounds,
                   res.total.rounds / logn);

@@ -203,8 +203,9 @@ void bench_substrate(benchio::JsonSink& sink) {
   std::cout << "\n== substrate end-to-end costs ==\n";
   {
     const Graph g = planted_arboricity(1 << 15, 8, 2);
+    sim::Runtime rt(g);
     auto t0 = Clock::now();
-    const HPartitionResult hp = h_partition(g, 8);
+    const HPartitionResult hp = h_partition(rt, 8);
     const double ms = ms_since(t0);
     std::cout << "h_partition n=" << g.num_vertices() << ": " << ms << " ms\n";
     sink.add(benchio::JsonRecord()
@@ -218,8 +219,9 @@ void bench_substrate(benchio::JsonSink& sink) {
   }
   {
     const Graph g = planted_arboricity(1 << 13, 8, 3);
+    sim::Runtime rt(g);
     auto t0 = Clock::now();
-    const LegalColoringResult res = legal_coloring(g, 8, 4);
+    const LegalColoringResult res = legal_coloring(rt, 8, 4);
     const double ms = ms_since(t0);
     std::cout << "legal_coloring n=" << g.num_vertices() << ": " << ms
               << " ms (" << res.distinct << " colors, " << res.total.rounds

@@ -22,6 +22,7 @@ int main() {
   for (const int a : {2, 4, 8}) {
     for (const V n : {1 << 12, 1 << 14, 1 << 16}) {
       const Graph g = planted_arboricity(n, a, 100 + a);
+      sim::Runtime rt(g);
       const double logn = std::log2(static_cast<double>(n));
       auto size_of = [](const std::vector<std::uint8_t>& s) {
         std::int64_t size = 0;
@@ -29,13 +30,13 @@ int main() {
         return size;
       };
       {
-        const MisResult res = deterministic_mis(g, a);
+        const MisResult res = deterministic_mis(rt, a);
         table.row(n, a, "BE10 deterministic", size_of(res.in_mis),
                   res.total.rounds, res.total.rounds / logn,
                   is_maximal_independent_set(g, res.in_mis) ? "yes" : "NO");
       }
       {
-        const MisResult res = luby_mis(g, 999);
+        const MisResult res = luby_mis(rt, 999);
         table.row(n, a, "Luby randomized", size_of(res.in_mis),
                   res.total.rounds, res.total.rounds / logn,
                   is_maximal_independent_set(g, res.in_mis) ? "yes" : "NO");

@@ -22,14 +22,15 @@ int main() {
                "layers", "rounds"});
   for (const V n : {1 << 12, 1 << 14, 1 << 16}) {
     const Graph g = planted_arboricity(n, a, 21);
+    sim::Runtime rt(g);
     {
-      const CompleteOrientationResult r = complete_orientation(g, a);
+      const CompleteOrientationResult r = complete_orientation(rt, a);
       table.row(n, "complete (Lemma 3.3)", r.sigma.max_out_degree(),
                 r.sigma.max_deficit(), 0, r.sigma.length(), r.hp.num_levels,
                 r.total.rounds);
     }
     for (const int t : {1, 2, 4, 8}) {
-      const PartialOrientationResult r = partial_orientation(g, a, t);
+      const PartialOrientationResult r = partial_orientation(rt, a, t);
       table.row(n, "partial t=" + std::to_string(t), r.sigma.max_out_degree(),
                 r.sigma.max_deficit(), r.deficit_bound, r.sigma.length(),
                 r.hp.num_levels, r.total.rounds);
@@ -41,7 +42,8 @@ int main() {
   // orientation into in-layer segments and layer crossings.
   std::cout << "\nFigure 1 structure (longest directed path, n=2^14, t=4):\n";
   const Graph g = planted_arboricity(1 << 14, a, 21);
-  const PartialOrientationResult r = partial_orientation(g, a, 4);
+  sim::Runtime rt(g);
+  const PartialOrientationResult r = partial_orientation(rt, a, 4);
   const auto lens = r.sigma.lengths();
   V cur = 0;
   for (V v = 0; v < g.num_vertices(); ++v) {

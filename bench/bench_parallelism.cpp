@@ -24,8 +24,9 @@ int main() {
   for (const int a : {8, 16}) {
     for (const V n : {1 << 12, 1 << 14}) {
       const Graph g = planted_arboricity(n, a, 77);
+      sim::Runtime rt(g);
       for (const int p : {4, 8}) {
-        const LegalColoringResult res = legal_coloring(g, a, p);
+        const LegalColoringResult res = legal_coloring(rt, a, p);
         const auto& act = res.total.active_per_round;
         if (act.empty()) continue;
         double sum = 0;

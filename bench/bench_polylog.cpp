@@ -24,23 +24,24 @@ int main() {
   for (const int a : {4, 8, 16}) {
     for (const V n : {1 << 13, 1 << 16}) {
       const Graph g = planted_arboricity(n, a, 3 + a);
+      sim::Runtime rt(g);
       const int delta = g.max_degree();
       const double d2 = static_cast<double>(delta) * delta;
       {
-        const LegalColoringResult res = legal_coloring_near_linear(g, a, 0.5);
+        const LegalColoringResult res = legal_coloring_near_linear(rt, a, 0.5);
         table.row(n, a, delta, "BE10 Cor4.6 (eta=.5)", res.distinct,
                   static_cast<double>(res.distinct) / a, res.distinct / d2,
                   res.total.rounds);
       }
       {
         const LegalColoringResult res =
-            legal_coloring_slow_fn(g, a, std::max(16, 2 * ilog2_ceil(a)));
+            legal_coloring_slow_fn(rt, a, std::max(16, 2 * ilog2_ceil(a)));
         table.row(n, a, delta, "BE10 Thm4.5 (f=log a)", res.distinct,
                   static_cast<double>(res.distinct) / a, res.distinct / d2,
                   res.total.rounds);
       }
       {
-        const DefectiveResult res = linial_coloring(g, delta);
+        const DefectiveResult res = linial_coloring(rt, delta);
         table.row(n, a, delta, "Linial87 O(Delta^2)",
                   distinct_colors(res.colors),
                   static_cast<double>(distinct_colors(res.colors)) / a,

@@ -18,11 +18,12 @@ int main() {
   const int a = 32;
   const V n = 1 << 14;
   const Graph g = planted_arboricity(n, a, 23);
+  sim::Runtime rt(g);
   const double logn = std::log2(static_cast<double>(n));
   Table table({"t", "colors", "colors/(a*t)", "rounds", "rounds/log2(n)",
                "BE08-predicted ~ (a/t)log n"});
   for (const int t : {1, 2, 4, 8, 16, 32}) {
-    const LegalColoringResult res = tradeoff_coloring(g, a, t, 0.5);
+    const LegalColoringResult res = tradeoff_coloring(rt, a, t, 0.5);
     table.row(t, res.distinct,
               static_cast<double>(res.distinct) / (static_cast<double>(a) * t),
               res.total.rounds, res.total.rounds / logn,

@@ -21,18 +21,19 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
 
   const Graph g = planted_arboricity(n, a, seed);
+  sim::Runtime rt(g);
   std::cout << "Graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << " planted arboricity <= " << a << "\n\n";
 
   // 1. H-partition (Lemma 2.3).
-  const HPartitionResult hp = h_partition(g, a);
+  const HPartitionResult hp = h_partition(rt, a);
   std::cout << "H-partition: " << hp.num_levels << " layers, layer-degree <= "
             << hp.threshold << ", valid=" << std::boolalpha
             << verify_h_partition(g, hp) << ", rounds=" << hp.stats.rounds
             << "\n";
 
   // 2. Forests decomposition (Lemma 2.2(2)).
-  const ForestsDecomposition fd = forests_decomposition(g, a);
+  const ForestsDecomposition fd = forests_decomposition(rt, a);
   std::cout << "Forests decomposition: " << fd.num_forests
             << " forests (bound floor(2.25a) = " << hp.threshold
             << "), valid=" << verify_forests_decomposition(g, fd)
@@ -41,17 +42,17 @@ int main(int argc, char** argv) {
   // 3. The three orientations side by side.
   Table table({"orientation", "out-degree", "deficit", "length", "rounds"});
   {
-    const OrientationResult r = orient_by_ids(g, a);
+    const OrientationResult r = orient_by_ids(rt, a);
     table.row("by-ids (Lemma 2.4)", r.sigma.max_out_degree(),
               r.sigma.max_deficit(), r.sigma.length(), r.total.rounds);
   }
   {
-    const CompleteOrientationResult r = complete_orientation(g, a);
+    const CompleteOrientationResult r = complete_orientation(rt, a);
     table.row("complete (Lemma 3.3)", r.sigma.max_out_degree(),
               r.sigma.max_deficit(), r.sigma.length(), r.total.rounds);
   }
   {
-    const PartialOrientationResult r = partial_orientation(g, a, t);
+    const PartialOrientationResult r = partial_orientation(rt, a, t);
     table.row("partial t=" + std::to_string(t) + " (Thm 3.5)",
               r.sigma.max_out_degree(), r.sigma.max_deficit(),
               r.sigma.length(), r.total.rounds);

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
             << lo << ", " << hi << "]\n\n";
 
   const MisResult det = mis_graph(social, k);
-  const MisResult rnd = luby_mis(social, seed);
+  sim::Runtime rt(social);
+  const MisResult rnd = luby_mis(rt, seed);
 
   auto size_of = [](const std::vector<std::uint8_t>& s) {
     std::int64_t size = 0;

@@ -24,9 +24,4 @@ struct RingColoringResult {
 
 RingColoringResult cole_vishkin_ring(sim::Runtime& rt);
 
-inline RingColoringResult cole_vishkin_ring(const Graph& ring) {
-  sim::Runtime rt(ring);
-  return cole_vishkin_ring(rt);
-}
-
 }  // namespace dvc

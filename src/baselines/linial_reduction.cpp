@@ -35,8 +35,9 @@ RandColoringResult coloring_via_mis_reduction(const Graph& g, std::uint64_t seed
   const int palette = g.max_degree() + 1;
   const Graph product = mis_coloring_product(g, palette);
   // Simulates on the derived product graph, so it cannot join a session
-  // bound to g; the Graph-shim of luby_mis opens a private Runtime.
-  const MisResult mis = luby_mis(product, seed);
+  // bound to g: it opens its own.
+  sim::Runtime rt(product);
+  const MisResult mis = luby_mis(rt, seed);
 
   RandColoringResult out;
   out.palette = palette;

@@ -17,9 +17,4 @@ constexpr int luby_max_words() { return 3; }
 
 MisResult luby_mis(sim::Runtime& rt, std::uint64_t seed);
 
-inline MisResult luby_mis(const Graph& g, std::uint64_t seed) {
-  sim::Runtime rt(g);
-  return luby_mis(rt, seed);
-}
-
 }  // namespace dvc

@@ -26,10 +26,4 @@ struct RandColoringResult {
 
 RandColoringResult randomized_delta_plus_one(sim::Runtime& rt, std::uint64_t seed);
 
-inline RandColoringResult randomized_delta_plus_one(const Graph& g,
-                                                    std::uint64_t seed) {
-  sim::Runtime rt(g);
-  return randomized_delta_plus_one(rt, seed);
-}
-
 }  // namespace dvc

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
@@ -10,27 +11,40 @@ namespace dvc {
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (arg.substr(0, 2) != "--") continue;
+    DVC_REQUIRE(arg.size() > 2 && arg.substr(0, 2) == "--",
+                std::string("unexpected argument '")
+                    .append(arg)
+                    .append("': flags take the form --key=value"));
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
-    if (eq == std::string_view::npos) {
-      values_[std::string(arg)] = "1";
-    } else {
-      values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-    }
+    values_.insert_or_assign(std::string(arg.substr(0, eq)),
+                             eq == std::string_view::npos
+                                 ? std::string("1")
+                                 : std::string(arg.substr(eq + 1)));
   }
 }
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(s, &end, 10);
+  DVC_REQUIRE(end != s && *end == '\0' && errno != ERANGE,
+              "--" + key + " expects an integer, got '" + it->second + "'");
+  return value;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(s, &end);
+  DVC_REQUIRE(end != s && *end == '\0',
+              "--" + key + " expects a number, got '" + it->second + "'");
+  return value;
 }
 
 std::string Cli::get_string(const std::string& key, const std::string& fallback) const {

@@ -1,4 +1,7 @@
-// Tiny --key=value flag parser for examples and benchmark binaries.
+// Tiny --key=value flag parser for examples and benchmark binaries. Any
+// argument not starting with "--" (e.g. the space form "--n 4000") and any
+// get_int/get_double value that does not parse in full fail with
+// precondition_error; a bare "--flag" reads as "1".
 #pragma once
 
 #include <cstdint>

@@ -59,8 +59,7 @@ LegalColoringResult color_graph(sim::Runtime& rt, int arboricity_bound,
 LegalColoringResult color_graph(const Graph& g, int arboricity_bound, Preset preset,
                                 const Knobs& knobs) {
   DVC_REQUIRE(arboricity_bound >= 1, "arboricity bound must be >= 1");
-  const sim::ScopedDefaultShards shard_guard(knobs.shards);
-  sim::Runtime rt(g);
+  sim::Runtime rt(g, knobs.shards);
   return color_graph(rt, arboricity_bound, preset, knobs);
 }
 
@@ -71,8 +70,7 @@ MisResult mis_graph(sim::Runtime& rt, int arboricity_bound, const Knobs& knobs) 
 }
 
 MisResult mis_graph(const Graph& g, int arboricity_bound, const Knobs& knobs) {
-  const sim::ScopedDefaultShards shard_guard(knobs.shards);
-  sim::Runtime rt(g);
+  sim::Runtime rt(g, knobs.shards);
   return mis_graph(rt, arboricity_bound, knobs);
 }
 

@@ -51,8 +51,9 @@ struct Knobs {
   int t = 2;
   int f = 0;         // FastSubquadratic class arboricity (0: ~sqrt(a))
   double eps = 0.25; // H-partition slack
-  /// Executor shards for every simulated phase (0 = keep thread default).
-  /// Results are bit-identical for any value; only wall-clock changes.
+  /// Executor shards for every simulated phase; 0 (default) means one shard
+  /// (the service substitutes ServiceConfig::default_shards). Results are
+  /// bit-identical for any value; only wall-clock changes.
   int shards = 0;
   /// Machine-model choice: per-message payload budget in words. 0 (default)
   /// keeps the session's budget -- unlimited on a fresh session, i.e. the
@@ -73,9 +74,10 @@ struct Knobs {
 std::string preset_name(Preset p);
 
 /// Runs the preset; `arboricity_bound` must be >= the arboricity of g.
-/// Internally one sim::Runtime session carries the whole pipeline, so
-/// arenas and shard threads are reused at every phase boundary; the
-/// returned result's `phases` PhaseLog is the session's per-phase tree.
+/// Internally one sim::Runtime session of knobs.shards shards carries the
+/// whole pipeline, so arenas and shard threads are reused at every phase
+/// boundary; the returned result's `phases` PhaseLog is the session's
+/// per-phase tree.
 LegalColoringResult color_graph(const Graph& g, int arboricity_bound, Preset preset,
                                 const Knobs& knobs = Knobs{});
 

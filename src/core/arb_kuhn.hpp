@@ -40,34 +40,14 @@ ArbKuhnResult arb_kuhn_arbdefective(sim::Runtime& rt, int arboricity_bound,
                                     int arbdefect_budget, double eps = 0.25,
                                     const std::vector<std::int64_t>* groups = nullptr);
 
-inline ArbKuhnResult arb_kuhn_arbdefective(const Graph& g, int arboricity_bound,
-                                           int arbdefect_budget, double eps = 0.25,
-                                           const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return arb_kuhn_arbdefective(rt, arboricity_bound, arbdefect_budget, eps, groups);
-}
-
 /// Theorem 5.2 driver. `class_arboricity` plays the role of f(a) = g(a)
 /// up to the eta of the inner Legal-Coloring run.
 LegalColoringResult fast_subquadratic_coloring(sim::Runtime& rt, int arboricity_bound,
                                                int class_arboricity,
                                                double eta = 0.5, double eps = 0.25);
 
-inline LegalColoringResult fast_subquadratic_coloring(const Graph& g, int arboricity_bound,
-                                                      int class_arboricity,
-                                                      double eta = 0.5, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return fast_subquadratic_coloring(rt, arboricity_bound, class_arboricity, eta, eps);
-}
-
 /// Theorem 5.3 driver: O(a*t) colors in O((a/t)^mu log n) rounds.
 LegalColoringResult tradeoff_coloring(sim::Runtime& rt, int arboricity_bound, int t,
                                       double mu = 0.5, double eps = 0.25);
-
-inline LegalColoringResult tradeoff_coloring(const Graph& g, int arboricity_bound, int t,
-                                             double mu = 0.5, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return tradeoff_coloring(rt, arboricity_bound, t, mu, eps);
-}
 
 }  // namespace dvc

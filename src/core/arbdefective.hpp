@@ -31,11 +31,4 @@ ArbdefectiveColoringResult arbdefective_coloring(
     sim::Runtime& rt, int arboricity_bound, int t, int k, double eps = 0.25,
     const std::vector<std::int64_t>* groups = nullptr);
 
-inline ArbdefectiveColoringResult arbdefective_coloring(
-    const Graph& g, int arboricity_bound, int t, int k, double eps = 0.25,
-    const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return arbdefective_coloring(rt, arboricity_bound, t, k, eps, groups);
-}
-
 }  // namespace dvc

@@ -65,44 +65,18 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
                                    const std::vector<std::int64_t>* initial_groups = nullptr,
                                    int initial_alpha = -1);
 
-inline LegalColoringResult legal_coloring(const Graph& g, int arboricity_bound, int p,
-                                          double eps = 0.25,
-                                          const std::vector<std::int64_t>* initial_groups = nullptr,
-                                          int initial_alpha = -1) {
-  sim::Runtime rt(g);
-  return legal_coloring(rt, arboricity_bound, p, eps, initial_groups, initial_alpha);
-}
-
 /// Theorem 4.3 (and Corollary 4.4): O(a)-coloring in O(a^mu log n) time.
 LegalColoringResult legal_coloring_linear(sim::Runtime& rt, int arboricity_bound,
                                           double mu = 0.5, double eps = 0.25);
-
-inline LegalColoringResult legal_coloring_linear(const Graph& g, int arboricity_bound,
-                                                 double mu = 0.5, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return legal_coloring_linear(rt, arboricity_bound, mu, eps);
-}
 
 /// Corollary 4.6: O(a^(1+eta))-coloring in O(log a log n) time.
 LegalColoringResult legal_coloring_near_linear(sim::Runtime& rt, int arboricity_bound,
                                                double eta = 0.5, double eps = 0.25);
 
-inline LegalColoringResult legal_coloring_near_linear(const Graph& g, int arboricity_bound,
-                                                      double eta = 0.5, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return legal_coloring_near_linear(rt, arboricity_bound, eta, eps);
-}
-
 /// Theorem 4.5: a^(1+o(1))-coloring in O(f(a) log a log n) time; pass the
 /// value f = f(a) of an arbitrarily slow-growing function.
 LegalColoringResult legal_coloring_slow_fn(sim::Runtime& rt, int arboricity_bound,
                                            int f_value, double eps = 0.25);
-
-inline LegalColoringResult legal_coloring_slow_fn(const Graph& g, int arboricity_bound,
-                                                  int f_value, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return legal_coloring_slow_fn(rt, arboricity_bound, f_value, eps);
-}
 
 /// Corollary 4.7: for graphs with a <= Delta^(1-nu), a (Delta+1)-coloring
 /// (in fact o(Delta) colors) in O(log a log n) time. Falls back to a
@@ -110,11 +84,5 @@ inline LegalColoringResult legal_coloring_slow_fn(const Graph& g, int arboricity
 /// Delta+1 on small instances; the fallback rounds are reported.
 LegalColoringResult delta_plus_one_low_arb(sim::Runtime& rt, int arboricity_bound,
                                            double eta = 0.5, double eps = 0.25);
-
-inline LegalColoringResult delta_plus_one_low_arb(const Graph& g, int arboricity_bound,
-                                                  double eta = 0.5, double eps = 0.25) {
-  sim::Runtime rt(g);
-  return delta_plus_one_low_arb(rt, arboricity_bound, eta, eps);
-}
 
 }  // namespace dvc

@@ -33,20 +33,8 @@ struct MisResult {
 /// [0, num_colors).
 MisResult mis_from_coloring(sim::Runtime& rt, const Coloring& colors, int num_colors);
 
-inline MisResult mis_from_coloring(const Graph& g, const Coloring& colors,
-                                   int num_colors) {
-  sim::Runtime rt(g);
-  return mis_from_coloring(rt, colors, num_colors);
-}
-
 /// The paper's deterministic MIS: Theorem 4.3 coloring + sweep.
 MisResult deterministic_mis(sim::Runtime& rt, int arboricity_bound, double mu = 0.5,
                             double eps = 0.25);
-
-inline MisResult deterministic_mis(const Graph& g, int arboricity_bound, double mu = 0.5,
-                                   double eps = 0.25) {
-  sim::Runtime rt(g);
-  return deterministic_mis(rt, arboricity_bound, mu, eps);
-}
 
 }  // namespace dvc

@@ -34,11 +34,4 @@ SimpleArbResult simple_arbdefective(sim::Runtime& rt, const Orientation& sigma,
                                     int k,
                                     const std::vector<std::int64_t>* groups = nullptr);
 
-inline SimpleArbResult simple_arbdefective(const Graph& g, const Orientation& sigma,
-                                           int k,
-                                           const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return simple_arbdefective(rt, sigma, k, groups);
-}
-
 }  // namespace dvc

@@ -34,13 +34,6 @@ ForestsDecomposition forests_decomposition(
     sim::Runtime& rt, int arboricity_bound, double eps = 0.25,
     const std::vector<std::int64_t>* groups = nullptr);
 
-inline ForestsDecomposition forests_decomposition(
-    const Graph& g, int arboricity_bound, double eps = 0.25,
-    const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return forests_decomposition(rt, arboricity_bound, eps, groups);
-}
-
 /// Checks that every forest is in fact acyclic (union-find) and that edge
 /// labels agree across slots.
 bool verify_forests_decomposition(const Graph& g, const ForestsDecomposition& fd);

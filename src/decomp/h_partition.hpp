@@ -39,14 +39,6 @@ HPartitionResult h_partition(sim::Runtime& rt, int arboricity_bound,
                              double eps = 0.25,
                              const std::vector<std::int64_t>* groups = nullptr);
 
-/// One-off convenience: runs in a private session.
-inline HPartitionResult h_partition(const Graph& g, int arboricity_bound,
-                                    double eps = 0.25,
-                                    const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return h_partition(rt, arboricity_bound, eps, groups);
-}
-
 /// Checks the defining property: every vertex in level i has at most
 /// `threshold` same-group neighbors in levels >= i.
 bool verify_h_partition(const Graph& g, const HPartitionResult& hp,

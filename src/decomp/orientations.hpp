@@ -55,13 +55,6 @@ OrientationResult orient_by_ids(sim::Runtime& rt, int arboricity_bound,
                                 double eps = 0.25,
                                 const std::vector<std::int64_t>* groups = nullptr);
 
-inline OrientationResult orient_by_ids(const Graph& g, int arboricity_bound,
-                                       double eps = 0.25,
-                                       const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return orient_by_ids(rt, arboricity_bound, eps, groups);
-}
-
 struct CompleteOrientationResult {
   Orientation sigma;
   HPartitionResult hp;
@@ -73,13 +66,6 @@ struct CompleteOrientationResult {
 CompleteOrientationResult complete_orientation(
     sim::Runtime& rt, int arboricity_bound, double eps = 0.25,
     const std::vector<std::int64_t>* groups = nullptr);
-
-inline CompleteOrientationResult complete_orientation(
-    const Graph& g, int arboricity_bound, double eps = 0.25,
-    const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return complete_orientation(rt, arboricity_bound, eps, groups);
-}
 
 struct PartialOrientationResult {
   Orientation sigma;
@@ -93,12 +79,5 @@ struct PartialOrientationResult {
 PartialOrientationResult partial_orientation(
     sim::Runtime& rt, int arboricity_bound, int t, double eps = 0.25,
     const std::vector<std::int64_t>* groups = nullptr);
-
-inline PartialOrientationResult partial_orientation(
-    const Graph& g, int arboricity_bound, int t, double eps = 0.25,
-    const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return partial_orientation(rt, arboricity_bound, t, eps, groups);
-}
 
 }  // namespace dvc

@@ -148,10 +148,10 @@ DefectiveResult kuhn_defective(sim::Runtime& rt, std::int64_t relevant_degree_bo
                      "kuhn-defective");
 }
 
-DefectiveResult kuhn_defective_p(const Graph& g, int p) {
+DefectiveResult kuhn_defective_p(sim::Runtime& rt, int p) {
   DVC_REQUIRE(p >= 1, "p must be >= 1");
-  const int delta = g.max_degree();
-  return kuhn_defective(g, delta, delta / p);
+  const int delta = rt.graph().max_degree();
+  return kuhn_defective(rt, delta, delta / p);
 }
 
 DefectiveResult linial_coloring(sim::Runtime& rt, std::int64_t degree_bound,

@@ -47,18 +47,8 @@ DefectiveResult kuhn_defective(sim::Runtime& rt, std::int64_t relevant_degree_bo
                                const Coloring* initial = nullptr,
                                std::int64_t initial_palette = 0);
 
-inline DefectiveResult kuhn_defective(const Graph& g, std::int64_t relevant_degree_bound,
-                                      int defect_budget,
-                                      const std::vector<std::int64_t>* groups = nullptr,
-                                      const Coloring* initial = nullptr,
-                                      std::int64_t initial_palette = 0) {
-  sim::Runtime rt(g);
-  return kuhn_defective(rt, relevant_degree_bound, defect_budget, groups, initial,
-                        initial_palette);
-}
-
 /// Lemma 2.1 interface: floor(Delta/p)-defective O(p^2)-coloring.
-DefectiveResult kuhn_defective_p(const Graph& g, int p);
+DefectiveResult kuhn_defective_p(sim::Runtime& rt, int p);
 
 /// Linial's legal O(Delta^2)-coloring in O(log* n) rounds: defect budget 0.
 /// degree_bound defaults to the max degree of (each group of) g.
@@ -66,14 +56,6 @@ DefectiveResult linial_coloring(sim::Runtime& rt, std::int64_t degree_bound,
                                 const std::vector<std::int64_t>* groups = nullptr,
                                 const Coloring* initial = nullptr,
                                 std::int64_t initial_palette = 0);
-
-inline DefectiveResult linial_coloring(const Graph& g, std::int64_t degree_bound,
-                                       const std::vector<std::int64_t>* groups = nullptr,
-                                       const Coloring* initial = nullptr,
-                                       std::int64_t initial_palette = 0) {
-  sim::Runtime rt(g);
-  return linial_coloring(rt, degree_bound, groups, initial, initial_palette);
-}
 
 /// Arbdefective recoloring (Section 5): collisions counted against parents
 /// only (same-group out-neighbors under sigma). Produces a coloring whose
@@ -83,13 +65,5 @@ DefectiveResult arb_recolor_iterated(sim::Runtime& rt, const Orientation& sigma,
                                      std::int64_t out_degree_bound,
                                      int arbdefect_budget,
                                      const std::vector<std::int64_t>* groups = nullptr);
-
-inline DefectiveResult arb_recolor_iterated(const Graph& g, const Orientation& sigma,
-                                            std::int64_t out_degree_bound,
-                                            int arbdefect_budget,
-                                            const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return arb_recolor_iterated(rt, sigma, out_degree_bound, arbdefect_budget, groups);
-}
 
 }  // namespace dvc

@@ -44,25 +44,11 @@ ReduceResult greedy_by_orientation(sim::Runtime& rt, const Orientation& sigma,
                                    std::int64_t palette,
                                    const std::vector<std::int64_t>* groups = nullptr);
 
-inline ReduceResult greedy_by_orientation(const Graph& g, const Orientation& sigma,
-                                          std::int64_t palette,
-                                          const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return greedy_by_orientation(rt, sigma, palette, groups);
-}
-
 /// One-class-per-round reduction of a legal same-group coloring in [0, M)
 /// to [0, target). Requires target > max same-group degree.
 ReduceResult reduce_colors_naive(sim::Runtime& rt, const Coloring& initial,
                                  std::int64_t initial_palette, std::int64_t target,
                                  const std::vector<std::int64_t>* groups = nullptr);
-
-inline ReduceResult reduce_colors_naive(const Graph& g, const Coloring& initial,
-                                        std::int64_t initial_palette, std::int64_t target,
-                                        const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return reduce_colors_naive(rt, initial, initial_palette, target, groups);
-}
 
 /// Kuhn-Wattenhofer bucket reduction of a legal same-group coloring in
 /// [0, M) to [0, degree_bound + 1). degree_bound must be at least the max
@@ -70,12 +56,5 @@ inline ReduceResult reduce_colors_naive(const Graph& g, const Coloring& initial,
 ReduceResult kw_reduce(sim::Runtime& rt, const Coloring& initial,
                        std::int64_t initial_palette, int degree_bound,
                        const std::vector<std::int64_t>* groups = nullptr);
-
-inline ReduceResult kw_reduce(const Graph& g, const Coloring& initial,
-                              std::int64_t initial_palette, int degree_bound,
-                              const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return kw_reduce(rt, initial, initial_palette, degree_bound, groups);
-}
 
 }  // namespace dvc

@@ -24,10 +24,4 @@ namespace dvc {
 ReduceResult legal_small_degree(sim::Runtime& rt, int degree_bound,
                                 const std::vector<std::int64_t>* groups = nullptr);
 
-inline ReduceResult legal_small_degree(const Graph& g, int degree_bound,
-                                       const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return legal_small_degree(rt, degree_bound, groups);
-}
-
 }  // namespace dvc

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -8,6 +9,19 @@
 #include "common/check.hpp"
 
 namespace dvc {
+
+namespace {
+
+// Range-checks an 'n m' header before anything is narrowed to V or sized
+// from it: n must fit V, and the 2m directed slots must fit the CSR cap.
+void require_header(std::int64_t n, std::int64_t m, const char* format) {
+  DVC_REQUIRE(n >= 0 && n <= std::numeric_limits<V>::max(),
+              std::string(format) + " vertex count out of range");
+  DVC_REQUIRE(m >= 0 && m <= detail::kMaxSlots / 2,
+              std::string(format) + " edge count out of range");
+}
+
+}  // namespace
 
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << g.num_vertices() << ' ' << g.num_edges() << '\n';
@@ -17,12 +31,14 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 Graph read_edge_list(std::istream& is) {
   std::int64_t n = 0, m = 0;
   DVC_REQUIRE(static_cast<bool>(is >> n >> m), "edge list needs an 'n m' header");
-  DVC_REQUIRE(n >= 0 && m >= 0, "edge list header out of range");
+  require_header(n, m, "edge list");
+  // No reserve(m): the header is not trusted to size an allocation.
   EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t u = 0, v = 0;
     DVC_REQUIRE(static_cast<bool>(is >> u >> v), "edge list truncated");
+    DVC_REQUIRE(u >= 0 && v >= 0 && u < n && v < n,
+                "edge list endpoint out of range");
     edges.emplace_back(static_cast<V>(u), static_cast<V>(v));
   }
   return Graph::from_edges(static_cast<V>(n), edges);
@@ -50,7 +66,7 @@ Graph read_dimacs(std::istream& is) {
       std::string kind;
       DVC_REQUIRE(static_cast<bool>(ls >> kind >> n >> m) && kind == "edge",
                   "malformed DIMACS 'p' line");
-      edges.reserve(static_cast<std::size_t>(m));
+      require_header(n, m, "DIMACS");
     } else if (tag == "e") {
       DVC_REQUIRE(n >= 0, "DIMACS 'e' line before 'p' header");
       std::int64_t u = 0, v = 0;

@@ -386,14 +386,6 @@ void PhaseLog::record(std::string_view name, const RunStats& stats) {
 // ---------------------------------------------------------------------------
 // Runtime
 
-thread_local int Runtime::default_shards_{1};
-
-void Runtime::set_default_shards(int shards) {
-  default_shards_ = shards < 1 ? 1 : shards;
-}
-
-int Runtime::default_shards() { return default_shards_; }
-
 std::uint64_t Runtime::lifetime_threads_spawned() {
   return g_threads_spawned.load(std::memory_order_relaxed);
 }
@@ -422,8 +414,7 @@ std::vector<std::int64_t>& Ctx::scratch(int which) {
 
 Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   const V n = g.num_vertices();
-  std::int64_t s = shards > 0 ? shards : default_shards();
-  if (s < 1) s = 1;
+  std::int64_t s = shards > 0 ? shards : 1;
   if (n > 0 && s > n) s = n;
   if (n == 0) s = 1;
   num_shards_ = static_cast<int>(s);

@@ -506,14 +506,13 @@ class PhaseExecutor {
 /// thread. All completed phases are appended to the session PhaseLog.
 class Runtime {
  public:
-  /// `shards` <= 0 picks the thread-default (set_default_shards); shard
-  /// counts above n are clamped. Any shard count yields bit-identical
-  /// RunStats and program outputs. `inline_shards` keeps the same shard
-  /// decomposition but spawns NO worker threads: multi-shard sweeps run
-  /// sequentially on the calling thread (bit-identical, per the
-  /// shard-determinism contract). Required for sessions that will host the
-  /// distributed transport -- its fork()-based backend must not fork a
-  /// multithreaded process.
+  /// `shards` <= 0 (the default) means one shard; shard counts above n are
+  /// clamped. Any shard count yields bit-identical RunStats and program
+  /// outputs. `inline_shards` keeps the same shard decomposition but
+  /// spawns NO worker threads: multi-shard sweeps run sequentially on the
+  /// calling thread (bit-identical, per the shard-determinism contract).
+  /// Required for sessions that will host the distributed transport -- its
+  /// fork()-based backend must not fork a multithreaded process.
   explicit Runtime(const Graph& g, int shards = 0, bool inline_shards = false);
   ~Runtime();
   Runtime(const Runtime&) = delete;
@@ -666,12 +665,6 @@ class Runtime {
   /// opposed to program callbacks. Allocation-regression tests hook
   /// operator new and count only allocations made with this flag set.
   static bool in_machinery();
-
-  /// Per-thread default shard count used by Runtime(g) construction in the
-  /// algorithm drivers (thread-local so concurrent drivers with different
-  /// Knobs::shards cannot contaminate each other). Values < 1 become 1.
-  static void set_default_shards(int shards);
-  static int default_shards();
 
   /// Heap bytes of all session state, split the way the per-slot budget in
   /// DESIGN.md ("Memory layout & giant graphs") is drawn up: the
@@ -928,8 +921,6 @@ class Runtime {
   bool stopping_ = false;
   VertexProgram* program_ = nullptr;
   std::vector<std::thread> threads_;
-
-  static thread_local int default_shards_;
 };
 
 /// RAII aggregate span in a session log: drivers wrap composed procedures
@@ -947,25 +938,6 @@ class PhaseSpan {
  private:
   PhaseLog* log_;
   std::size_t idx_;
-};
-
-/// Scoped override of the calling thread's default shard count; `shards`
-/// <= 0 leaves the current default untouched (no-op guard).
-class ScopedDefaultShards {
- public:
-  explicit ScopedDefaultShards(int shards)
-      : previous_(Runtime::default_shards()), active_(shards > 0) {
-    if (active_) Runtime::set_default_shards(shards);
-  }
-  ~ScopedDefaultShards() {
-    if (active_) Runtime::set_default_shards(previous_);
-  }
-  ScopedDefaultShards(const ScopedDefaultShards&) = delete;
-  ScopedDefaultShards& operator=(const ScopedDefaultShards&) = delete;
-
- private:
-  int previous_;
-  bool active_;
 };
 
 /// Scoped install of a session's phase-boundary interrupt hook, cleared on

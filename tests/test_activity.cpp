@@ -14,7 +14,8 @@ namespace {
 
 TEST(Activity, EngineRecordsOneSamplePerRound) {
   Graph g = planted_arboricity(512, 4, 1);
-  const HPartitionResult hp = h_partition(g, 4);
+  sim::Runtime rt(g);
+  const HPartitionResult hp = h_partition(rt, 4);
   EXPECT_EQ(static_cast<int>(hp.stats.active_per_round.size()), hp.stats.rounds);
   // Round 1 starts with everyone alive.
   ASSERT_FALSE(hp.stats.active_per_round.empty());
@@ -23,7 +24,8 @@ TEST(Activity, EngineRecordsOneSamplePerRound) {
 
 TEST(Activity, HPartitionActivityIsNonIncreasing) {
   Graph g = planted_arboricity(2048, 8, 2);
-  const HPartitionResult hp = h_partition(g, 8);
+  sim::Runtime rt(g);
+  const HPartitionResult hp = h_partition(rt, 8);
   const auto& act = hp.stats.active_per_round;
   for (std::size_t i = 1; i < act.size(); ++i) EXPECT_LE(act[i], act[i - 1]);
 }
@@ -42,7 +44,8 @@ TEST(Activity, StatsConcatenateAcrossPhases) {
 
 TEST(Activity, LegalColoringProfileCoversEveryRound) {
   Graph g = planted_arboricity(1024, 8, 3);
-  const LegalColoringResult res = legal_coloring(g, 8, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 8, 4);
   EXPECT_EQ(static_cast<int>(res.total.active_per_round.size()),
             res.total.rounds);
   // Section 1.4: most rounds keep most vertices active. Require a mean

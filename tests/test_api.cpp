@@ -87,6 +87,22 @@ TEST(Api, MisIsMaximal) {
   EXPECT_TRUE(is_maximal_independent_set(g, res.in_mis));
 }
 
+TEST(Api, KnobsShardsReachTheFacadeSession) {
+  // Outputs are bit-identical at any shard count, so only the spawned
+  // worker threads show the knob arrived: shards - 1 per session.
+  const Graph g = planted_arboricity(1024, 4, 5);
+  const auto spawned_by = [](auto&& run) {
+    const std::uint64_t before = sim::Runtime::lifetime_threads_spawned();
+    run();
+    return sim::Runtime::lifetime_threads_spawned() - before;
+  };
+  const Knobs four{.shards = 4};
+  EXPECT_EQ(spawned_by([&] { color_graph(g, 4, Preset::PolylogTime, four); }), 3u);
+  EXPECT_EQ(spawned_by([&] { mis_graph(g, 4, four); }), 3u);
+  EXPECT_EQ(spawned_by([&] { color_graph(g, 4, Preset::PolylogTime, Knobs{}); }), 0u);
+  EXPECT_EQ(spawned_by([&] { mis_graph(g, 4, Knobs{}); }), 0u);
+}
+
 TEST(Api, RejectsBadArboricityBound) {
   Graph g = planted_arboricity(128, 4, 4);
   EXPECT_THROW(color_graph(g, 0, Preset::LinearColors), precondition_error);

@@ -11,8 +11,9 @@ namespace {
 TEST(ArbKuhn, ArbdefectWithinBudget) {
   const int a = 8;
   Graph g = planted_arboricity(2048, a, 1);
+  sim::Runtime rt(g);
   for (const int d : {1, 2, 4, 8}) {
-    const ArbKuhnResult res = arb_kuhn_arbdefective(g, a, d);
+    const ArbKuhnResult res = arb_kuhn_arbdefective(rt, a, d);
     const Orientation witness =
         make_arbdefect_witness(g, res.colors, res.orientation.sigma);
     EXPECT_LE(certified_arbdefect(g, res.colors, witness), d) << "d=" << d;
@@ -23,8 +24,9 @@ TEST(ArbKuhn, ArbdefectWithinBudget) {
 TEST(ArbKuhn, PaletteShrinksWithBudget) {
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 2);
-  const ArbKuhnResult tight = arb_kuhn_arbdefective(g, a, 1);
-  const ArbKuhnResult loose = arb_kuhn_arbdefective(g, a, 8);
+  sim::Runtime rt(g);
+  const ArbKuhnResult tight = arb_kuhn_arbdefective(rt, a, 1);
+  const ArbKuhnResult loose = arb_kuhn_arbdefective(rt, a, 8);
   EXPECT_LT(loose.palette, tight.palette);  // O((A/d)^2) in the budget d
 }
 
@@ -32,7 +34,8 @@ TEST(ArbKuhn, RunsInLogarithmicRounds) {
   const int a = 8;
   for (const V n : {1 << 10, 1 << 13}) {
     Graph g = planted_arboricity(n, a, 3);
-    const ArbKuhnResult res = arb_kuhn_arbdefective(g, a, 4);
+    sim::Runtime rt(g);
+    const ArbKuhnResult res = arb_kuhn_arbdefective(rt, a, 4);
     EXPECT_LE(res.total.rounds, 8 * std::log2(static_cast<double>(n)) + 32);
   }
 }
@@ -40,8 +43,9 @@ TEST(ArbKuhn, RunsInLogarithmicRounds) {
 TEST(ArbKuhn, Theorem52SubquadraticColoring) {
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 4);
+  sim::Runtime rt(g);
   const LegalColoringResult res =
-      fast_subquadratic_coloring(g, a, /*class_arboricity=*/4);
+      fast_subquadratic_coloring(rt, a, /*class_arboricity=*/4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   // o(a^2): far below the Linial-style a^2-ish count.
   EXPECT_LT(res.distinct, a * a * 4);
@@ -50,9 +54,10 @@ TEST(ArbKuhn, Theorem52SubquadraticColoring) {
 TEST(ArbKuhn, Theorem53TradeoffMonotone) {
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 5);
+  sim::Runtime rt(g);
   int prev_colors = -1;
   for (const int t : {1, 2, 4}) {
-    const LegalColoringResult res = tradeoff_coloring(g, a, t);
+    const LegalColoringResult res = tradeoff_coloring(rt, a, t);
     EXPECT_TRUE(is_legal_coloring(g, res.colors)) << "t=" << t;
     if (prev_colors >= 0) {
       // More subgraphs (larger t) => more colors, fewer rounds per class.
@@ -66,7 +71,8 @@ TEST(ArbKuhn, ZeroBudgetIsLegalColoring) {
   // d = 0: no collisions against parents allowed at all; since every edge
   // is oriented, the result is a legal coloring with O(A^2) colors.
   Graph g = planted_arboricity(1024, 4, 6);
-  const ArbKuhnResult res = arb_kuhn_arbdefective(g, 4, 0);
+  sim::Runtime rt(g);
+  const ArbKuhnResult res = arb_kuhn_arbdefective(rt, 4, 0);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
 }
 
@@ -75,7 +81,8 @@ class ArbKuhnSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(ArbKuhnSweep, BudgetHonoredAcrossFamilies) {
   const auto [a, d] = GetParam();
   Graph g = planted_arboricity(1024, a, static_cast<std::uint64_t>(a * 100 + d));
-  const ArbKuhnResult res = arb_kuhn_arbdefective(g, a, d);
+  sim::Runtime rt(g);
+  const ArbKuhnResult res = arb_kuhn_arbdefective(rt, a, d);
   const Orientation witness =
       make_arbdefect_witness(g, res.colors, res.orientation.sigma);
   EXPECT_LE(certified_arbdefect(g, res.colors, witness), d);

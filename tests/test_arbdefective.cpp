@@ -13,9 +13,10 @@ namespace {
 TEST(ArbdefectiveColoring, Corollary36Bound) {
   const int a = 8;
   Graph g = planted_arboricity(2048, a, 1);
+  sim::Runtime rt(g);
   for (const int t : {2, 4}) {
     for (const int k : {2, 4}) {
-      const ArbdefectiveColoringResult res = arbdefective_coloring(g, a, t, k);
+      const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, t, k);
       EXPECT_LT(palette_span(res.colors), k + 1);
       const Orientation witness =
           make_arbdefect_witness(g, res.colors, res.orientation.sigma);
@@ -33,8 +34,9 @@ TEST(ArbdefectiveColoring, ClassArboricityCertifiedByFlow) {
   // color-class subgraph and compare with the witness bound.
   const int a = 6;
   Graph g = planted_arboricity(768, a, 2);
+  sim::Runtime rt(g);
   const int t = 3, k = 3;
-  const ArbdefectiveColoringResult res = arbdefective_coloring(g, a, t, k);
+  const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, t, k);
   const auto classes = color_class_subgraphs(g, res.colors);
   for (const auto& cls : classes) {
     if (cls.graph.num_edges() == 0) continue;
@@ -48,8 +50,9 @@ TEST(ArbdefectiveColoring, RoundsAreTSquaredLogN) {
   const int a = 8;
   for (const V n : {1 << 10, 1 << 12}) {
     Graph g = planted_arboricity(n, a, 3);
+    sim::Runtime rt(g);
     const int t = 2;
-    const ArbdefectiveColoringResult res = arbdefective_coloring(g, a, t, t);
+    const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, t, t);
     const double logn = std::log2(static_cast<double>(n));
     // Generous envelope: c * (t^2 + threshold) * log n.
     EXPECT_LE(res.total.rounds,
@@ -63,7 +66,8 @@ TEST(ArbdefectiveColoring, DecompositionViewTEqualsK) {
   const int a = 9;
   const int k = 3;
   Graph g = planted_arboricity(1024, a, 4);
-  const ArbdefectiveColoringResult res = arbdefective_coloring(g, a, k, k);
+  sim::Runtime rt(g);
+  const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, k, k);
   EXPECT_LE(res.arbdefect_bound, a / k + static_cast<int>((2.25 * a)) / k);
   const Orientation witness =
       make_arbdefect_witness(g, res.colors, res.orientation.sigma);
@@ -73,10 +77,11 @@ TEST(ArbdefectiveColoring, DecompositionViewTEqualsK) {
 TEST(ArbdefectiveColoring, GroupsRefineIndependently) {
   // Pre-partition into two groups; classes never mix groups.
   Graph g = planted_arboricity(512, 4, 5);
+  sim::Runtime rt(g);
   std::vector<std::int64_t> groups(512, 0);
   for (V v = 256; v < 512; ++v) groups[static_cast<std::size_t>(v)] = 1;
   const ArbdefectiveColoringResult res =
-      arbdefective_coloring(g, 4, 2, 2, 0.25, &groups);
+      arbdefective_coloring(rt, 4, 2, 2, 0.25, &groups);
   // Witness within groups: combine (group, color) into one coloring.
   Coloring combined(512);
   for (V v = 0; v < 512; ++v) {

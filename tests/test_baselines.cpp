@@ -17,7 +17,8 @@ namespace {
 TEST(Luby, ProducesMaximalIndependentSet) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     Graph g = random_gnm(1024, 4096, seed);
-    const MisResult res = luby_mis(g, seed);
+    sim::Runtime rt(g);
+    const MisResult res = luby_mis(rt, seed);
     EXPECT_TRUE(is_maximal_independent_set(g, res.in_mis)) << seed;
     // O(log n) rounds w.h.p.; generous envelope.
     EXPECT_LE(res.total.rounds, 12 * std::log2(1024.0) + 16);
@@ -26,15 +27,17 @@ TEST(Luby, ProducesMaximalIndependentSet) {
 
 TEST(Luby, HandlesIsolatedVertices) {
   Graph g = Graph::from_edges(5, {{0, 1}});
-  const MisResult res = luby_mis(g, 9);
+  sim::Runtime rt(g);
+  const MisResult res = luby_mis(rt, 9);
   EXPECT_TRUE(is_maximal_independent_set(g, res.in_mis));
   EXPECT_TRUE(res.in_mis[2] && res.in_mis[3] && res.in_mis[4]);
 }
 
 TEST(Luby, DeterministicInSeed) {
   Graph g = random_gnm(256, 512, 4);
-  const MisResult a = luby_mis(g, 42);
-  const MisResult b = luby_mis(g, 42);
+  sim::Runtime rt(g);
+  const MisResult a = luby_mis(rt, 42);
+  const MisResult b = luby_mis(rt, 42);
   EXPECT_EQ(a.in_mis, b.in_mis);
   EXPECT_EQ(a.total.rounds, b.total.rounds);
 }
@@ -42,7 +45,8 @@ TEST(Luby, DeterministicInSeed) {
 TEST(RandColoring, LegalDeltaPlusOne) {
   for (const std::uint64_t seed : {1ull, 5ull}) {
     Graph g = random_near_regular(1024, 10, seed);
-    const RandColoringResult res = randomized_delta_plus_one(g, seed);
+    sim::Runtime rt(g);
+    const RandColoringResult res = randomized_delta_plus_one(rt, seed);
     EXPECT_TRUE(is_legal_coloring(g, res.colors));
     EXPECT_LT(palette_span(res.colors), g.max_degree() + 2);
     EXPECT_LE(res.stats.rounds, 12 * std::log2(1024.0) + 16);
@@ -52,7 +56,8 @@ TEST(RandColoring, LegalDeltaPlusOne) {
 TEST(ColeVishkin, ThreeColorsInLogStarRounds) {
   for (const V n : {10, 1000, 100000}) {
     Graph ring = cycle_graph(n);
-    const RingColoringResult res = cole_vishkin_ring(ring);
+    sim::Runtime rt(ring);
+    const RingColoringResult res = cole_vishkin_ring(rt);
     EXPECT_TRUE(is_legal_coloring(ring, res.colors)) << n;
     EXPECT_LT(palette_span(res.colors), 4) << n;
     // log* n + O(1) rounds.
@@ -61,8 +66,12 @@ TEST(ColeVishkin, ThreeColorsInLogStarRounds) {
 }
 
 TEST(ColeVishkin, RejectsNonRings) {
-  EXPECT_THROW(cole_vishkin_ring(path_graph(10)), precondition_error);
-  EXPECT_THROW(cole_vishkin_ring(complete_graph(5)), precondition_error);
+  const Graph path = path_graph(10);
+  sim::Runtime path_rt(path);
+  EXPECT_THROW(cole_vishkin_ring(path_rt), precondition_error);
+  const Graph k5 = complete_graph(5);
+  sim::Runtime k5_rt(k5);
+  EXPECT_THROW(cole_vishkin_ring(k5_rt), precondition_error);
 }
 
 TEST(Greedy, ByDegeneracyMatchesDegeneracyBound) {

@@ -149,6 +149,27 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
+TEST(Cli, RejectsSpaceFormAndUnparsableNumbers) {
+  // The space form leaves a bare "24" that is not a flag.
+  const char* space[] = {"prog", "--jobs", "24"};
+  EXPECT_THROW(Cli(3, const_cast<char**>(space)), precondition_error);
+
+  const char* bad[] = {"prog", "--n=abc", "--k=12x", "--e=", "--r=0.5q",
+                       "--big=99999999999999999999"};
+  const Cli cli(6, const_cast<char**>(bad));
+  for (const char* key : {"n", "k", "e", "big"}) {
+    EXPECT_THROW(cli.get_int(key, 0), precondition_error) << key;
+  }
+  EXPECT_THROW(cli.get_double("r", 0.0), precondition_error);
+  EXPECT_THROW(cli.get_double("e", 0.0), precondition_error);
+  try {
+    cli.get_int("n", 0);
+    ADD_FAILURE() << "--n=abc parsed";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Check, RequireThrowsPreconditionError) {
   EXPECT_THROW(DVC_REQUIRE(false, "boom"), precondition_error);
   EXPECT_NO_THROW(DVC_REQUIRE(true, "fine"));

@@ -11,7 +11,8 @@ namespace {
 
 TEST(OrientByIds, Lemma24Properties) {
   Graph g = planted_arboricity(1024, 4, 1);
-  const OrientationResult res = orient_by_ids(g, 4);
+  sim::Runtime rt(g);
+  const OrientationResult res = orient_by_ids(rt, 4);
   EXPECT_TRUE(res.sigma.is_complete());
   EXPECT_TRUE(res.sigma.is_acyclic());
   EXPECT_LE(res.sigma.max_out_degree(), res.hp.threshold);  // floor(2.25*4)=9
@@ -23,7 +24,8 @@ TEST(CompleteOrientation, Lemma33Properties) {
   const V n = 2048;
   const int a = 3;
   Graph g = planted_arboricity(n, a, 2);
-  const CompleteOrientationResult res = complete_orientation(g, a);
+  sim::Runtime rt(g);
+  const CompleteOrientationResult res = complete_orientation(rt, a);
   EXPECT_TRUE(res.sigma.is_complete());
   EXPECT_TRUE(res.sigma.is_acyclic());
   EXPECT_LE(res.sigma.max_out_degree(), res.hp.threshold);
@@ -37,8 +39,9 @@ TEST(PartialOrientation, Theorem35Properties) {
   const V n = 2048;
   const int a = 8;
   Graph g = planted_arboricity(n, a, 3);
+  sim::Runtime rt(g);
   for (const int t : {2, 4, 8}) {
-    const PartialOrientationResult res = partial_orientation(g, a, t);
+    const PartialOrientationResult res = partial_orientation(rt, a, t);
     EXPECT_TRUE(res.sigma.is_acyclic());
     // Out-degree <= floor((2+eps) a).
     EXPECT_LE(res.sigma.max_out_degree(), res.hp.threshold) << "t=" << t;
@@ -56,8 +59,9 @@ TEST(PartialOrientation, Theorem35Properties) {
 
 TEST(PartialOrientation, LargerTMeansSmallerDeficitLongerPaths) {
   Graph g = planted_arboricity(4096, 8, 4);
-  const PartialOrientationResult coarse = partial_orientation(g, 8, 2);
-  const PartialOrientationResult fine = partial_orientation(g, 8, 8);
+  sim::Runtime rt(g);
+  const PartialOrientationResult coarse = partial_orientation(rt, 8, 2);
+  const PartialOrientationResult fine = partial_orientation(rt, 8, 8);
   EXPECT_GE(coarse.deficit_bound, fine.deficit_bound);
   // Finer defective colorings use more colors -> longer in-layer paths.
   EXPECT_LE(coarse.layer_coloring.palette, fine.layer_coloring.palette);
@@ -66,17 +70,19 @@ TEST(PartialOrientation, LargerTMeansSmallerDeficitLongerPaths) {
 TEST(PartialOrientation, TEqualsOneOrientsAlmostNothingInLayers) {
   // t = 1: deficit budget a, defective coloring may be very coarse.
   Graph g = planted_arboricity(512, 4, 5);
-  const PartialOrientationResult res = partial_orientation(g, 4, 1);
+  sim::Runtime rt(g);
+  const PartialOrientationResult res = partial_orientation(rt, 4, 1);
   EXPECT_LE(res.sigma.max_deficit(), 4);
   EXPECT_TRUE(res.sigma.is_acyclic());
 }
 
 TEST(Orientations, GroupsLeaveCrossEdgesUnoriented) {
   Graph g = complete_bipartite(6, 6);
+  sim::Runtime rt(g);
   std::vector<std::int64_t> groups(12, 0);
   for (V v = 6; v < 12; ++v) groups[static_cast<std::size_t>(v)] = 1;
   // Within groups there are no edges; bound 1 suffices.
-  const OrientationResult res = orient_by_ids(g, 1, 0.25, &groups);
+  const OrientationResult res = orient_by_ids(rt, 1, 0.25, &groups);
   EXPECT_EQ(res.sigma.num_oriented_edges(), 0);
 }
 
@@ -84,7 +90,8 @@ TEST(Orientations, GroupsLeaveCrossEdgesUnoriented) {
 // level-crossing hops; crossings are bounded by num_levels - 1.
 TEST(PartialOrientation, Figure1PathStructure) {
   Graph g = planted_arboricity(2048, 6, 6);
-  const PartialOrientationResult res = partial_orientation(g, 6, 3);
+  sim::Runtime rt(g);
+  const PartialOrientationResult res = partial_orientation(rt, 6, 3);
   // Walk the longest directed path greedily and count level crossings.
   const auto lens = res.sigma.lengths();
   V v = 0;

@@ -11,7 +11,8 @@ namespace {
 TEST(Forests, DecomposesPlantedGraphIntoOAForests) {
   const int a = 4;
   Graph g = planted_arboricity(1024, a, 1);
-  const ForestsDecomposition fd = forests_decomposition(g, a);
+  sim::Runtime rt(g);
+  const ForestsDecomposition fd = forests_decomposition(rt, a);
   EXPECT_TRUE(verify_forests_decomposition(g, fd));
   // Lemma 2.2(2): O(a) forests -- at most floor((2+eps)a).
   EXPECT_LE(fd.num_forests, static_cast<int>(std::floor(2.25 * a)));
@@ -27,7 +28,8 @@ TEST(Forests, DecomposesPlantedGraphIntoOAForests) {
 
 TEST(Forests, TreeDecomposesIntoFewForests) {
   Graph t = random_tree(512, 2);
-  const ForestsDecomposition fd = forests_decomposition(t, 1);
+  sim::Runtime rt(t);
+  const ForestsDecomposition fd = forests_decomposition(rt, 1);
   EXPECT_TRUE(verify_forests_decomposition(t, fd));
   EXPECT_LE(fd.num_forests, 2);  // threshold floor(2.25) = 2
 }
@@ -43,7 +45,8 @@ TEST(Forests, VerifierCatchesCycles) {
 
 TEST(Forests, EachForestHasPerVertexOutDegreeOne) {
   Graph g = planted_arboricity(256, 3, 3);
-  const ForestsDecomposition fd = forests_decomposition(g, 3);
+  sim::Runtime rt(g);
+  const ForestsDecomposition fd = forests_decomposition(rt, 3);
   for (V v = 0; v < g.num_vertices(); ++v) {
     std::vector<int> seen;
     const int deg = g.degree(v);
@@ -62,7 +65,8 @@ class ForestsSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ForestsSweep, ValidAcrossArboricities) {
   const int a = GetParam();
   Graph g = planted_arboricity(512, a, static_cast<std::uint64_t>(a) * 7);
-  const ForestsDecomposition fd = forests_decomposition(g, a);
+  sim::Runtime rt(g);
+  const ForestsDecomposition fd = forests_decomposition(rt, a);
   EXPECT_TRUE(verify_forests_decomposition(g, fd));
   EXPECT_LE(fd.num_forests, static_cast<int>(std::floor(2.25 * a)));
 }

@@ -65,7 +65,8 @@ TEST(Integration, RoundsScalePolylogarithmicallyInN) {
   double worst_ratio = 0;
   for (const V n : {1 << 9, 1 << 11, 1 << 13, 1 << 15}) {
     Graph g = planted_arboricity(n, a, 7);
-    const LegalColoringResult res = legal_coloring_near_linear(g, a);
+    sim::Runtime rt(g);
+    const LegalColoringResult res = legal_coloring_near_linear(rt, a);
     EXPECT_TRUE(is_legal_coloring(g, res.colors));
     const double ratio = res.total.rounds / std::log2(static_cast<double>(n));
     worst_ratio = std::max(worst_ratio, ratio);
@@ -77,7 +78,8 @@ TEST(Integration, ColorsStayLinearAsNGrows) {
   const int a = 6;
   for (const V n : {1 << 10, 1 << 12, 1 << 14}) {
     Graph g = planted_arboricity(n, a, 8);
-    const LegalColoringResult res = legal_coloring_linear(g, a, 0.66);
+    sim::Runtime rt(g);
+    const LegalColoringResult res = legal_coloring_linear(rt, a, 0.66);
     EXPECT_LE(res.distinct, 24 * a) << n;  // independent of n
   }
 }
@@ -86,14 +88,15 @@ TEST(Integration, DefectiveThenArbdefectiveThenLegalAgree) {
   // The full zig-zag: every intermediate object validated on one graph.
   const int a = 8;
   Graph g = planted_arboricity(1500, a, 9);
+  sim::Runtime rt(g);
 
-  const DefectiveResult def = kuhn_defective_p(g, 4);
+  const DefectiveResult def = kuhn_defective_p(rt, 4);
   EXPECT_LE(coloring_defect(g, def.colors), g.max_degree() / 4);
 
-  const LegalColoringResult legal = legal_coloring(g, a, 4);
+  const LegalColoringResult legal = legal_coloring(rt, a, 4);
   EXPECT_TRUE(is_legal_coloring(g, legal.colors));
 
-  const MisResult mis = mis_from_coloring(g, legal.colors, legal.distinct);
+  const MisResult mis = mis_from_coloring(rt, legal.colors, legal.distinct);
   EXPECT_TRUE(is_maximal_independent_set(g, mis.in_mis));
 }
 
@@ -110,7 +113,8 @@ TEST(Integration, GreedySequentialNeverBeatsArboricityLowerBound) {
 TEST(Integration, MessageCountsAreLinearPerRound) {
   // The engine counts every message; per round at most 2m messages flow.
   Graph g = planted_arboricity(1000, 4, 11);
-  const LegalColoringResult res = legal_coloring(g, 4, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 4, 4);
   EXPECT_LE(res.total.messages,
             static_cast<std::uint64_t>(res.total.rounds + 8) *
                 static_cast<std::uint64_t>(2 * g.num_edges()));
@@ -120,7 +124,8 @@ TEST(Integration, DisconnectedGraphsWork) {
   // Two components, one of them a single vertex.
   EdgeList edges = planted_arboricity(500, 3, 12).edges();
   Graph g = Graph::from_edges(501, edges);
-  const LegalColoringResult res = legal_coloring(g, 3, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 3, 4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   const MisResult mis = mis_graph(g, 3);
   EXPECT_TRUE(is_maximal_independent_set(g, mis.in_mis));
@@ -128,14 +133,17 @@ TEST(Integration, DisconnectedGraphsWork) {
 
 TEST(Integration, EmptyAndTinyGraphs) {
   Graph empty = Graph::from_edges(0, {});
-  EXPECT_TRUE(is_legal_coloring(empty, legal_coloring(empty, 1, 4).colors));
+  sim::Runtime empty_rt(empty);
+  EXPECT_TRUE(is_legal_coloring(empty, legal_coloring(empty_rt, 1, 4).colors));
 
   Graph single = Graph::from_edges(1, {});
-  const LegalColoringResult res = legal_coloring(single, 1, 4);
+  sim::Runtime single_rt(single);
+  const LegalColoringResult res = legal_coloring(single_rt, 1, 4);
   EXPECT_EQ(res.distinct, 1);
 
   Graph pair = path_graph(2);
-  const LegalColoringResult res2 = legal_coloring(pair, 1, 4);
+  sim::Runtime pair_rt(pair);
+  const LegalColoringResult res2 = legal_coloring(pair_rt, 1, 4);
   EXPECT_TRUE(is_legal_coloring(pair, res2.colors));
 }
 

@@ -57,6 +57,18 @@ TEST(GraphIo, DimacsRejectsMalformedInput) {
     std::stringstream ss("c only comments\n");
     EXPECT_THROW(read_dimacs(ss), precondition_error);
   }
+  {
+    std::stringstream ss("p edge 4294967299 1\n");  // n past V: not 3 mod 2^32
+    EXPECT_THROW(read_dimacs(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("p edge 3 -5\n");  // negative edge count
+    EXPECT_THROW(read_dimacs(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("p edge 3 1000000000000\n");  // m past the slot cap
+    EXPECT_THROW(read_dimacs(ss), precondition_error);
+  }
 }
 
 TEST(GraphIo, EdgeListRejectsTruncation) {
@@ -153,6 +165,22 @@ TEST(GraphIo, EdgeListRejectsMalformedInput) {
   }
   {
     std::stringstream ss("3 2\n0 1\n1 x\n");  // non-numeric endpoint
+    EXPECT_THROW(read_edge_list(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("3 1\n0 4294967297\n");  // endpoint past V: not 1
+    EXPECT_THROW(read_edge_list(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("4294967299 0\n");  // n past V
+    EXPECT_THROW(read_edge_list(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("3 1000000000000\n");  // m past the slot cap
+    EXPECT_THROW(read_edge_list(ss), precondition_error);
+  }
+  {
+    std::stringstream ss("3 2000000000\n0 1\n");  // in-cap but lying m
     EXPECT_THROW(read_edge_list(ss), precondition_error);
   }
 }

@@ -12,7 +12,8 @@ namespace {
 TEST(LegalColoring, Algorithm2ProducesLegalOAColoring) {
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 1);
-  const LegalColoringResult res = legal_coloring(g, a, /*p=*/4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, a, /*p=*/4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_EQ(res.distinct, static_cast<int>(palette_span(res.colors)));
   EXPECT_GE(res.iterations, 1);
@@ -23,19 +24,22 @@ TEST(LegalColoring, Theorem43LinearColors) {
   // runs the distinct count stays within a modest multiple of a.
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 2);
-  const LegalColoringResult res = legal_coloring_linear(g, a, /*mu=*/0.66);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring_linear(rt, a, /*mu=*/0.66);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LE(res.distinct, 24 * a);
 }
 
 TEST(LegalColoring, RejectsTinyP) {
   Graph g = planted_arboricity(128, 4, 3);
-  EXPECT_THROW(legal_coloring(g, 4, 3), precondition_error);
+  sim::Runtime rt(g);
+  EXPECT_THROW(legal_coloring(rt, 4, 3), precondition_error);
 }
 
 TEST(LegalColoring, SkipsLoopWhenArboricityBelowP) {
   Graph t = random_tree(512, 4);
-  const LegalColoringResult res = legal_coloring(t, 1, 8);
+  sim::Runtime rt(t);
+  const LegalColoringResult res = legal_coloring(rt, 1, 8);
   EXPECT_TRUE(is_legal_coloring(t, res.colors));
   EXPECT_EQ(res.iterations, 0);
   // Lemma 2.2(1) alone: floor(2.25*1)+1 = 3 colors.
@@ -45,7 +49,8 @@ TEST(LegalColoring, SkipsLoopWhenArboricityBelowP) {
 TEST(LegalColoring, Corollary46NearLinear) {
   const int a = 8;
   Graph g = planted_arboricity(4096, a, 5);
-  const LegalColoringResult res = legal_coloring_near_linear(g, a, /*eta=*/0.5);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring_near_linear(rt, a, /*eta=*/0.5);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   // Rounds O(log a log n): very generous envelope.
   const double logn = std::log2(4096.0);
@@ -55,14 +60,16 @@ TEST(LegalColoring, Corollary46NearLinear) {
 TEST(LegalColoring, Theorem45SlowFunction) {
   const int a = 32;
   Graph g = planted_arboricity(4096, a, 6);
-  const LegalColoringResult res = legal_coloring_slow_fn(g, a, /*f=*/16);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring_slow_fn(rt, a, /*f=*/16);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_GE(res.iterations, 2);  // small p => several refinement phases
 }
 
 TEST(LegalColoring, PhaseLogCoversAllStages) {
   Graph g = planted_arboricity(1024, 8, 7);
-  const LegalColoringResult res = legal_coloring(g, 8, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 8, 4);
   // Expect at least: one arbdefective span (with its orientation subtree)
   // plus the final-coloring span and its four stages.
   EXPECT_GE(res.phases.size(), 5u);
@@ -97,7 +104,8 @@ TEST(LegalColoring, WorksOnBoundedDegreeGraphs) {
   // Arboricity <= Delta always; the algorithm must handle degree-bounded
   // inputs out of the box.
   Graph g = random_near_regular(2048, 8, 8);
-  const LegalColoringResult res = legal_coloring(g, 8, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 8, 4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
 }
 
@@ -110,9 +118,10 @@ TEST(LegalColoring, InitialGroupsAreRespected) {
     edges.emplace_back(u + half, v + half);
   }
   Graph g = Graph::from_edges(2 * half, edges);
+  sim::Runtime rt(g);
   std::vector<std::int64_t> groups(static_cast<std::size_t>(2 * half), 0);
   for (V v = half; v < 2 * half; ++v) groups[static_cast<std::size_t>(v)] = 1;
-  const LegalColoringResult res = legal_coloring(g, 4, 4, 0.25, &groups, 4);
+  const LegalColoringResult res = legal_coloring(rt, 4, 4, 0.25, &groups, 4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
 }
 
@@ -120,7 +129,8 @@ TEST(LegalColoring, Corollary47DeltaPlusOne) {
   // a = 3 but Delta ~ 192: the coloring must fit in Delta+1 colors and run
   // much faster than Delta rounds would suggest.
   Graph g = low_arboricity_high_degree(8192, 3, 192, 10);
-  const LegalColoringResult res = delta_plus_one_low_arb(g, 3);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = delta_plus_one_low_arb(rt, 3);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LE(res.distinct, g.max_degree() + 1);
   // o(Delta) colors in fact.
@@ -129,8 +139,9 @@ TEST(LegalColoring, Corollary47DeltaPlusOne) {
 
 TEST(LegalColoring, DeterministicAcrossRuns) {
   Graph g = planted_arboricity(1024, 6, 11);
-  const LegalColoringResult r1 = legal_coloring(g, 6, 4);
-  const LegalColoringResult r2 = legal_coloring(g, 6, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult r1 = legal_coloring(rt, 6, 4);
+  const LegalColoringResult r2 = legal_coloring(rt, 6, 4);
   EXPECT_EQ(r1.colors, r2.colors);
   EXPECT_EQ(r1.total.rounds, r2.total.rounds);
   EXPECT_EQ(r1.total.messages, r2.total.messages);
@@ -141,7 +152,8 @@ class LegalSweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {}
 TEST_P(LegalSweep, LegalAcrossFamiliesAndP) {
   const auto [n, a, p] = GetParam();
   Graph g = planted_arboricity(n, a, static_cast<std::uint64_t>(n + a + p));
-  const LegalColoringResult res = legal_coloring(g, a, p);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, a, p);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LE(static_cast<std::uint64_t>(res.distinct), res.palette_formula);
 }

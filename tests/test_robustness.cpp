@@ -24,11 +24,12 @@ class EpsSweep : public ::testing::TestWithParam<double> {};
 TEST_P(EpsSweep, HPartitionAndLegalColoring) {
   const double eps = GetParam();
   Graph g = planted_arboricity(1024, 6, 1);
-  const HPartitionResult hp = h_partition(g, 6, eps);
+  sim::Runtime rt(g);
+  const HPartitionResult hp = h_partition(rt, 6, eps);
   EXPECT_TRUE(verify_h_partition(g, hp));
   EXPECT_EQ(hp.threshold, static_cast<int>(std::floor((2.0 + eps) * 6)));
 
-  const LegalColoringResult res = legal_coloring(g, 6, 4, eps);
+  const LegalColoringResult res = legal_coloring(rt, 6, 4, eps);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
 }
 
@@ -37,8 +38,9 @@ INSTANTIATE_TEST_SUITE_P(Slack, EpsSweep, ::testing::Values(0.05, 0.25, 0.5, 1.0
 // Larger eps => higher threshold => fewer, fatter layers.
 TEST(EpsTradeoff, LayersShrinkWithEps) {
   Graph g = planted_arboricity(4096, 8, 2);
-  const HPartitionResult tight = h_partition(g, 8, 0.05);
-  const HPartitionResult loose = h_partition(g, 8, 1.0);
+  sim::Runtime rt(g);
+  const HPartitionResult tight = h_partition(rt, 8, 0.05);
+  const HPartitionResult loose = h_partition(rt, 8, 1.0);
   EXPECT_GE(tight.num_levels, loose.num_levels);
 }
 
@@ -49,7 +51,8 @@ TEST(Adversarial, DeepPathStressesWaitingChains) {
   // reach the full H-layer bound, but the pipeline's partial orientations
   // keep rounds logarithmic.
   Graph p = path_graph(20000);
-  const LegalColoringResult res = legal_coloring(p, 1, 4);
+  sim::Runtime rt(p);
+  const LegalColoringResult res = legal_coloring(rt, 1, 4);
   EXPECT_TRUE(is_legal_coloring(p, res.colors));
   EXPECT_LE(res.distinct, 3);
   EXPECT_LE(res.total.rounds, 200);  // not O(n)!
@@ -57,7 +60,8 @@ TEST(Adversarial, DeepPathStressesWaitingChains) {
 
 TEST(Adversarial, StarHubNeverOverflows) {
   Graph s = star_graph(50000);
-  const LegalColoringResult res = legal_coloring(s, 1, 4);
+  sim::Runtime rt(s);
+  const LegalColoringResult res = legal_coloring(rt, 1, 4);
   EXPECT_TRUE(is_legal_coloring(s, res.colors));
   EXPECT_LE(res.distinct, 3);
 }
@@ -69,7 +73,8 @@ TEST(Adversarial, DoubleStarBridge) {
   for (V v = 2; v < n; ++v) edges.emplace_back(v % 2, v);
   edges.emplace_back(0, 1);
   Graph g = Graph::from_edges(n, edges);
-  const LegalColoringResult res = legal_coloring(g, 1, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 1, 4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LE(res.distinct, 3);
 }
@@ -77,7 +82,8 @@ TEST(Adversarial, DoubleStarBridge) {
 TEST(Adversarial, CliqueAtMaxSupportedArboricity) {
   // K_24: arboricity 12. The pipeline must handle dense graphs too.
   Graph k = complete_graph(24);
-  const LegalColoringResult res = legal_coloring(k, 12, 4);
+  sim::Runtime rt(k);
+  const LegalColoringResult res = legal_coloring(rt, 12, 4);
   EXPECT_TRUE(is_legal_coloring(k, res.colors));
   EXPECT_GE(res.distinct, 24);  // chi(K_24) = 24: no algorithm can beat it
 }
@@ -86,7 +92,8 @@ TEST(Adversarial, LollipopCliquePlusPath) {
   EdgeList edges = complete_graph(16).edges();
   for (V v = 16; v < 5000; ++v) edges.emplace_back(v - 1, v);
   Graph g = Graph::from_edges(5000, edges);
-  const LegalColoringResult res = legal_coloring(g, 8, 4);
+  sim::Runtime rt(g);
+  const LegalColoringResult res = legal_coloring(rt, 8, 4);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_GE(res.distinct, 16);  // the K_16 end forces 16 colors
 }
@@ -99,10 +106,11 @@ TEST(Regression, KwReducePhaseBoundaryMessagesCarryNewNumbering) {
   // proves in-flight messages are interpreted in the new numbering (this
   // was a real bug during development).
   Graph g = random_near_regular(600, 6, 4);
-  const DefectiveResult linial = linial_coloring(g, g.max_degree());
+  sim::Runtime rt(g);
+  const DefectiveResult linial = linial_coloring(rt, g.max_degree());
   ASSERT_GT(linial.palette, 20 * (g.max_degree() + 1));
   const ReduceResult res =
-      kw_reduce(g, linial.colors, linial.palette, g.max_degree());
+      kw_reduce(rt, linial.colors, linial.palette, g.max_degree());
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LT(palette_span(res.colors), g.max_degree() + 2);
 }
@@ -112,10 +120,11 @@ TEST(Regression, NaiveReduceWithGroups) {
   EdgeList edges = complete_graph(5).edges();
   for (const auto& [u, v] : complete_graph(5).edges()) edges.emplace_back(u + 5, v + 5);
   Graph g = Graph::from_edges(10, edges);
+  sim::Runtime rt(g);
   std::vector<std::int64_t> groups{0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
   Coloring init(10);
   for (V v = 0; v < 10; ++v) init[static_cast<std::size_t>(v)] = v;
-  const ReduceResult res = reduce_colors_naive(g, init, 10, 5, &groups);
+  const ReduceResult res = reduce_colors_naive(rt, init, 10, 5, &groups);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
   EXPECT_LT(palette_span(res.colors), 6);
 }
@@ -127,9 +136,10 @@ TEST(Shape, Theorem45ColorRatioShrinksWithF) {
   // not increase colors; the ratio colors/a stays modest.
   const int a = 32;
   Graph g = planted_arboricity(4096, a, 5);
+  sim::Runtime rt(g);
   int prev = 1 << 30;
   for (const int f : {16, 64, 256}) {
-    const LegalColoringResult res = legal_coloring_slow_fn(g, a, f);
+    const LegalColoringResult res = legal_coloring_slow_fn(rt, a, f);
     EXPECT_TRUE(is_legal_coloring(g, res.colors));
     EXPECT_LE(res.distinct, prev + a);  // near-monotone in f
     prev = res.distinct;
@@ -143,16 +153,18 @@ TEST(Shape, ArbKuhnPaletteQuadraticInAOverD) {
   // asymptotic 16x; assert a factor > 3.)
   const int a = 32;
   Graph g = planted_arboricity(4096, a, 6);
-  const ArbKuhnResult d2 = arb_kuhn_arbdefective(g, a, 2);
-  const ArbKuhnResult d8 = arb_kuhn_arbdefective(g, a, 8);
+  sim::Runtime rt(g);
+  const ArbKuhnResult d2 = arb_kuhn_arbdefective(rt, a, 2);
+  const ArbKuhnResult d8 = arb_kuhn_arbdefective(rt, a, 8);
   EXPECT_LT(3 * d8.palette, d2.palette);
 }
 
 TEST(Shape, TradeoffRoundsDecreaseInT) {
   const int a = 16;
   Graph g = planted_arboricity(4096, a, 7);
-  const LegalColoringResult t1 = tradeoff_coloring(g, a, 1);
-  const LegalColoringResult t8 = tradeoff_coloring(g, a, 8);
+  sim::Runtime rt(g);
+  const LegalColoringResult t1 = tradeoff_coloring(rt, a, 1);
+  const LegalColoringResult t8 = tradeoff_coloring(rt, a, 8);
   EXPECT_GT(t1.total.rounds, t8.total.rounds);
 }
 
@@ -179,13 +191,15 @@ INSTANTIATE_TEST_SUITE_P(Presets, DeterminismSweep, ::testing::Range(0, 6));
 TEST(Misuse, UnderestimatedArboricityFailsLoudly) {
   // K_16 has arboricity 8; claiming 3 must throw, not return garbage.
   Graph k = complete_graph(16);
-  EXPECT_THROW(legal_coloring(k, 3, 4), invariant_error);
+  sim::Runtime rt(k);
+  EXPECT_THROW(legal_coloring(rt, 3, 4), invariant_error);
 }
 
 TEST(Misuse, OverestimatedArboricityStillCorrect) {
   // Overestimating a only costs colors/rounds, never correctness.
   Graph t = random_tree(2048, 14);
-  const LegalColoringResult res = legal_coloring(t, 16, 4);
+  sim::Runtime rt(t);
+  const LegalColoringResult res = legal_coloring(rt, 16, 4);
   EXPECT_TRUE(is_legal_coloring(t, res.colors));
 }
 

@@ -36,7 +36,6 @@ TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
   const Graph g = planted_arboricity(1 << 10, 4, 7);
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const sim::ScopedDefaultShards guard(shards);
 
     // One session carries all three phases...
     sim::Runtime rt(g, shards);
@@ -45,11 +44,12 @@ TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
     const ReduceResult red_shared =
         kw_reduce(rt, def_shared.colors, def_shared.palette, g.max_degree());
 
-    // ...vs the Graph shims, which open a fresh session per phase.
-    const HPartitionResult hp_fresh = h_partition(g, 4);
-    const DefectiveResult def_fresh = kuhn_defective(g, g.max_degree(), 2);
+    // ...vs a fresh session per phase.
+    sim::Runtime fresh_hp(g, shards), fresh_def(g, shards), fresh_red(g, shards);
+    const HPartitionResult hp_fresh = h_partition(fresh_hp, 4);
+    const DefectiveResult def_fresh = kuhn_defective(fresh_def, g.max_degree(), 2);
     const ReduceResult red_fresh =
-        kw_reduce(g, def_fresh.colors, def_fresh.palette, g.max_degree());
+        kw_reduce(fresh_red, def_fresh.colors, def_fresh.palette, g.max_degree());
 
     EXPECT_EQ(hp_shared.level, hp_fresh.level);
     EXPECT_TRUE(same_stats(hp_shared.stats, hp_fresh.stats));
