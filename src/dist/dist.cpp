@@ -50,19 +50,7 @@ struct RuntimeAccess {
   static void advance_round(R& rt, int round) {
     rt.round_ = round;
     rt.in_idx_ = 1 - rt.in_idx_;
-    for (auto& words : rt.arenas_[1 - rt.in_idx_].words) words.clear();
-  }
-
-  /// Worker-entry state fix: a forked child inherits whatever
-  /// record_touched_ / arena.indexed values the PREVIOUS phase left (the
-  /// coordinator only clears them after the fork point). Remote workers can
-  /// never contribute to the touched index, so grouped delivery must be off
-  /// for the whole distributed phase -- a stale indexed flag would make
-  /// delivery trust an empty index and silently drop every message.
-  static void disable_touch_index(R& rt) {
-    rt.record_touched_ = false;
-    rt.arenas_[0].indexed = false;
-    rt.arenas_[1].indexed = false;
+    rt.arenas_[1 - rt.in_idx_].clear_round();
   }
 
   static void set_capture(R& rt, bool on, std::int64_t slot_lo,
@@ -389,7 +377,6 @@ struct WorkerCore {
 /// copy-on-write and must not run the parent's destructors or atexit hooks.
 [[noreturn]] void child_serve(WorkerCore& core, int fd) {
   SocketTransport link(fd, /*worker=*/-1);
-  RuntimeAccess::disable_touch_index(*core.rt);
   for (;;) {
     std::vector<std::uint8_t> frame;
     try {

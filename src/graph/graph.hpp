@@ -14,8 +14,7 @@
 // 150 GB of steady state, more than any target machine holds. There is no
 // slot-owner table: slot_owner() derives the owner by binary search over
 // the offset array (O(log n), used only on cold paths -- the runtime's hot
-// delivery paths carry receiver ids explicitly precisely so they never pay
-// an owner lookup).
+// delivery paths walk adjacency rows, so they never pay an owner lookup).
 #pragma once
 
 #include <cstdint>
@@ -113,8 +112,8 @@ class Graph {
   }
   /// Owning vertex of slot s, derived from the offset array by binary
   /// search (O(log n)). There is no per-slot owner table -- no hot path
-  /// looks owners up (the runtime's delivery index records receivers at
-  /// send time instead), and omitting it saves 4 bytes per slot.
+  /// looks owners up (the runtime's delivery paths walk adjacency rows
+  /// instead), and omitting it saves 4 bytes per slot.
   V slot_owner(std::int64_t s) const;
   int slot_port(std::int64_t s) const {
     const V v = slot_owner(s);

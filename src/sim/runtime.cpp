@@ -14,29 +14,17 @@ namespace {
 
 std::atomic<std::uint64_t> g_threads_spawned{0};
 
-/// Senders record the touched-slot index only when the previous round's
-/// messages were at least this factor sparser than the live port space:
-/// recording is two appends per message, so the gate exists purely to keep
-/// all-live dense rounds (where delivery port-scans regardless) from
-/// paying anything at all.
-constexpr std::uint64_t kTouchRecordFactor = 2;
-
-/// Grouped-delivery mode pays O(1) per message but with scattered
-/// per-message accesses (receiver metadata, group fill); the port-scan
-/// fallback pays O(1) per live port with mostly-sequential reads. Measured
-/// on commodity cores the scattered unit costs ~an order of magnitude
-/// more, so delivery groups only when messages are at least this factor
-/// sparser than the shard's live port space -- mid-density rounds stay on
-/// the scan path, truly sparse trickles skip the port scans entirely.
+/// Grouped-delivery mode pays O(1) per speaker port but with scattered
+/// accesses and a sort of the gathered slots; the port-scan fallback pays
+/// O(1) per live port with mostly-sequential reads. Measured on commodity
+/// cores the scattered unit costs ~an order of magnitude more, so delivery
+/// groups only when the speakers' summed degree is at least this factor
+/// below the shard's live port space -- mid-density rounds stay on the scan
+/// path, truly sparse trickles skip the port scans entirely.
 constexpr std::uint64_t kGroupedDeliveryFactor = 12;
 
-/// A grouped-delivery entry packs the sending shard above the slot id, so
-/// inbox assembly can find the sender's word buffer without a scattered
-/// adjacency lookup per message. Slot ids fit 32 bits (CsrBuilder::finish
-/// rejects larger graphs), so the packing never collides.
-constexpr int kTouchSenderShift = 48;
-constexpr std::int64_t kTouchSlotMask =
-    (std::int64_t{1} << kTouchSenderShift) - 1;
+constexpr const char* kOneMessagePerEdge =
+    "at most one message per edge-direction per round (LOCAL model)";
 
 /// Seed of the per-round XOR checksum lane (see Runtime::do_send /
 /// verify_delivery_checksum): slot identities and payload words are folded
@@ -400,8 +388,7 @@ void Ctx::send(int port, std::span<const std::int64_t> payload) {
 }
 
 void Ctx::broadcast(std::span<const std::int64_t> payload) {
-  const int deg = degree();
-  for (int p = 0; p < deg; ++p) rt_->do_send(shard_, v_, p, payload);
+  rt_->do_broadcast(shard_, v_, payload);
 }
 
 void Ctx::halt() { rt_->do_halt(shard_, v_); }
@@ -433,7 +420,7 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   // each shard default its own slice, so the backing pages are first
   // touched by the thread that will read and write them (NUMA first-touch
   // placement). Vectors below that are filled exclusively by their owning
-  // shard (live, grouped, touched, words) get the same property for free:
+  // shard (live, grouped, speakers, words) get the same property for free:
   // reserve() maps pages without faulting them in.
   const auto slots = static_cast<std::size_t>(g.num_slots());
   slots_ = g.num_slots();
@@ -441,42 +428,31 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     arena.epoch = std::make_unique_for_overwrite<std::int32_t[]>(slots);
     arena.off = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     arena.len = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
+    arena.record = std::make_unique_for_overwrite<SenderRecord[]>(
+        static_cast<std::size_t>(n));
     arena.words.resize(static_cast<std::size_t>(num_shards_));
-    arena.touched.resize(static_cast<std::size_t>(num_shards_));
-    arena.touched_recv.resize(static_cast<std::size_t>(num_shards_));
-    arena.touch_overflow.assign(static_cast<std::size_t>(num_shards_), 0);
-  }
-  // Grouped delivery only wins while messages are sparse relative to the
-  // slot space, so cap the per-sender index there; the cap also bounds the
-  // index's memory to a fraction of one arena. Reserving to the cap makes
-  // index recording allocation-free from round one -- a sparse workload
-  // whose recorded volume grows round over round must not heap-allocate
-  // mid-phase (the warm-round zero-allocation invariant).
-  touch_cap_ = std::max<std::size_t>(
-      1024, slots / (8 * static_cast<std::size_t>(num_shards_)));
-  for (Arena& arena : arenas_) {
-    for (auto& t : arena.touched) t.reserve(touch_cap_);
-    for (auto& t : arena.touched_recv) t.reserve(touch_cap_);
+    arena.speakers.resize(static_cast<std::size_t>(num_shards_));
   }
   halted_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
-  recv_meta_ = std::make_unique_for_overwrite<RecvMeta[]>(
-      static_cast<std::size_t>(n));
-  for (Shard& sh : shards_) {
-    // Live list holds at most the shard's vertex range; the grouped-slot
-    // workspace at most the total touch cap (grouped delivery is disabled
-    // the moment any sender overflows its per-round cap, so entries can
-    // never exceed shards * touch_cap_). Inboxes hold at most the shard's
-    // max degree. Reserving the exact bounds here makes every round --
-    // including the first of a cold phase -- provably allocation-free in
-    // the delivery path.
+  for (int i = 0; i < num_shards_; ++i) {
+    // Live list and speaker lists hold at most the shard's vertex range;
+    // the grouped workspace at most (slot range) / kGroupedDeliveryFactor
+    // (see Shard::grouped). Inboxes hold at most the shard's max degree.
+    // Reserving the exact bounds here makes every round -- including the
+    // first of a cold phase -- provably allocation-free in the delivery
+    // path.
+    Shard& sh = shards_[static_cast<std::size_t>(i)];
+    const auto range = static_cast<std::size_t>(sh.last - sh.first);
     sh.slot_lo = sh.first < n ? g.slot(sh.first, 0) : g.num_slots();
     sh.slot_hi = sh.last < n ? g.slot(sh.last, 0) : g.num_slots();
-    sh.live.reserve(static_cast<std::size_t>(sh.last - sh.first));
-    sh.receivers.reserve(static_cast<std::size_t>(sh.last - sh.first));
-    sh.grouped.reserve(std::min(
-        static_cast<std::size_t>(sh.slot_hi - sh.slot_lo),
-        static_cast<std::size_t>(num_shards_) * touch_cap_));
+    sh.live.reserve(range);
+    for (Arena& arena : arenas_) {
+      arena.speakers[static_cast<std::size_t>(i)].reserve(range);
+    }
+    sh.grouped.reserve(static_cast<std::size_t>(sh.slot_hi - sh.slot_lo) /
+                           kGroupedDeliveryFactor +
+                       1);
     int max_deg = 0;
     for (V v = sh.first; v < sh.last; ++v) {
       max_deg = std::max(max_deg, g.degree(v));
@@ -538,40 +514,59 @@ Runtime::~Runtime() {
   for (auto& t : threads_) t.join();
 }
 
+void Runtime::throw_width(V from, int port, std::size_t words) const {
+  // Attribute the violation to the tighter of the two caps in force.
+  const bool from_contract =
+      phase_contract_words_ > 0 &&
+      static_cast<std::int64_t>(phase_contract_words_) == msg_word_cap_;
+  const std::string source = from_contract
+                                 ? "the program's declared max_words contract"
+                                 : "the session's congest_words budget";
+  throw bandwidth_error(
+      "bandwidth violation: vertex " + std::to_string(from) + " sent " +
+          std::to_string(words) + " words on port " + std::to_string(port) +
+          " in round " + std::to_string(round_) + ", exceeding " + source +
+          " of " + std::to_string(msg_word_cap_) + " words (CONGEST model)",
+      from, port, round_, static_cast<std::int64_t>(words), msg_word_cap_,
+      from_contract);
+}
+
+std::uint32_t Runtime::append_words(Arena& out, int shard,
+                                    std::span<const std::int64_t> payload) {
+  auto& words = out.words[static_cast<std::size_t>(shard)];
+  DVC_ENSURE(words.size() + payload.size() <= 0xffffffffu,
+             "a shard's per-round payload exceeds the 32-bit arena offsets");
+  const auto off = static_cast<std::uint32_t>(words.size());
+  words.insert(words.end(), payload.begin(), payload.end());
+  return off;
+}
+
 void Runtime::do_send(int shard, V from, int port,
                       std::span<const std::int64_t> payload) {
   MachineryScope machinery;
   DVC_REQUIRE(port >= 0 && port < g_->degree(from), "send port out of range");
   if (static_cast<std::int64_t>(payload.size()) > msg_word_cap_) {
-    // Attribute the violation to the tighter of the two caps in force.
-    const bool from_contract =
-        phase_contract_words_ > 0 &&
-        static_cast<std::int64_t>(phase_contract_words_) == msg_word_cap_;
-    const std::string source =
-        from_contract ? "the program's declared max_words contract"
-                      : "the session's congest_words budget";
-    throw bandwidth_error(
-        "bandwidth violation: vertex " + std::to_string(from) + " sent " +
-            std::to_string(payload.size()) + " words on port " +
-            std::to_string(port) + " in round " + std::to_string(round_) +
-            ", exceeding " + source + " of " + std::to_string(msg_word_cap_) +
-            " words (CONGEST model)",
-        from, port, round_, static_cast<std::int64_t>(payload.size()),
-        msg_word_cap_, from_contract);
+    throw_width(from, port, payload.size());
   }
   Arena& out = arenas_[1 - in_idx_];
-  const auto s = static_cast<std::size_t>(g_->mirror_slot(g_->slot(from, port)));
   const std::int32_t stamp = stamp_base_ + round_;
-  DVC_ENSURE(out.epoch[s] != stamp,
-             "at most one message per edge-direction per round (LOCAL model)");
-  out.epoch[s] = stamp;
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  auto& words = out.words[static_cast<std::size_t>(shard)];
-  DVC_ENSURE(words.size() + payload.size() <= 0xffffffffu,
-             "a shard's per-round payload exceeds the 32-bit arena offsets");
-  out.off[s] = static_cast<std::uint32_t>(words.size());
+  if (lane_) {
+    // The sender's record marks that it spoke on ports this round: delivery
+    // then reads the slot arena for it, and a later broadcast must throw.
+    SenderRecord& rec = out.record[static_cast<std::size_t>(from)];
+    DVC_ENSURE(rec.bcast_stamp != stamp, kOneMessagePerEdge);
+    if (rec.port_stamp != stamp) {
+      rec.port_stamp = stamp;
+      out.speakers[static_cast<std::size_t>(shard)].push_back(from);
+      sh.spoken_ports += static_cast<std::uint64_t>(g_->degree(from));
+    }
+  }
+  const auto s = static_cast<std::size_t>(g_->mirror_slot(g_->slot(from, port)));
+  DVC_ENSURE(out.epoch[s] != stamp, kOneMessagePerEdge);
+  out.epoch[s] = stamp;
+  out.off[s] = append_words(out, shard, payload);
   out.len[s] = static_cast<std::uint32_t>(payload.size());
-  words.insert(words.end(), payload.begin(), payload.end());
   if (dist_capture_) {
     // Distributed sweep: remember every slot written outside this worker's
     // own range -- those messages must cross the wire to their owner.
@@ -589,27 +584,43 @@ void Runtime::do_send(int shard, V from, int port,
         detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
     sh.lane_xor_words ^= lane_slot_hash(static_cast<std::int64_t>(s), payload);
   }
-  if (record_touched_) {
-    // Sender-driven delivery index: slot + receiver (read from the
-    // sender's own cached adjacency row, so the gather never pays a
-    // scattered owner lookup), one flat append per message, capped so a
-    // round that turns out dense stops paying for an index its delivery
-    // (port scan) will not read. record_touched_ is false outright on
-    // rounds predicted dense.
-    auto& touched = out.touched[static_cast<std::size_t>(shard)];
-    if (touched.size() < touch_cap_) {
-      touched.push_back(static_cast<std::uint32_t>(s));
-      out.touched_recv[static_cast<std::size_t>(shard)].push_back(
-          g_->neighbor(from, port));
-    } else {
-      out.touch_overflow[static_cast<std::size_t>(shard)] = 1;
-    }
-  }
   sh.messages += 1;
   sh.words += payload.size();
-  if (static_cast<std::uint32_t>(payload.size()) > sh.max_msg_words) {
-    sh.max_msg_words = static_cast<std::uint32_t>(payload.size());
+  sh.max_msg_words =
+      std::max(sh.max_msg_words, static_cast<std::uint32_t>(payload.size()));
+}
+
+void Runtime::do_broadcast(int shard, V from,
+                           std::span<const std::int64_t> payload) {
+  const int deg = g_->degree(from);
+  if (deg == 0) return;
+  if (!lane_) {
+    // Armed and distributed phases: one slot cell per port, so injected
+    // faults and the wire relay see every message where they look for it.
+    for (int p = 0; p < deg; ++p) do_send(shard, from, p, payload);
+    return;
   }
+  MachineryScope machinery;
+  if (static_cast<std::int64_t>(payload.size()) > msg_word_cap_) {
+    throw_width(from, 0, payload.size());
+  }
+  Arena& out = arenas_[1 - in_idx_];
+  const std::int32_t stamp = stamp_base_ + round_;
+  SenderRecord& rec = out.record[static_cast<std::size_t>(from)];
+  DVC_ENSURE(rec.bcast_stamp != stamp && rec.port_stamp != stamp,
+             kOneMessagePerEdge);
+  rec.bcast_stamp = stamp;
+  rec.off = append_words(out, shard, payload);
+  rec.len = static_cast<std::uint32_t>(payload.size());
+  out.speakers[static_cast<std::size_t>(shard)].push_back(from);
+  // Accounted exactly as deg per-port sends: RunStats cannot tell the lanes
+  // apart.
+  Shard& sh = shards_[static_cast<std::size_t>(shard)];
+  sh.spoken_ports += static_cast<std::uint64_t>(deg);
+  sh.messages += static_cast<std::uint64_t>(deg);
+  sh.words += static_cast<std::uint64_t>(deg) * payload.size();
+  sh.max_msg_words =
+      std::max(sh.max_msg_words, static_cast<std::uint32_t>(payload.size()));
 }
 
 void Runtime::do_halt(int shard, V v) {
@@ -648,142 +659,86 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
   }
 }
 
-void Runtime::assemble_grouped_inbox(int shard, V v, const Arena& in,
-                                     Inbox& inbox) {
+void Runtime::gather_grouped(int shard, const Arena& in, std::int32_t want) {
+  // Walk each speaker's sorted adjacency row over this shard's vertex range
+  // and collect the receiver slots its messages arrive on: every port of a
+  // broadcaster, the freshly stamped cells of a port sender. Sorting the
+  // slots groups them by receiver in canonical port order.
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  const auto vi = static_cast<std::size_t>(v);
-  std::int64_t* entries = sh.grouped.data() + recv_meta_[vi].off;
-  const std::uint32_t k = recv_meta_[vi].count;
-  // Each entry packs (sender_shard << kTouchSenderShift) | slot. Canonical
-  // inbox order is ascending port == ascending slot id, so sort by the
-  // masked slot. Groups arrive in fill order (sender shard, then send
-  // order), which is close to sorted for the common ascending-sweep
-  // senders, so insertion sort wins for the small k = O(degree) group
-  // sizes; fall back to std::sort for wide inboxes.
-  const auto slot_of = [](std::int64_t e) { return e & kTouchSlotMask; };
-  if (k <= 32) {
-    for (std::uint32_t i = 1; i < k; ++i) {
-      const std::int64_t e = entries[i];
-      std::uint32_t j = i;
-      for (; j > 0 && slot_of(entries[j - 1]) > slot_of(e); --j) {
-        entries[j] = entries[j - 1];
+  sh.grouped.clear();
+  for (const auto& speakers : in.speakers) {
+    for (const V u : speakers) {
+      const bool bcast =
+          in.record[static_cast<std::size_t>(u)].bcast_stamp == want;
+      const auto row = g_->neighbors(u);
+      const std::int64_t base = g_->slot(u, 0);
+      for (auto it = std::lower_bound(row.begin(), row.end(), sh.first);
+           it != row.end() && *it < sh.last; ++it) {
+        const std::int64_t s = g_->mirror_slot(base + (it - row.begin()));
+        if (bcast || in.epoch[s] == want) {
+          sh.grouped.push_back(static_cast<std::uint32_t>(s));
+        }
       }
-      entries[j] = e;
     }
-  } else {
-    std::sort(entries, entries + k,
-              [&](std::int64_t a, std::int64_t b) {
-                return slot_of(a) < slot_of(b);
-              });
   }
-  const std::int64_t base = g_->slot(v, 0);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::int64_t slot = slot_of(entries[i]);
-    const auto s = static_cast<std::size_t>(slot);
-    const int p = static_cast<int>(slot - base);
-    const auto sender = static_cast<std::size_t>(
-        entries[i] >> kTouchSenderShift);
-    const auto& words = in.words[sender];
-    inbox.msgs_.push_back(
-        MsgView{p, std::span<const std::int64_t>(
-                       words.data() + in.off[s], in.len[s])});
-  }
+  std::sort(sh.grouped.begin(), sh.grouped.end());
 }
 
 void Runtime::step_sweep(int shard, VertexProgram& program) {
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
-  const auto k_shards = static_cast<std::size_t>(num_shards_);
+  const bool grouped =
+      lane_ && spoken_ports_ * kGroupedDeliveryFactor <= sh.live_ports;
+  if (grouped) gather_grouped(shard, in, want);
 
-  // Total messages written last round (the flat per-sender index is not
-  // receiver-partitioned, so this upper-bounds this shard's share). Any
-  // sender overflowing its recording cap forces the port-scan mode.
-  std::uint64_t total_touched = 0;
-  bool overflow = false;
-  for (std::size_t sender = 0; sender < k_shards; ++sender) {
-    total_touched += in.touched[sender].size();
-    overflow |= in.touch_overflow[sender] != 0;
-  }
-
-  const bool grouped = in.indexed && !overflow &&
-                       total_touched * kGroupedDeliveryFactor <= sh.live_ports;
-  std::uint32_t mine = 0;
-  if (grouped) {
-    // Sender-driven assembly: filter the index down to this shard's vertex
-    // range via the recorded receivers (no owner-table lookups), count
-    // messages per receiver (stamped, so no clears), carve contiguous
-    // groups in first-touch order, then fill with packed (sender, slot)
-    // entries.
-    sh.receivers.clear();
-    for (std::size_t sender = 0; sender < k_shards; ++sender) {
-      const auto& recv = in.touched_recv[sender];
-      for (const V r : recv) {
-        if (r < sh.first || r >= sh.last) continue;
-        const auto v = static_cast<std::size_t>(r);
-        RecvMeta& m = recv_meta_[v];
-        if (m.stamp != want) {
-          m.stamp = want;
-          m.count = 0;
-          sh.receivers.push_back(r);
-        }
-        ++m.count;
-        ++mine;
+  Inbox& inbox = sh.inbox;
+  // Appends what neighbor u (on port p, receiver slot s) sent last round:
+  // its broadcast from the lane, else a per-port message from the slot
+  // arena. Without the lane every message is a slot cell.
+  const auto words_of = [&](V u) {
+    return in.words[num_shards_ == 1 ? 0 : static_cast<std::size_t>(shard_of(u))]
+        .data();
+  };
+  const auto take = [&](int p, V u, std::size_t s) {
+    if (lane_) {
+      const SenderRecord& rec = in.record[static_cast<std::size_t>(u)];
+      if (rec.bcast_stamp == want) {
+        inbox.msgs_.push_back(MsgView{
+            p, std::span<const std::int64_t>(words_of(u) + rec.off, rec.len)});
+        return;
       }
+      if (rec.port_stamp != want) return;
     }
-    sh.grouped.resize(static_cast<std::size_t>(mine));
-    std::uint32_t off = 0;
-    for (const V r : sh.receivers) {
-      const auto v = static_cast<std::size_t>(r);
-      RecvMeta& m = recv_meta_[v];
-      m.off = off;
-      off += m.count;
-      m.count = 0;  // becomes the fill cursor, restored to the count
-    }
-    for (std::size_t sender = 0; sender < k_shards; ++sender) {
-      const auto& slots = in.touched[sender];
-      const auto& recv = in.touched_recv[sender];
-      const std::int64_t sender_tag = static_cast<std::int64_t>(sender)
-                                      << kTouchSenderShift;
-      for (std::size_t i = 0; i < recv.size(); ++i) {
-        const V r = recv[i];
-        if (r < sh.first || r >= sh.last) continue;
-        RecvMeta& m = recv_meta_[static_cast<std::size_t>(r)];
-        sh.grouped[m.off + m.count++] =
-            sender_tag | static_cast<std::int64_t>(slots[i]);
-      }
-    }
-  }
+    if (in.epoch[s] != want) return;
+    inbox.msgs_.push_back(MsgView{
+        p, std::span<const std::int64_t>(words_of(u) + in.off[s], in.len[s])});
+  };
 
   // Sweep the live list in canonical (ascending) order, compacting it in
   // place: only step(v) itself can halt v, so survival is known right after
-  // the call and the list never needs a separate rebuild pass.
-  const std::vector<std::int64_t>* sole_words =
-      num_shards_ == 1 ? in.words.data() : nullptr;
-  Inbox& inbox = sh.inbox;
+  // the call and the list never needs a separate rebuild pass. Grouped
+  // entries are ascending too, so one cursor walks them alongside, skipping
+  // those addressed to halted vertices.
   std::size_t w = 0;
+  std::size_t cursor = 0;
   std::uint64_t next_ports = 0;
   const std::size_t live_count = sh.live.size();
   for (std::size_t i = 0; i < live_count; ++i) {
     const V v = sh.live[i];
     inbox.msgs_.clear();
+    const auto row = g_->neighbors(v);
+    const std::int64_t base = g_->slot(v, 0);
     if (grouped) {
-      if (recv_meta_[static_cast<std::size_t>(v)].stamp == want) {
-        assemble_grouped_inbox(shard, v, in, inbox);
+      const std::int64_t end = base + static_cast<std::int64_t>(row.size());
+      while (cursor < sh.grouped.size() && sh.grouped[cursor] < base) ++cursor;
+      for (; cursor < sh.grouped.size() && sh.grouped[cursor] < end; ++cursor) {
+        const auto p = static_cast<std::size_t>(sh.grouped[cursor] - base);
+        take(static_cast<int>(p), row[p], sh.grouped[cursor]);
       }
     } else {
-      const int deg = g_->degree(v);
-      const std::int64_t base = g_->slot(v, 0);
-      for (int p = 0; p < deg; ++p) {
-        const auto s = static_cast<std::size_t>(base + p);
-        if (in.epoch[s] != want) continue;
-        const auto& words =
-            sole_words ? *sole_words
-                       : in.words[static_cast<std::size_t>(
-                             shard_of(g_->neighbor(v, p)))];
-        inbox.msgs_.push_back(
-            MsgView{p, std::span<const std::int64_t>(
-                           words.data() + in.off[s], in.len[s])});
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        take(static_cast<int>(p), row[p], static_cast<std::size_t>(base) + p);
       }
     }
     sh.work_items += 1 + inbox.msgs_.size();
@@ -794,7 +749,7 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
     }
     if (!halted_[static_cast<std::size_t>(v)]) {
       sh.live[w++] = v;
-      next_ports += static_cast<std::uint64_t>(g_->degree(v));
+      next_ports += row.size();
     }
   }
   sh.live.resize(w);
@@ -803,7 +758,10 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
 
 void Runtime::merge_shards() {
   // Canonical shard order keeps the fold deterministic for any shard count.
+  spoken_ports_ = 0;
   for (Shard& sh : shards_) {
+    spoken_ports_ += sh.spoken_ports;
+    sh.spoken_ports = 0;
     stats_.messages += sh.messages;
     stats_.words += sh.words;
     stats_.work_items += sh.work_items;
@@ -835,9 +793,8 @@ void Runtime::init_shard(int shard) {
               std::uint32_t{0});
     std::fill(arena.len.get() + sh.slot_lo, arena.len.get() + sh.slot_hi,
               std::uint32_t{0});
-  }
-  for (V v = sh.first; v < sh.last; ++v) {
-    recv_meta_[static_cast<std::size_t>(v)] = RecvMeta{};
+    std::fill(arena.record.get() + sh.first, arena.record.get() + sh.last,
+              SenderRecord{});
   }
 }
 
@@ -921,9 +878,12 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     for (Arena& arena : arenas_) {
       std::fill_n(arena.epoch.get(), static_cast<std::size_t>(slots_), -1);
     }
-    // The per-vertex delivery stamps share the session-round numbering and
-    // must wrap with it.
-    for (V v = 0; v < n; ++v) recv_meta_[static_cast<std::size_t>(v)].stamp = -1;
+    // The broadcast records share the session-round numbering and must
+    // wrap with it.
+    for (Arena& arena : arenas_) {
+      std::fill_n(arena.record.get(), static_cast<std::size_t>(n),
+                  SenderRecord{});
+    }
     stamp_base_ = 0;
   }
   // On every exit -- including a round-cap throw mid-phase -- advance the
@@ -957,12 +917,7 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   stats_.words_per_round.clear();
   stats_.words_per_round.reserve(
       static_cast<std::size_t>(std::clamp(max_rounds, 0, 1 << 12)) + 1);
-  for (Arena& arena : arenas_) {
-    for (auto& words : arena.words) words.clear();
-    for (auto& t : arena.touched) t.clear();
-    for (auto& t : arena.touched_recv) t.clear();
-    std::fill(arena.touch_overflow.begin(), arena.touch_overflow.end(), 0);
-  }
+  for (Arena& arena : arenas_) arena.clear_round();
   in_idx_ = 0;  // begin (round 0) writes arenas_[1]; round 1 reads it
   program_ = &program;
   // Effective per-message word cap for this phase: the tighter of the
@@ -977,15 +932,18 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
 
   // Offer the phase to the installed transport executor, AFTER the
   // per-phase reset above (a forked worker inherits exactly this canonical
-  // phase-start state) and BEFORE the delivery-mode decisions below (a
-  // distributed phase disables the touched index: remote workers cannot
-  // contribute to it, so grouped delivery would silently miss their
-  // messages). Fault-armed phases are never offered -- the injection hooks
+  // phase-start state, including lane_ = false: remote workers relay slot
+  // cells only, so a distributed phase keeps the per-slot path and port-scan
+  // delivery). Fault-armed phases are never offered -- the injection hooks
   // run inside shard sweeps, which a remote worker executes out of the
-  // coordinator's sight.
+  // coordinator's sight -- and keep the per-slot path too: injected drops
+  // and corruptions pick their victims per canonical slot and rewind slot
+  // epochs, which the lane and the speaker index would not re-read.
+  lane_ = false;
   PhaseExecutor* exec = phase_executor_;
   const bool dist = exec != nullptr && !fault_armed_ &&
                     exec->begin_phase(*this, program);
+  lane_ = !dist && !fault_armed_;
   // Unwind guard: a distributed phase that throws anywhere below must tear
   // its workers down (end_phase(success=false)) before the exception leaves
   // run_phase_body, or killed/abandoned worker processes would leak past
@@ -1000,13 +958,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     }
   } exec_guard{this, dist ? exec : nullptr, &program};
 
-  // Begin() has no message history to predict from; record (capped), so a
-  // halt-heavy begin can hand round 1 a grouped delivery. An armed fault
-  // plan forces port-scan delivery for the whole phase: injected drops
-  // rewind a slot's epoch stamp, which the grouped (index-driven) path
-  // would not re-read.
-  record_touched_ = !dist && !fault_armed_;
-  arenas_[1].indexed = record_touched_;
   std::uint64_t words_before = stats_.words;
   std::uint64_t msgs_before = stats_.messages;
   if (dist) {
@@ -1027,21 +978,7 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     ++round_;
     stats_.active_per_round.push_back(live_);
     in_idx_ = 1 - in_idx_;
-    Arena& out = arenas_[1 - in_idx_];
-    for (auto& words : out.words) words.clear();
-    for (auto& t : out.touched) t.clear();
-    for (auto& t : out.touched_recv) t.clear();
-    std::fill(out.touch_overflow.begin(), out.touch_overflow.end(), 0);
-    // Record this round's sends only if the previous round's message volume
-    // was sparse relative to the CURRENT live port space -- volume changes
-    // slowly round over round, and a wrong guess costs one round of
-    // port-scan delivery, already bounded by the compacted live list.
-    std::uint64_t total_ports = 0;
-    for (const Shard& sh : shards_) total_ports += sh.live_ports;
-    const std::uint64_t last_msgs = stats_.messages - msgs_before;
-    record_touched_ = !dist && !fault_armed_ &&
-                      last_msgs * kTouchRecordFactor <= total_ports;
-    out.indexed = record_touched_;
+    arenas_[1 - in_idx_].clear_round();
     // Delivery-boundary integrity check: what this round is about to
     // deliver must match what last round's senders recorded in the lane.
     if (lane_valid_) verify_delivery_checksum();
@@ -1375,21 +1312,16 @@ Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
     for (const auto& w : arena.words) {
       mb.payload_bytes += w.capacity() * sizeof(std::int64_t);
     }
-    for (const auto& t : arena.touched) {
-      mb.index_bytes += t.capacity() * sizeof(std::uint32_t);
+    for (const auto& sp : arena.speakers) {
+      mb.index_bytes += sp.capacity() * sizeof(V);
     }
-    for (const auto& t : arena.touched_recv) {
-      mb.index_bytes += t.capacity() * sizeof(V);
-    }
-    mb.index_bytes += arena.touch_overflow.capacity();
+    mb.vertex_bytes +=
+        static_cast<std::uint64_t>(g_->num_vertices()) * sizeof(SenderRecord);
   }
   mb.vertex_bytes += halted_.capacity();
-  mb.vertex_bytes +=
-      static_cast<std::uint64_t>(g_->num_vertices()) * sizeof(RecvMeta);
   for (const Shard& sh : shards_) {
     mb.index_bytes += sh.live.capacity() * sizeof(V);
-    mb.index_bytes += sh.receivers.capacity() * sizeof(V);
-    mb.index_bytes += sh.grouped.capacity() * sizeof(std::int64_t);
+    mb.index_bytes += sh.grouped.capacity() * sizeof(std::uint32_t);
     for (const auto& s : sh.scratch) {
       mb.index_bytes += s.capacity() * sizeof(std::int64_t);
     }

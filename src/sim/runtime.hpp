@@ -28,27 +28,31 @@
 // named spans that replaces the hand-maintained `phases` bookkeeping the
 // algorithm drivers used to carry.
 //
-// Mailbox architecture (unchanged from the engine rewrite): messages are
-// slot-routed through a double-buffered arena. A send on (v, port) lands
-// directly in the mirror slot's inbox cell via the Graph's O(1) mirror map;
-// payload words are appended to a flat per-shard word buffer. There is no
-// per-message heap allocation and no per-round sorting of the arena itself.
-// A vertex may send at most one message per incident edge per round (the
-// standard LOCAL convention; violating it throws invariant_error).
+// Mailbox architecture: messages travel through a double-buffered arena in
+// two lanes. A broadcast -- the paper's workhorse, one O(log n)-bit value to
+// every neighbor -- is written ONCE: its payload words go to the sending
+// shard's flat word buffer and the sender's own per-vertex record is stamped
+// with their location (the broadcast lane). A send on (v, port) lands in the
+// mirror slot's inbox cell via the Graph's O(1) mirror map (the slot lane).
+// There is no per-message heap allocation and no per-round sorting of the
+// arena itself. A vertex may send at most one message per incident edge per
+// round (the standard LOCAL convention): a second send on a port, a second
+// broadcast, or a broadcast plus a port send throws invariant_error.
 //
 // The executor (see DESIGN.md, "The executor"): the paper's Section 1.4
 // observation that "all vertices are active at (almost) all times" holds
 // for the headline presets as a whole, but most individual sub-phases
 // (layer peeling, greedy sweeps, refinement tails) spend the bulk of their
 // rounds with a small, shrinking live set. Each round is therefore driven
-// by the live set and the messages actually written: every shard keeps a
+// by the live set and the vertices that actually spoke: every shard keeps a
 // compacted, canonically ordered live-vertex list (maintained incrementally
 // as vertices halt, not re-derived by an O(n) flag sweep), and each round
 // assembles inboxes in one of two delivery modes -- a port scan over the
-// live vertices' slots (message-dense rounds), or grouped delivery from the
-// slots senders recorded writing (sparse rounds). Per-round cost is
-// O(live + messages); both modes are bit-identical in outputs, RunStats and
-// PhaseLog.
+// live vertices' ports, reading each neighbor's record and then the slot
+// arena (message-dense rounds), or grouped delivery that walks each
+// speaker's sorted adjacency row over the receiving shard's vertex range
+// (sparse rounds). Per-round cost is O(live + messages); both modes are
+// bit-identical in outputs, RunStats and PhaseLog.
 //
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
@@ -399,13 +403,16 @@ class Ctx {
 
   /// Sends `payload` to the neighbor on `port`. Zero-copy into the mailbox
   /// arena: the words are copied once, directly into the receiver's inbox
-  /// cell. At most one send per port per round.
+  /// cell. At most one send per port per round, and none after a broadcast.
   void send(int port, std::span<const std::int64_t> payload);
   /// Fixed-word fast path: `ctx.send(p, {a, b, c})` stages the words on the
   /// caller's stack, no heap traffic.
   void send(int port, std::initializer_list<std::int64_t> payload) {
     send(port, std::span<const std::int64_t>(payload.begin(), payload.size()));
   }
+  /// Sends `payload` to every neighbor, accounted as degree() messages but
+  /// written once per sender (the broadcast lane). At most one broadcast per
+  /// round, and none after a port send; a no-op at degree 0.
   void broadcast(std::span<const std::int64_t> payload);
   void broadcast(std::initializer_list<std::int64_t> payload) {
     broadcast(std::span<const std::int64_t>(payload.begin(), payload.size()));
@@ -580,11 +587,13 @@ class Runtime {
   /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
-  /// While ANY plan is armed (FaultPlan::armed()) grouped delivery is
-  /// disabled and every round delivers by port scan (delivery must re-read
-  /// the epoch stamps the injector rewinds); outputs are unchanged, per the
-  /// delivery-mode bit-identity contract -- which is why an armed plan that
-  /// can never fire serves the test suite as the port-scan oracle. Pass a
+  /// While ANY plan is armed (FaultPlan::armed()) the broadcast lane and
+  /// grouped delivery are disabled: an armed plan also routes broadcasts
+  /// per slot, one cell per port, and every round delivers by port scan
+  /// (delivery must re-read the epoch stamps the injector rewinds). Outputs
+  /// are unchanged, per the delivery-mode bit-identity contract -- which is
+  /// why an armed plan that can never fire serves the test suite as the
+  /// port-scan oracle of both the lane and grouped delivery. Pass a
   /// default-constructed plan to clear; sessions handed across jobs must
   /// clear it (see ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
@@ -676,8 +685,10 @@ class Runtime {
   struct MemoryBreakdown {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
-    std::uint64_t index_bytes = 0;    ///< touched/receivers/grouped/live/...
-    std::uint64_t vertex_bytes = 0;   ///< recv_meta + halted (per-vertex)
+    /// speakers/grouped/live/scratch/inbox workspaces, by capacity
+    std::uint64_t index_bytes = 0;
+    /// broadcast records (both arenas) + halted flags: per-vertex
+    std::uint64_t vertex_bytes = 0;
     std::uint64_t total() const {
       return arena_bytes + payload_bytes + index_bytes + vertex_bytes;
     }
@@ -708,15 +719,27 @@ class Runtime {
   /// the allocating main thread does not fault the pages in first.)
   enum class Job { kInit, kBegin, kStep };
 
+  /// A sender's per-round entry in the broadcast lane. `bcast_stamp` marks
+  /// a broadcast whose payload sits at off/len in the sender shard's word
+  /// buffer; `port_stamp` marks a round in which the vertex sent on at
+  /// least one port (the payloads of those sends live in the slot arena).
+  /// Stamps use the arena epoch numbering, so stale records need no clear.
+  struct SenderRecord {
+    std::int32_t bcast_stamp = -1;
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+    std::int32_t port_stamp = -1;
+  };
+
   /// One direction of the double buffer. Slot s (a directed edge endpoint)
-  /// holds at most one message per round; `epoch[s]` stamps the *session
-  /// round* (stamp_base_ + round_) that last wrote it, so stale cells are
-  /// skipped without any per-round clear -- and, because stamps increase
-  /// monotonically across phases, without any per-PHASE clear either: a
-  /// warm phase start is O(n), not O(slots). Payload words live in flat
-  /// per-shard buffers (`words[shard]`) to keep concurrent appends
-  /// race-free; `off/len` locate a slot's payload inside the sending
-  /// shard's buffer.
+  /// holds at most one per-port message per round; `epoch[s]` stamps the
+  /// *session round* (stamp_base_ + round_) that last wrote it, so stale
+  /// cells are skipped without any per-round clear -- and, because stamps
+  /// increase monotonically across phases, without any per-PHASE clear
+  /// either: a warm phase start is O(n), not O(slots). Payload words live
+  /// in flat per-shard buffers (`words[shard]`) to keep concurrent appends
+  /// race-free; `off/len` locate a slot's payload, and a record's off/len a
+  /// broadcast's, inside the sending shard's buffer.
   struct Arena {
     /// Slot-indexed arrays (12 bytes per slot): raw first-touch-initialized
     /// buffers, not vectors, so page placement follows the kInit job (see
@@ -724,29 +747,21 @@ class Runtime {
     std::unique_ptr<std::int32_t[]> epoch;
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
+    /// Broadcast lane: one record per vertex (n entries, first-touch),
+    /// written only by the sender's own shard.
+    std::unique_ptr<SenderRecord[]> record;
     std::vector<std::vector<std::int64_t>> words;  // one per shard
-    /// Sender-driven delivery index (grouped delivery): the inbox slots
-    /// each sending shard wrote this round, as one flat list per sender so
-    /// recording costs a single bounds-checked append on the send path
-    /// (receivers filter by their contiguous slot range, which
-    /// vertex-contiguous shards get for free). Recording stops at the
-    /// runtime's touch cap -- the matching overflow flag forces port-scan
-    /// delivery, which is the right mode at such message volumes anyway.
-    /// Cleared per round; capacity persists. Entries are 32-bit slot ids:
-    /// CsrBuilder::finish rejects graphs whose slot count does not fit.
-    std::vector<std::vector<std::uint32_t>> touched;
-    /// Receiver vertex of each touched slot, recorded by the sender (which
-    /// reads it from its own cached adjacency row): the delivery gather
-    /// filters and groups by receiver without ever touching the 2m-sized
-    /// slot-owner table, whose scattered lookups would cost a cache miss
-    /// per message.
-    std::vector<std::vector<V>> touched_recv;
-    std::vector<std::uint8_t> touch_overflow;  // one per sender shard
-    /// Whether senders recorded into `touched` this round. run_phase turns
-    /// recording off for rounds whose previous round was message-dense --
-    /// the port scan will win there anyway, so the send path should not
-    /// pay a single instruction for the index.
-    bool indexed = false;
+    /// The sparse-delivery index: per sending shard, the vertices that
+    /// spoke this round, in send order. A vertex enters once per round (on
+    /// its broadcast or its first port send), so reserving each list to its
+    /// shard's vertex count keeps appends allocation-free. Cleared per
+    /// round; capacity persists.
+    std::vector<std::vector<V>> speakers;
+
+    void clear_round() {
+      for (auto& w : words) w.clear();
+      for (auto& sp : speakers) sp.clear();
+    }
   };
 
   /// Mutable per-shard executor state. Everything a concurrent shard writes
@@ -784,16 +799,17 @@ class Runtime {
     /// scan, maintained alongside the list so delivery can pick the
     /// cheaper assembly mode per round.
     std::uint64_t live_ports = 0;
-    /// Grouped-delivery workspace: touched slots destined to this shard,
-    /// grouped contiguously by receiving vertex (first-touch order), and
-    /// the distinct receivers. Capacity persists across rounds/phases.
-    /// Bounded by the total touch cap, NOT the shard's slot range: grouped
-    /// delivery only runs when every sender stayed under its cap, so the
-    /// entry count can never exceed shards * touch_cap_ -- reserving the
-    /// full slot range would cost 8 bytes per slot for a workspace that by
-    /// construction never fills past a fraction of it.
-    std::vector<std::int64_t> grouped;
-    std::vector<V> receivers;
+    /// Summed degree of the vertices this shard added to `speakers` in the
+    /// current sweep; merge_shards folds it into spoken_ports_.
+    std::uint64_t spoken_ports = 0;
+    /// Grouped-delivery workspace: the receiver slots (32-bit: CsrBuilder
+    /// rejects larger graphs) of last round's messages to this shard,
+    /// sorted, hence grouped by receiver in canonical port order. Grouped
+    /// delivery runs only when spoken_ports_ * kGroupedDeliveryFactor <=
+    /// live_ports <= slot_hi - slot_lo, and every entry is a distinct
+    /// (speaker, neighbor) pair, so reserving (slot_hi - slot_lo) /
+    /// kGroupedDeliveryFactor + 1 entries makes it allocation-free.
+    std::vector<std::uint32_t> grouped;
   };
 
   int shard_of(V v) const { return static_cast<int>(v / chunk_); }
@@ -801,15 +817,22 @@ class Runtime {
   /// arena arrays and vertex-indexed delivery metadata (Job::kInit).
   void init_shard(int shard);
   void do_send(int shard, V from, int port, std::span<const std::int64_t> payload);
+  void do_broadcast(int shard, V from, std::span<const std::int64_t> payload);
+  /// Throws the bandwidth_error for a send of `words` words on (from, port)
+  /// that exceeds the phase's per-message cap (callers test the cap).
+  [[noreturn]] void throw_width(V from, int port, std::size_t words) const;
+  /// Appends `payload` to the sending shard's out-arena word buffer and
+  /// returns its offset.
+  std::uint32_t append_words(Arena& out, int shard,
+                             std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
   /// Step sweep of one shard: live-list driven, with per-round choice
-  /// between sender-driven grouped delivery and a live port scan.
+  /// between grouped delivery and a live port scan.
   void step_sweep(int shard, VertexProgram& program);
-  /// Assembles vertex v's inbox from its contiguous touched-slot group
-  /// (sorted into canonical port order in place).
-  void assemble_grouped_inbox(int shard, V v, const Arena& in, Inbox& inbox);
+  /// Fills the shard's grouped workspace from last round's speakers.
+  void gather_grouped(int shard, const Arena& in, std::int32_t want);
   /// Folds per-shard counters into stats_/live_ (serial, canonical order)
   /// and rethrows the first shard error.
   void merge_shards();
@@ -846,26 +869,14 @@ class Runtime {
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  /// Per-sender-shard cap on touched-slot recording per round: beyond it a
-  /// round is dense enough that grouped delivery would lose to the port
-  /// scan, so the sender stops paying for the index and flags overflow.
-  std::size_t touch_cap_ = 0;
-  /// Round-granular recording gate, decided by run_phase from the previous
-  /// round's message count against the current live port space. False on
-  /// message-dense rounds, where do_send skips the index behind a single
-  /// predictable branch.
-  bool record_touched_ = true;
-  /// Per-vertex grouped-delivery bookkeeping, written only by the owning
-  /// shard. Stamped with the delivery round (stamp_base_ + round_ - 1) so
-  /// no per-round or per-phase clear is needed, mirroring the arena
-  /// epochs. One struct (not three arrays) so the gather's scattered
-  /// accesses touch one cache line per vertex, not three.
-  struct RecvMeta {
-    std::int32_t stamp = -1;
-    std::uint32_t count = 0;
-    std::uint32_t off = 0;
-  };
-  std::unique_ptr<RecvMeta[]> recv_meta_;  // n entries, first-touch (kInit)
+  /// Whether this phase uses the broadcast lane and the speaker index:
+  /// derived per phase as !dist && !fault_armed_, and false while the phase
+  /// executor forks so distributed workers inherit the per-slot path.
+  bool lane_ = false;
+  /// Summed degree of the previous round's speakers (all shards): the
+  /// walk cost of grouped delivery, and its message count when every
+  /// speaker broadcast.
+  std::uint64_t spoken_ports_ = 0;
   /// Session-round base of the current phase: epoch stamps are
   /// stamp_base_ + round_. Advanced past every stamp the finished phase
   /// wrote; wraps (with a full epoch reset) long before int32 overflow.
@@ -904,8 +915,7 @@ class Runtime {
   /// sweeps on behalf of the transport, dist_capture_ makes do_send also
   /// record, per sending shard, every inbox slot OUTSIDE the worker's own
   /// slot range [dist_slot_lo_, dist_slot_hi_) -- the messages that must
-  /// cross the wire to their owning worker. Slot ids are i64 (the capture
-  /// list, unlike the touched index, must work on any graph size).
+  /// cross the wire to their owning worker.
   PhaseExecutor* phase_executor_ = nullptr;
   bool dist_capture_ = false;
   std::int64_t dist_slot_lo_ = 0, dist_slot_hi_ = 0;

@@ -116,11 +116,11 @@ TEST(Runtime, PhasesAfterTheFirstAllocateNothing) {
 
 TEST(Runtime, WarmRoundsOfTheFirstPhaseAllocateNothing) {
   // The constructor reserves every delivery-path buffer to its exact upper
-  // bound (live list and receivers to the shard's vertex range, the grouped
-  // workspace to the shard's slot count, the inbox to the shard's max
-  // degree), so even within the FIRST phase of a cold session only the
-  // flood's first two rounds -- which warm the double-buffered word and
-  // touched arenas -- may allocate; from round 3 on the counter is frozen.
+  // bound (live and speaker lists to the shard's vertex range, the grouped
+  // workspace to its share of the shard's slot count, the inbox to the
+  // shard's max degree), so even within the FIRST phase of a cold session
+  // only the flood's first two rounds -- which warm the double-buffered
+  // word arenas -- may allocate; from round 3 on the counter is frozen.
   const Graph g = random_near_regular(2048, 8, 5);
   constexpr int kRounds = 12;
   for (const int shards : {1, 4}) {
@@ -317,20 +317,25 @@ namespace adversarial {
 /// Grouped-delivery workload: every vertex stays live for `rounds` rounds,
 /// but only 1-in-64 vertices send (one rotating port each round), so
 /// messages are far sparser than the live port space and the executor's
-/// sender-driven grouped assembly is guaranteed to engage
-/// (under any reasonable grouped-vs-scan threshold). Receivers fold their
-/// inboxes into a digest so the test compares exact delivered contents.
+/// grouped assembly is guaranteed to engage (under any reasonable
+/// grouped-vs-scan threshold). With `mixed`, the 1-in-64 senders broadcast
+/// instead and every (64k+32)-th vertex sends on one port in the same
+/// round, so grouped rounds assemble lane and slot payloads side by side.
+/// Receivers fold their inboxes into a digest so the test compares exact
+/// delivered contents.
 class FewSenders : public sim::VertexProgram {
  public:
-  FewSenders(int rounds, std::vector<std::int64_t>& digest)
-      : rounds_(rounds), digest_(digest) {}
+  FewSenders(int rounds, std::vector<std::uint64_t>& digest, bool mixed = false)
+      : rounds_(rounds), digest_(digest), mixed_(mixed) {}
   std::string name() const override { return "few-senders"; }
   int max_words() const override { return 2; }
   void begin(sim::Ctx& ctx) override { maybe_send(ctx); }
   void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
     auto& d = digest_[static_cast<std::size_t>(ctx.vertex())];
     for (const sim::MsgView& m : inbox) {
-      d = d * 37 + (m.port + 1) * (m.data[0] + m.data[1]);
+      // Unsigned, so a long fold wraps instead of overflowing.
+      d = d * 37 + static_cast<std::uint64_t>((m.port + 1) *
+                                              (m.data[0] + m.data[1]));
     }
     if (ctx.round() >= rounds_) {
       ctx.halt();
@@ -341,11 +346,17 @@ class FewSenders : public sim::VertexProgram {
 
  private:
   void maybe_send(sim::Ctx& ctx) {
-    if (ctx.id() % 64 != 0 || ctx.degree() == 0) return;
-    ctx.send(ctx.round() % ctx.degree(), {ctx.id(), ctx.round()});
+    if (ctx.degree() == 0) return;
+    const std::int64_t k = ctx.id() % 64;
+    if (mixed_ && k == 0) {
+      ctx.broadcast({ctx.id(), ctx.round()});
+    } else if (k == (mixed_ ? 32 : 0)) {
+      ctx.send(ctx.round() % ctx.degree(), {ctx.id(), ctx.round()});
+    }
   }
   int rounds_;
-  std::vector<std::int64_t>& digest_;
+  std::vector<std::uint64_t>& digest_;
+  bool mixed_;
 };
 
 }  // namespace adversarial
@@ -355,24 +366,27 @@ TEST(Runtime, GroupedDeliveryMatchesPortScanOracleAtAnyShardCount) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   constexpr int kRounds = 12;
 
-  std::vector<std::int64_t> base_digest(n, 0);
-  sim::Runtime base_rt(g, 1);
-  base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
-  adversarial::FewSenders base_prog(kRounds, base_digest);
-  const sim::RunStats base =
-      base_rt.run_phase(base_prog, kRounds + sim::kRoundCapSlack, "few");
-  // The workload delivers something (or the grouped path is vacuous).
-  ASSERT_GT(base.messages, 0u);
+  for (const bool mixed : {false, true}) {
+    std::vector<std::uint64_t> base_digest(n, 0);
+    sim::Runtime base_rt(g, 1);
+    base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
+    adversarial::FewSenders base_prog(kRounds, base_digest, mixed);
+    const sim::RunStats base =
+        base_rt.run_phase(base_prog, kRounds + sim::kRoundCapSlack, "few");
+    // The workload delivers something (or the grouped path is vacuous).
+    ASSERT_GT(base.messages, 0u);
 
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::vector<std::int64_t> digest(n, 0);
-    sim::Runtime rt(g, shards);
-    adversarial::FewSenders prog(kRounds, digest);
-    const sim::RunStats& stats =
-        rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "few");
-    EXPECT_TRUE(same_stats(stats, base));
-    EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
+    for (const int shards : {1, 2, 8}) {
+      SCOPED_TRACE("mixed=" + std::to_string(mixed) +
+                   " shards=" + std::to_string(shards));
+      std::vector<std::uint64_t> digest(n, 0);
+      sim::Runtime rt(g, shards);
+      adversarial::FewSenders prog(kRounds, digest, mixed);
+      const sim::RunStats& stats =
+          rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "few");
+      EXPECT_TRUE(same_stats(stats, base));
+      EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
+    }
   }
 }
 
@@ -392,6 +406,97 @@ TEST(Runtime, WorkItemsCountActivationsPlusDeliveredMessages) {
   const auto n = static_cast<std::uint64_t>(g.num_vertices());
   const auto activations = n * static_cast<std::uint64_t>(stats.rounds + 1);
   EXPECT_EQ(stats.work_items, activations + stats.messages);
+}
+
+namespace local_rule {
+
+enum class Misuse { kSendTwice, kBroadcastTwice, kBroadcastThenSend,
+                    kSendThenBroadcast };
+
+/// Every vertex broadcasts in begin() and round 1, except that the culprit
+/// breaks the LOCAL one-message-per-edge rule in the chosen way in round
+/// `at` (0 = begin).
+class Misuser : public sim::VertexProgram {
+ public:
+  Misuser(Misuse misuse, V culprit, int at)
+      : misuse_(misuse), culprit_(culprit), at_(at) {}
+  std::string name() const override { return "misuser"; }
+  void begin(sim::Ctx& ctx) override { speak(ctx); }
+  void step(sim::Ctx& ctx, const sim::Inbox&) override {
+    if (ctx.round() > 1) {
+      ctx.halt();
+      return;
+    }
+    speak(ctx);
+  }
+
+ private:
+  void speak(sim::Ctx& ctx) {
+    if (ctx.vertex() != culprit_ || ctx.round() != at_) {
+      ctx.broadcast({ctx.id()});
+      return;
+    }
+    const int last = ctx.degree() - 1;
+    switch (misuse_) {
+      case Misuse::kSendTwice:
+        ctx.send(last, {1});
+        ctx.send(last, {2});
+        break;
+      case Misuse::kBroadcastTwice:
+        ctx.broadcast({1});
+        ctx.broadcast({2});
+        break;
+      case Misuse::kBroadcastThenSend:
+        ctx.broadcast({1});
+        ctx.send(last, {2});
+        break;
+      case Misuse::kSendThenBroadcast:
+        ctx.send(last, {1});
+        ctx.broadcast({2});
+        break;
+    }
+  }
+  Misuse misuse_;
+  V culprit_;
+  int at_;
+};
+
+}  // namespace local_rule
+
+TEST(Runtime, SecondMessageOnAnEdgeDirectionThrowsInEveryDeliveryMode) {
+  // The LOCAL model allows one message per edge direction per round. Port
+  // sends and broadcasts travel different lanes by default and the same
+  // slot cells under the port-scan oracle; every way of sending twice over
+  // one edge must throw in both, in begin() and in a step round.
+  const Graph g = random_near_regular(256, 4, 47);
+  const V culprit = g.num_vertices() / 2 + 1;
+  ASSERT_GE(g.degree(culprit), 2);
+  using local_rule::Misuse;
+  for (const Misuse misuse :
+       {Misuse::kSendTwice, Misuse::kBroadcastTwice,
+        Misuse::kBroadcastThenSend, Misuse::kSendThenBroadcast}) {
+    for (const bool oracle : {false, true}) {
+      for (const int shards : {1, 4}) {
+        for (const int at : {0, 1}) {
+          SCOPED_TRACE("misuse=" + std::to_string(static_cast<int>(misuse)) +
+                       " oracle=" + std::to_string(oracle) +
+                       " shards=" + std::to_string(shards) +
+                       " round=" + std::to_string(at));
+          sim::Runtime rt(g, shards);
+          if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
+          local_rule::Misuser prog(misuse, culprit, at);
+          try {
+            rt.run_phase(prog, 8);
+            ADD_FAILURE() << "expected invariant_error";
+          } catch (const invariant_error& e) {
+            EXPECT_NE(std::string(e.what()).find("edge-direction"),
+                      std::string::npos)
+                << e.what();
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- 5. CONGEST bandwidth accounting ---------------------------------------
@@ -501,6 +606,124 @@ TEST(Runtime, DeclaredContractIsEnforcedEvenWithoutASessionBudget) {
   } catch (const sim::bandwidth_error& e) {
     EXPECT_FALSE(e.from_contract);
     EXPECT_EQ(e.cap, 1);
+  }
+}
+
+namespace bw {
+
+/// Broadcasts one word per round; in round `wide_round` every vertex with
+/// id % 7 == 3 broadcasts `width` words instead. Halts after round 3.
+class LateWideBroadcast : public sim::VertexProgram {
+ public:
+  LateWideBroadcast(int width, int declared, int wide_round)
+      : width_(width), declared_(declared), wide_round_(wide_round) {}
+  std::string name() const override { return "late-wide-broadcast"; }
+  int max_words() const override { return declared_; }
+  void begin(sim::Ctx& ctx) override { speak(ctx); }
+  void step(sim::Ctx& ctx, const sim::Inbox&) override {
+    if (ctx.round() >= 3) {
+      ctx.halt();
+      return;
+    }
+    speak(ctx);
+  }
+
+ private:
+  void speak(sim::Ctx& ctx) {
+    auto& payload = ctx.scratch();
+    const bool wide = ctx.round() == wide_round_ && ctx.id() % 7 == 3;
+    payload.assign(wide ? static_cast<std::size_t>(width_) : 1, ctx.id());
+    ctx.broadcast(std::span<const std::int64_t>(payload.data(),
+                                                payload.size()));
+  }
+  int width_;
+  int declared_;
+  int wide_round_;
+};
+
+struct Violation {
+  V vertex = -1;
+  int port = -1;
+  int round = -1;
+  std::int64_t words = 0;
+  std::int64_t cap = 0;
+  bool from_contract = false;
+  friend bool operator==(const Violation&, const Violation&) = default;
+};
+
+/// Runs `prog` and returns the bandwidth_error's fields (vertex -1 when the
+/// phase did not throw one).
+Violation run_for_violation(const Graph& g, sim::VertexProgram& prog,
+                            bool oracle, int shards, int congest_words) {
+  sim::Runtime rt(g, shards);
+  if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
+  rt.set_congest_words(congest_words);
+  try {
+    rt.run_phase(prog, 8);
+  } catch (const sim::bandwidth_error& e) {
+    return {e.vertex, e.port, e.round, e.words, e.cap, e.from_contract};
+  }
+  return {};
+}
+
+}  // namespace bw
+
+TEST(Runtime, OverCapBroadcastRaisesTheSameStructuredErrorInEveryDeliveryMode) {
+  // A broadcast is metered once, as a send on port 0, whether it travels the
+  // broadcast lane (default) or one slot cell per port (port-scan oracle):
+  // both report the same vertex, port, round, width, cap and cap source.
+  const Graph g = random_near_regular(256, 4, 53);
+  for (const bool contract : {false, true}) {
+    bw::LateWideBroadcast prog(/*width=*/3, /*declared=*/contract ? 2 : 0,
+                               /*wide_round=*/2);
+    const bw::Violation want = bw::run_for_violation(
+        g, prog, /*oracle=*/true, /*shards=*/1, contract ? 0 : 2);
+    EXPECT_EQ(want.port, 0);
+    EXPECT_EQ(want.round, 2);
+    EXPECT_EQ(want.words, 3);
+    EXPECT_EQ(want.cap, 2);
+    EXPECT_EQ(want.from_contract, contract);
+    EXPECT_EQ(want.vertex % 7, 2);  // id = vertex + 1
+    for (const bool oracle : {false, true}) {
+      for (const int shards : {1, 4}) {
+        SCOPED_TRACE("contract=" + std::to_string(contract) +
+                     " oracle=" + std::to_string(oracle) +
+                     " shards=" + std::to_string(shards));
+        EXPECT_EQ(bw::run_for_violation(g, prog, oracle, shards,
+                                        contract ? 0 : 2),
+                  want);
+      }
+    }
+  }
+}
+
+TEST(Runtime, OverCapBroadcastFromAnIsolatedVertexSendsNothing) {
+  // A degree-0 broadcast is a no-op: no message, hence nothing to meter,
+  // in either delivery mode. Vertices 0 and 4..7 are isolated here.
+  const Graph g = Graph::from_edges(8, {{1, 2}, {2, 3}});
+  struct IsolatedWide : sim::VertexProgram {
+    std::string name() const override { return "isolated-wide"; }
+    void begin(sim::Ctx& ctx) override {
+      if (ctx.degree() == 0) {
+        ctx.broadcast({1, 2, 3, 4, 5});
+      } else {
+        ctx.broadcast({ctx.id()});
+      }
+    }
+    void step(sim::Ctx& ctx, const sim::Inbox&) override { ctx.halt(); }
+  };
+  for (const bool oracle : {false, true}) {
+    SCOPED_TRACE("oracle=" + std::to_string(oracle));
+    IsolatedWide prog;
+    EXPECT_EQ(bw::run_for_violation(g, prog, oracle, /*shards=*/2,
+                                    /*congest_words=*/2),
+              bw::Violation{});
+    sim::Runtime rt(g);
+    rt.set_congest_words(2);
+    if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
+    const sim::RunStats& stats = rt.run_phase(prog, 4);
+    EXPECT_EQ(stats.messages, 4u);  // degrees 1 + 2 + 1
+    EXPECT_EQ(stats.max_msg_words, 1u);
   }
 }
 

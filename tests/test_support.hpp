@@ -45,13 +45,13 @@ inline void count_alloc() {
 
 /// Port-scan oracle for the executor's delivery modes. Runtime::
 /// set_fault_plan documents the contract this relies on: while ANY plan is
-/// armed, grouped (sender-driven) delivery is disabled and every round
-/// delivers by port scan over the live vertices' slots. This plan is armed
-/// but can never fire -- its only entry is a stall scheduled at an
-/// unreachable phase, and the checksum lane is off -- so a session carrying
-/// it runs the same executor with grouped delivery switched off and must
-/// reproduce colors, RunStats and PhaseLog bit for bit. Install it with
-/// Knobs::fault_plan or Runtime::set_fault_plan.
+/// armed, the broadcast lane and grouped delivery are disabled -- every
+/// broadcast is written one slot cell per port and every round delivers by
+/// port scan over the live vertices' slots. This plan is armed but can
+/// never fire -- its only entry is a stall scheduled at an unreachable
+/// phase, and the checksum lane is off -- so a session carrying it runs
+/// the per-slot path and must reproduce colors, RunStats and PhaseLog bit
+/// for bit. Install it with Knobs::fault_plan or Runtime::set_fault_plan.
 inline dvc::sim::FaultPlan port_scan_oracle_plan() {
   dvc::sim::FaultPlan plan;
   plan.checksum = false;
