@@ -1,7 +1,6 @@
 #include "graph/orientation.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/check.hpp"
 
@@ -81,71 +80,56 @@ std::int64_t Orientation::num_oriented_edges() const {
   return oriented;
 }
 
-std::vector<V> Orientation::topological_order_parents_first() const {
+V Orientation::kahn_parents_first(std::vector<V>& fifo,
+                                  std::vector<int>& len) const {
   // Kahn's algorithm on the reversed arrows: a vertex is ready when all its
-  // parents (out-neighbors) are already placed. Equivalently, process
-  // vertices whose remaining out-degree is zero.
+  // parents (out-neighbors) are already placed. Every vertex enters the FIFO
+  // once, so `fifo` itself is the order; when u is popped its parents are
+  // all placed, so len[u] is final and relaxes u's children.
   const V n = g_->num_vertices();
   std::vector<int> remaining(static_cast<std::size_t>(n));
-  std::deque<V> ready;
+  fifo.clear();
+  fifo.reserve(static_cast<std::size_t>(n));
+  len.assign(static_cast<std::size_t>(n), 0);
   for (V v = 0; v < n; ++v) {
     remaining[static_cast<std::size_t>(v)] = out_degree(v);
-    if (remaining[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+    if (remaining[static_cast<std::size_t>(v)] == 0) fifo.push_back(v);
   }
-  std::vector<V> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const V u = ready.front();
-    ready.pop_front();
-    order.push_back(u);
-    // Every child of u (in-neighbor) loses one pending parent.
-    const int deg = g_->degree(u);
-    for (int p = 0; p < deg; ++p) {
-      if (!is_in(u, p)) continue;
-      const V child = g_->neighbor(u, p);
-      if (--remaining[static_cast<std::size_t>(child)] == 0) ready.push_back(child);
+  for (std::size_t head = 0; head < fifo.size(); ++head) {
+    const V u = fifo[head];
+    const int next = len[static_cast<std::size_t>(u)] + 1;
+    const auto row = g_->neighbors(u);
+    const std::int8_t* dir = dir_.data() + g_->slot(u, 0);
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      if (dir[p] != static_cast<std::int8_t>(EdgeDir::In)) continue;
+      // Every child of u (in-neighbor) loses one pending parent.
+      const auto child = static_cast<std::size_t>(row[p]);
+      len[child] = std::max(len[child], next);
+      if (--remaining[child] == 0) fifo.push_back(row[p]);
     }
   }
-  DVC_ENSURE(static_cast<V>(order.size()) == n,
+  return static_cast<V>(fifo.size());
+}
+
+std::vector<V> Orientation::topological_order_parents_first() const {
+  std::vector<V> order;
+  std::vector<int> len;
+  DVC_ENSURE(kahn_parents_first(order, len) == g_->num_vertices(),
              "orientation has a directed cycle");
   return order;
 }
 
 bool Orientation::is_acyclic() const {
-  const V n = g_->num_vertices();
-  std::vector<int> remaining(static_cast<std::size_t>(n));
-  std::deque<V> ready;
-  for (V v = 0; v < n; ++v) {
-    remaining[static_cast<std::size_t>(v)] = out_degree(v);
-    if (remaining[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-  }
-  V placed = 0;
-  while (!ready.empty()) {
-    const V u = ready.front();
-    ready.pop_front();
-    ++placed;
-    const int deg = g_->degree(u);
-    for (int p = 0; p < deg; ++p) {
-      if (!is_in(u, p)) continue;
-      const V child = g_->neighbor(u, p);
-      if (--remaining[static_cast<std::size_t>(child)] == 0) ready.push_back(child);
-    }
-  }
-  return placed == n;
+  std::vector<V> fifo;
+  std::vector<int> len;
+  return kahn_parents_first(fifo, len) == g_->num_vertices();
 }
 
 std::vector<int> Orientation::lengths() const {
-  const std::vector<V> order = topological_order_parents_first();
-  std::vector<int> len(static_cast<std::size_t>(g_->num_vertices()), 0);
-  for (const V v : order) {
-    const int deg = g_->degree(v);
-    int best = 0;
-    for (int p = 0; p < deg; ++p) {
-      if (!is_out(v, p)) continue;
-      best = std::max(best, 1 + len[static_cast<std::size_t>(g_->neighbor(v, p))]);
-    }
-    len[static_cast<std::size_t>(v)] = best;
-  }
+  std::vector<V> fifo;
+  std::vector<int> len;
+  DVC_ENSURE(kahn_parents_first(fifo, len) == g_->num_vertices(),
+             "orientation has a directed cycle");
   return len;
 }
 

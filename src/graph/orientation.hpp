@@ -92,6 +92,11 @@ class Orientation {
   void complete_acyclic();
 
  private:
+  /// Kahn's algorithm, parents first: fills `fifo` with the placed vertices
+  /// in order and `len` with their lengths(). Returns the number placed (n
+  /// iff the oriented part is acyclic).
+  V kahn_parents_first(std::vector<V>& fifo, std::vector<int>& len) const;
+
   const Graph* g_;
   std::vector<std::int8_t> dir_;  // indexed by slot
 };

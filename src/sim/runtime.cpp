@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <limits>
+#include <ranges>
 
 #include "common/check.hpp"
 #include "common/math.hpp"
@@ -405,14 +406,24 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   if (n > 0 && s > n) s = n;
   if (n == 0) s = 1;
   num_shards_ = static_cast<int>(s);
-  chunk_ = n > 0 ? static_cast<V>((n + s - 1) / s) : 1;
-  shards_.resize(static_cast<std::size_t>(num_shards_));
-  for (int i = 0; i < num_shards_; ++i) {
-    shards_[static_cast<std::size_t>(i)].first = static_cast<V>(
-        std::min<std::int64_t>(n, std::int64_t{i} * chunk_));
-    shards_[static_cast<std::size_t>(i)].last = static_cast<V>(
-        std::min<std::int64_t>(n, (std::int64_t{i} + 1) * chunk_));
+  // Cost-balanced contiguous partition: cut k is the first vertex whose
+  // prefix cost slot(v, 0) + kVertexCost * v (monotone in v) reaches k/s of
+  // the total, kept at least one vertex past the previous cut and short
+  // enough to leave one vertex for every later shard.
+  const auto prefix_cost = [&](V v) { return g.slot(v, 0) + kVertexCost * v; };
+  const std::int64_t total = prefix_cost(n);
+  bounds_.assign(static_cast<std::size_t>(num_shards_) + 1, n);
+  bounds_[0] = 0;
+  for (int k = 1; k < num_shards_; ++k) {
+    const std::int64_t target = total / s * k + total % s * k / s;
+    const V lo = bounds_[static_cast<std::size_t>(k) - 1] + 1;
+    const auto cut = std::views::iota(lo, static_cast<V>(n - s + k));
+    bounds_[static_cast<std::size_t>(k)] =
+        lo + static_cast<V>(std::ranges::partition_point(cut, [&](V v) {
+               return prefix_cost(v) < target;
+             }) - cut.begin());
   }
+  shards_.resize(static_cast<std::size_t>(num_shards_));
 
   // All slot- and vertex-sized state is allocated here, once per session;
   // run_phase only resets it. The slot- and vertex-indexed arrays are
@@ -443,9 +454,11 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     // first of a cold phase -- provably allocation-free in the delivery
     // path.
     Shard& sh = shards_[static_cast<std::size_t>(i)];
+    sh.first = bounds_[static_cast<std::size_t>(i)];
+    sh.last = bounds_[static_cast<std::size_t>(i) + 1];
     const auto range = static_cast<std::size_t>(sh.last - sh.first);
-    sh.slot_lo = sh.first < n ? g.slot(sh.first, 0) : g.num_slots();
-    sh.slot_hi = sh.last < n ? g.slot(sh.last, 0) : g.num_slots();
+    sh.slot_lo = g.slot(sh.first, 0);
+    sh.slot_hi = g.slot(sh.last, 0);
     sh.live.reserve(range);
     for (Arena& arena : arenas_) {
       arena.speakers[static_cast<std::size_t>(i)].reserve(range);
@@ -693,13 +706,16 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
   if (grouped) gather_grouped(shard, in, want);
 
   Inbox& inbox = sh.inbox;
+  // A receiver's neighbors ascend in both delivery modes, so the sending
+  // shard of each is found by advancing a cursor over the boundaries.
+  std::size_t su = 0;
+  const auto words_of = [&](V u) {
+    while (u >= bounds_[su + 1]) ++su;
+    return in.words[su].data();
+  };
   // Appends what neighbor u (on port p, receiver slot s) sent last round:
   // its broadcast from the lane, else a per-port message from the slot
   // arena. Without the lane every message is a slot cell.
-  const auto words_of = [&](V u) {
-    return in.words[num_shards_ == 1 ? 0 : static_cast<std::size_t>(shard_of(u))]
-        .data();
-  };
   const auto take = [&](int p, V u, std::size_t s) {
     if (lane_) {
       const SenderRecord& rec = in.record[static_cast<std::size_t>(u)];
@@ -727,6 +743,7 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
   for (std::size_t i = 0; i < live_count; ++i) {
     const V v = sh.live[i];
     inbox.msgs_.clear();
+    su = 0;
     const auto row = g_->neighbors(v);
     const std::int64_t base = g_->slot(v, 0);
     if (grouped) {

@@ -54,9 +54,10 @@
 // (sparse rounds). Per-round cost is O(live + messages); both modes are
 // bit-identical in outputs, RunStats and PhaseLog.
 //
-// Sharded execution: the vertex set is split into `shards` fixed contiguous
-// blocks; each round, shards step their vertices concurrently and write
-// into per-shard arenas that are merged in canonical slot order (implicitly:
+// Sharded execution: the vertex set is split into `shards` contiguous blocks
+// of equal round work (degree plus a per-vertex constant, see kVertexCost);
+// each round, shards step their vertices concurrently and write into
+// per-shard arenas that are merged in canonical slot order (implicitly:
 // every inbox cell has a unique writer, so the merge is free). RunStats and
 // all program outputs are bit-identical for every shard count.
 //
@@ -514,8 +515,10 @@ class PhaseExecutor {
 class Runtime {
  public:
   /// `shards` <= 0 (the default) means one shard; shard counts above n are
-  /// clamped. Any shard count yields bit-identical RunStats and program
-  /// outputs. `inline_shards` keeps the same shard decomposition but
+  /// clamped. Shards are contiguous vertex blocks cut at equal prefix cost
+  /// sum(degree(v) + kVertexCost), a pure function of (graph, shards); any
+  /// shard count yields bit-identical RunStats and program outputs.
+  /// `inline_shards` keeps the same shard decomposition but
   /// spawns NO worker threads: multi-shard sweeps run sequentially on the
   /// calling thread (bit-identical, per the shard-determinism contract).
   /// Required for sessions that will host the distributed transport -- its
@@ -538,6 +541,12 @@ class Runtime {
 
   const Graph& graph() const { return *g_; }
   int shards() const { return num_shards_; }
+  /// The shard partition the session uses: shards() + 1 ascending vertex
+  /// ids, shard i owning [bounds[i], bounds[i + 1]). Read-only.
+  std::span<const V> shard_bounds() const { return bounds_; }
+  /// Round work of one vertex beyond its ports, in port units, that the
+  /// partition balances (measured in DESIGN.md, "Sharded execution").
+  static constexpr std::int64_t kVertexCost = 8;
 
   /// Session-level CONGEST budget: maximum payload width (words) of any
   /// single message, enforced on subsequent run_phase calls. 0 = unlimited
@@ -719,6 +728,12 @@ class Runtime {
   /// the allocating main thread does not fault the pages in first.)
   enum class Job { kInit, kBegin, kStep };
 
+  /// A per-shard container on cache lines of its own: shards append to
+  /// these on every send, so two shards' vector headers must never share a
+  /// line (false sharing).
+  template <typename T>
+  struct alignas(64) Padded : T {};
+
   /// A sender's per-round entry in the broadcast lane. `bcast_stamp` marks
   /// a broadcast whose payload sits at off/len in the sender shard's word
   /// buffer; `port_stamp` marks a round in which the vertex sent on at
@@ -750,13 +765,13 @@ class Runtime {
     /// Broadcast lane: one record per vertex (n entries, first-touch),
     /// written only by the sender's own shard.
     std::unique_ptr<SenderRecord[]> record;
-    std::vector<std::vector<std::int64_t>> words;  // one per shard
+    std::vector<Padded<std::vector<std::int64_t>>> words;  // one per shard
     /// The sparse-delivery index: per sending shard, the vertices that
     /// spoke this round, in send order. A vertex enters once per round (on
     /// its broadcast or its first port send), so reserving each list to its
     /// shard's vertex count keeps appends allocation-free. Cleared per
     /// round; capacity persists.
-    std::vector<std::vector<V>> speakers;
+    std::vector<Padded<std::vector<V>>> speakers;
 
     void clear_round() {
       for (auto& w : words) w.clear();
@@ -766,8 +781,9 @@ class Runtime {
 
   /// Mutable per-shard executor state. Everything a concurrent shard writes
   /// lives here (or in cells of the out-arena owned by this shard's
-  /// vertices), so the round loop needs no locks.
-  struct Shard {
+  /// vertices, or in its Padded arena entries), so the round loop needs no
+  /// locks; cache-line aligned so no two shards write the same line.
+  struct alignas(64) Shard {
     V first = 0, last = 0;  // vertex range [first, last)
     /// Slot range of the shard's vertices (contiguous because the vertex
     /// range is): its size is the exact upper bound on messages the shard
@@ -812,7 +828,11 @@ class Runtime {
     std::vector<std::uint32_t> grouped;
   };
 
-  int shard_of(V v) const { return static_cast<int>(v / chunk_); }
+  int shard_of(V v) const {
+    return static_cast<int>(
+        std::upper_bound(bounds_.begin() + 1, bounds_.end() - 1, v) -
+        bounds_.begin() - 1);
+  }
   /// First-touch initialization of the shard's slices of the slot-indexed
   /// arena arrays and vertex-indexed delivery metadata (Job::kInit).
   void init_shard(int shard);
@@ -859,7 +879,7 @@ class Runtime {
 
   const Graph* g_;
   int num_shards_ = 1;
-  V chunk_ = 1;
+  std::vector<V> bounds_;  // shard_bounds(): num_shards_ + 1 entries
   /// Cached g_->num_slots(): sizes the raw arena arrays (which, unlike
   /// vectors, do not carry their own length).
   std::int64_t slots_ = 0;
@@ -919,7 +939,7 @@ class Runtime {
   PhaseExecutor* phase_executor_ = nullptr;
   bool dist_capture_ = false;
   std::int64_t dist_slot_lo_ = 0, dist_slot_hi_ = 0;
-  std::vector<std::vector<std::int64_t>> dist_captured_;
+  std::vector<Padded<std::vector<std::int64_t>>> dist_captured_;
 
   // Parked worker pool: spawned once in the constructor, woken per
   // begin/step sweep, joined in the destructor.

@@ -1,15 +1,19 @@
 // Determinism guarantees of the mailbox runtime (DESIGN.md, "Sharded
 // execution"):
-//   1. RunStats and colorings are bit-identical for any shard count.
+//   1. RunStats and colorings are bit-identical for any shard count, also
+//      on hub-heavy graphs and across every other execution axis.
 //   2. Inbox contents are independent of the order in which a vertex issues
 //      its sends within a round (slot routing).
 //   3. The round loop performs no per-message heap allocations once warm
 //      (verified through a global operator-new counting hook).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
+#include "dist/dist.hpp"
+#include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 #include "sim/runtime.hpp"
 #include "test_support.hpp"
@@ -60,6 +64,90 @@ TEST(EngineDeterminism, MisIsBitIdenticalAcrossShardCounts) {
   const MisResult res = mis_graph(g, 3, knobs);
   EXPECT_EQ(res.in_mis, base.in_mis);
   EXPECT_TRUE(same_stats(res.total, base.total));
+}
+
+/// A star joined to a path: one hub holding half the star's slots, then a
+/// long degree-2 tail -- the cost-balanced shard cuts land far from equal
+/// vertex blocks.
+Graph star_and_path(V star, V path) {
+  EdgeList edges = star_graph(star).edges();
+  for (const auto& [u, v] : path_graph(path).edges()) {
+    edges.emplace_back(u + star, v + star);
+  }
+  edges.emplace_back(star - 1, star);  // a leaf to the path's head
+  return Graph::from_edges(star + path, edges);
+}
+
+TEST(EngineDeterminism, HubHeavyGraphsAreBitIdenticalOnEveryExecutionAxis) {
+  struct Input {
+    std::string name;
+    Graph g;
+    int bound;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"rmat", rmat_graph(10, 8, 5), 0});
+  inputs.back().bound = degeneracy(inputs.back().g);
+  inputs.push_back({"star+path", star_and_path(200, 300), 1});
+  Knobs knobs;
+  knobs.congest_words = kCongestWordsPaperPath;
+  const sim::FaultPlan oracle = dvc_test::port_scan_oracle_plan();
+  Knobs armed = knobs;
+  armed.fault_plan = &oracle;
+
+  for (const Input& in : inputs) {
+    for (int p = 0; p < kNumPresets; ++p) {
+      const auto preset = static_cast<Preset>(p);
+      SCOPED_TRACE(in.name + " " + preset_name(preset));
+      const auto run = [&](sim::Runtime& rt, const Knobs& k) {
+        return color_graph(rt, in.bound, preset, k);
+      };
+      sim::Runtime base_rt(in.g, 1);
+      const LegalColoringResult base = run(base_rt, knobs);
+      const auto expect_same = [&](const LegalColoringResult& got,
+                                   const std::string& axis) {
+        EXPECT_EQ(got.colors, base.colors) << axis;
+        EXPECT_TRUE(same_stats(got.total, base.total)) << axis;
+        EXPECT_TRUE(got.phases == base.phases) << axis;
+      };
+      for (const int shards : {2, 3, 4, 8}) {
+        sim::Runtime rt(in.g, shards);
+        expect_same(run(rt, knobs), "shards=" + std::to_string(shards));
+      }
+      {
+        sim::Runtime rt(in.g, 4, /*inline_shards=*/true);
+        expect_same(run(rt, knobs), "inline shards=4");
+      }
+      {
+        sim::Runtime rt(in.g, 4);
+        expect_same(run(rt, armed), "port-scan oracle, shards=4");
+      }
+      for (const int workers : {2, 3}) {
+        sim::Runtime rt(in.g, 4, /*inline_shards=*/true);
+        dist::DistConfig cfg;
+        cfg.workers = workers;
+        cfg.backend = dist::Backend::kLoopback;
+        dist::DistSession session(rt, cfg);
+        expect_same(run(rt, knobs),
+                    "loopback, workers=" + std::to_string(workers));
+      }
+      // Checkpoint at a phase boundary on 3 shards, resume on 8.
+      struct Abort {};
+      std::vector<std::uint8_t> ckpt;
+      sim::Runtime victim(in.g, 3);
+      int seen = 0;
+      victim.set_interrupt([&] {
+        if (seen++ == 2) {
+          ckpt = victim.checkpoint();
+          throw Abort{};
+        }
+      });
+      EXPECT_THROW(run(victim, knobs), Abort);
+      ASSERT_FALSE(ckpt.empty());
+      sim::Runtime resumed(in.g, 8);
+      resumed.resume(ckpt);
+      expect_same(run(resumed, knobs), "checkpoint at shards=3, resume at 8");
+    }
+  }
 }
 
 // --- 2. Send-order invariance within a round ------------------------------

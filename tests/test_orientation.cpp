@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/prng.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
 
@@ -44,14 +49,22 @@ TEST(Orientation, DegreesAndDeficit) {
 }
 
 TEST(Orientation, DetectsCycle) {
-  Graph c = cycle_graph(3);
-  Orientation o(c);
-  o.orient_out(0, c.port_of(0, 1));
-  o.orient_out(1, c.port_of(1, 2));
-  o.orient_out(2, c.port_of(2, 0));
-  EXPECT_FALSE(o.is_acyclic());
-  EXPECT_THROW(o.topological_order_parents_first(), invariant_error);
-  EXPECT_THROW(o.lengths(), invariant_error);
+  // A directed cycle of every length 3..8 with an acyclic tail vertex
+  // pointing into it, so the cycle is not the whole graph.
+  for (V k = 3; k <= 8; ++k) {
+    EdgeList edges;
+    for (V v = 0; v < k; ++v) edges.emplace_back(v, (v + 1) % k);
+    edges.emplace_back(0, k);
+    const Graph g = Graph::from_edges(k + 1, edges);
+    Orientation o(g);
+    for (V v = 0; v < k; ++v) o.orient_out(v, g.port_of(v, (v + 1) % k));
+    o.orient_out(k, g.port_of(k, 0));
+    SCOPED_TRACE("cycle length " + std::to_string(k));
+    EXPECT_FALSE(o.is_acyclic());
+    EXPECT_THROW(o.topological_order_parents_first(), invariant_error);
+    EXPECT_THROW(o.lengths(), invariant_error);
+    EXPECT_THROW(o.length(), invariant_error);
+  }
 }
 
 TEST(Orientation, LengthOfDirectedPath) {
@@ -111,6 +124,53 @@ TEST(Orientation, AppendixALengthBoundsChromaticNumber) {
     Orientation o(k);
     o.complete_acyclic();
     EXPECT_GE(o.length(), n - 1);
+  }
+}
+
+/// Longest directed path from v by plain DFS over the out-edges: exponential
+/// in general, exact and obviously correct on the <= 8-vertex DAGs below.
+int dfs_length(const Orientation& o, V v) {
+  int best = 0;
+  for (int p = 0; p < o.graph().degree(v); ++p) {
+    if (o.is_out(v, p)) {
+      best = std::max(best, 1 + dfs_length(o, o.graph().neighbor(v, p)));
+    }
+  }
+  return best;
+}
+
+TEST(Orientation, LengthsMatchBruteForceDfsOnRandomSmallDags) {
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<V>(rng.uniform_in(1, 8));
+    // Random edge set; arrows follow a random vertex ranking (acyclic), and
+    // about a quarter of the edges stay unoriented (a partial orientation).
+    EdgeList edges;
+    for (V u = 0; u < n; ++u) {
+      for (V v = u + 1; v < n; ++v) {
+        if (rng.uniform(2) == 0) edges.emplace_back(u, v);
+      }
+    }
+    std::vector<std::uint64_t> rank(static_cast<std::size_t>(n));
+    for (auto& r : rank) r = rng.next_u64();
+    const Graph g = Graph::from_edges(n, edges);
+    Orientation o(g);
+    for (const auto& [u, v] : edges) {
+      if (rng.uniform(4) == 0) continue;
+      const bool up = rank[static_cast<std::size_t>(u)] <
+                      rank[static_cast<std::size_t>(v)];
+      o.orient_out(up ? u : v, up ? g.port_of(u, v) : g.port_of(v, u));
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_TRUE(o.is_acyclic());
+    const std::vector<int> len = o.lengths();
+    ASSERT_EQ(len.size(), static_cast<std::size_t>(n));
+    int longest = 0;
+    for (V v = 0; v < n; ++v) {
+      EXPECT_EQ(len[static_cast<std::size_t>(v)], dfs_length(o, v));
+      longest = std::max(longest, len[static_cast<std::size_t>(v)]);
+    }
+    EXPECT_EQ(o.length(), longest);
   }
 }
 

@@ -10,8 +10,12 @@
 //      runtime-side heap allocations end to end.
 //   4. The PhaseLog is a consistent tree: spans aggregate their subtrees
 //      and slices rebase cleanly.
+//   5. Shard boundaries are contiguous, cost-balanced and a pure function
+//      of (graph, shard count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -739,6 +743,54 @@ TEST(Runtime, PaperPipelineRunsUnderItsDeclaredCongestBudget) {
   EXPECT_LE(res.total.max_msg_words,
             static_cast<std::uint32_t>(kCongestWordsPaperPath));
   EXPECT_GT(res.total.max_msg_words, 0u);
+}
+
+// --- Shard partition (DESIGN.md, "Sharded execution") ---------------------
+
+TEST(Runtime, ShardBoundariesAreContiguousCostBalancedAndPure) {
+  constexpr std::int64_t kCost = sim::Runtime::kVertexCost;
+  struct Case {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"empty", Graph::from_edges(0, {})});
+  cases.push_back({"fewer vertices than shards", path_graph(3)});
+  cases.push_back({"star (hub holds half the slots)", star_graph(1000)});
+  cases.push_back({"all isolated", Graph::from_edges(100, {})});
+  cases.push_back({"rmat", rmat_graph(12, 8, 3)});
+  for (const Case& c : cases) {
+    const V n = c.g.num_vertices();
+    std::int64_t total = 0, max_cost = 0;
+    for (V v = 0; v < n; ++v) {
+      total += c.g.degree(v) + kCost;
+      max_cost = std::max<std::int64_t>(max_cost, c.g.degree(v) + kCost);
+    }
+    for (const int shards : {1, 2, 3, 4, 8, 64}) {
+      SCOPED_TRACE(c.name + ", shards=" + std::to_string(shards));
+      const sim::Runtime rt(c.g, shards);
+      const auto b = rt.shard_bounds();
+      const std::int64_t s = rt.shards();
+      ASSERT_EQ(b.size(), static_cast<std::size_t>(s) + 1);
+      EXPECT_EQ(b.front(), 0);
+      EXPECT_EQ(b.back(), n);
+      EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+      // A pure function of (graph, shard count): a second session, threaded
+      // or inline, cuts at the same vertices.
+      const sim::Runtime again(c.g, shards, /*inline_shards=*/true);
+      EXPECT_TRUE(std::ranges::equal(b, again.shard_bounds()));
+      for (std::int64_t i = 0; i < s; ++i) {
+        const auto first = b[static_cast<std::size_t>(i)];
+        const auto last = b[static_cast<std::size_t>(i) + 1];
+        if (n >= s) EXPECT_LT(first, last) << "shard " << i << " is empty";
+        std::int64_t cost = 0;
+        for (V v = first; v < last; ++v) cost += c.g.degree(v) + kCost;
+        // |cost - total / s| <= max_cost, kept in integers.
+        EXPECT_LE(std::abs(cost * s - total), max_cost * s)
+            << "shard " << i << " costs " << cost << " of " << total;
+      }
+    }
+  }
 }
 
 // --- 5. PhaseLog tree consistency ------------------------------------------
