@@ -1,7 +1,7 @@
-// Minimal machine-readable benchmark output: every bench_* binary that
-// tracks the perf trajectory across PRs appends flat records and writes one
-// BENCH_<name>.json file (a JSON array of objects) into the working
-// directory. Keys are stable; values are strings, integers or doubles.
+// Minimal machine-readable benchmark output: every bench_* binary appends
+// flat records and writes one BENCH_<name>.json file (a JSON array of
+// objects) into the working directory. Keys are stable; values are strings,
+// integers or doubles.
 #pragma once
 
 #include <chrono>
@@ -66,19 +66,15 @@ class JsonRecord {
   std::string body_;
 };
 
-/// Collects records and writes BENCH_<name>.json on destruction (or when
-/// flush() is called explicitly).
+/// Collects records and writes BENCH_<name>.json on destruction.
 class JsonSink {
  public:
   explicit JsonSink(const std::string& bench_name)
       : path_("BENCH_" + bench_name + ".json") {}
-  ~JsonSink() { flush(); }
 
   void add(const JsonRecord& record) { records_.push_back(record.str()); }
 
-  void flush() {
-    if (flushed_) return;
-    flushed_ = true;
+  ~JsonSink() {
     std::ofstream out(path_);
     out << "[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
@@ -91,7 +87,6 @@ class JsonSink {
  private:
   std::string path_;
   std::vector<std::string> records_;
-  bool flushed_ = false;
 };
 
 }  // namespace dvc::benchio

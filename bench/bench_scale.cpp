@@ -3,12 +3,14 @@
 // with a paper-path preset under the CONGEST budget, and report the full
 // memory story: per-array CSR bytes, runtime arena bytes, bytes per vertex
 // and per slot, and the process peak RSS. Every configuration appends a
-// "scale"-schema record to BENCH_scale.json (CI gates on peak_rss_bytes,
-// bytes_per_vertex and rounds_per_sec being present and positive).
+// "scale"-schema record to BENCH_scale.json. The run exits nonzero when a
+// coloring is illegal or uses more colors than its palette formula, when
+// peak_rss_bytes, bytes_per_vertex or rounds_per_sec is missing or
+// non-positive, or when the steady state breaks the 64 B/slot budget.
 //
 //   ./bench_scale [--scale=20] [--edgefactor=16] [--family=rmat|ba|both]
 //                 [--preset=polylog] [--seed=1] [--shards=1]
-//   ./bench_scale --smoke      # scale-16 CI gate, exits nonzero on failure
+//   ./bench_scale --smoke      # scale-16 ctest gate on both families
 //
 // The scale-24 budget this bench exists to police (see DESIGN.md, "Memory
 // layout & giant graphs"): graph + runtime state must stay under 64 bytes
@@ -83,6 +85,12 @@ bool run_config(benchio::JsonSink& sink, const std::string& family, int scale,
   bool ok = true;
   if (!is_legal_coloring(g, res.colors)) {
     std::cout << "   FAILURE: coloring is not legal\n";
+    ok = false;
+  }
+  if (static_cast<std::uint64_t>(res.distinct) > res.palette_formula) {
+    std::cout << "   FAILURE: " << res.distinct
+              << " colors exceed the palette formula's "
+              << res.palette_formula << "\n";
     ok = false;
   }
 

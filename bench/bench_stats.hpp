@@ -1,31 +1,17 @@
-// Shared timing/aggregation helpers for the bench_* binaries.
-//
-// Before this header, bench_micro and bench_comparison each hand-rolled
-// their aggregation (best-of-N min loops, peak-of-series scans); the service
-// load generator needs full latency percentiles on top. One copy lives
-// here:
+// Shared timing/aggregation helpers for the bench_* binaries:
 //   * min_ms_over(reps, fn)      -- best-of-N wall time of a callable;
-//   * summarize_ms(samples)      -- min/mean/p50/p95/p99/max of a latency
-//                                   sample set (nearest-rank percentiles);
 //   * peak_round_words / peak_active -- maxima of the RunStats per-round
 //                                   series the records report;
 //   * peak_rss_bytes()           -- the process's high-water resident set,
-//                                   for the memory columns of the scale and
-//                                   service benches;
-//   * peak_rss_with_children_bytes() -- the same plus reaped children, for
-//                                   the multi-process dist bench.
+//                                   for the memory columns of the scale
+//                                   bench.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <thread>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "sim/runtime.hpp"
@@ -60,28 +46,6 @@ inline std::int64_t peak_rss_bytes() {
   return bytes;
 }
 
-/// Peak resident set of the calling process PLUS its reaped children, in
-/// bytes: self VmHWM (as peak_rss_bytes) + getrusage(RUSAGE_CHILDREN)
-/// ru_maxrss. The children term is the kernel's high-water mark over all
-/// WAITED-FOR descendants -- exactly the forked workers of a dist run once
-/// the coordinator has reaped them at the phase boundary -- so call it
-/// AFTER the distributed work completes. Like peak_rss_bytes it returns -1
-/// when the self reading is unavailable; a zero children term just means no
-/// child has been reaped (or none was ever forked). Note the children term
-/// is a MAX over children, not a sum across concurrently-live workers: it
-/// under-reports a W-worker fleet's aggregate footprint but is the only
-/// portable post-hoc reading, and the workers are COW forks of the
-/// coordinator anyway, so their private growth -- the interesting part --
-/// is what the max captures.
-inline std::int64_t peak_rss_with_children_bytes() {
-  const std::int64_t self = peak_rss_bytes();
-  if (self < 0) return -1;
-  struct rusage children {};
-  if (::getrusage(RUSAGE_CHILDREN, &children) != 0) return self;
-  // ru_maxrss is kilobytes on Linux.
-  return self + static_cast<std::int64_t>(children.ru_maxrss) * 1024;
-}
-
 /// Best-of-N wall-clock milliseconds of `fn` (the standard microbench
 /// reduction: the minimum is the least-noisy estimator of the true cost).
 template <typename Fn>
@@ -95,82 +59,6 @@ double min_ms_over(int reps, Fn&& fn) {
   return best;
 }
 
-/// Nearest-rank percentile of an ASCENDING-sorted sample set; p in
-/// [0, 100]: the ceil(p/100 * N)-th smallest value (1-based), so p50 of
-/// {1,2,3,4} is 2 and p99 of 100 samples is the 99th, not the maximum.
-inline double percentile_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const double exact = p / 100.0 * static_cast<double>(sorted.size());
-  auto rank = static_cast<std::size_t>(std::ceil(exact));
-  if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
-
-struct LatencySummary {
-  std::size_t count = 0;
-  double min_ms = 0.0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Order-insensitive summary of a latency sample set (sorts a copy).
-inline LatencySummary summarize_ms(std::vector<double> samples) {
-  LatencySummary s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  s.count = samples.size();
-  s.min_ms = samples.front();
-  s.max_ms = samples.back();
-  double sum = 0.0;
-  for (const double x : samples) sum += x;
-  s.mean_ms = sum / static_cast<double>(samples.size());
-  s.p50_ms = percentile_sorted(samples, 50.0);
-  s.p95_ms = percentile_sorted(samples, 95.0);
-  s.p99_ms = percentile_sorted(samples, 99.0);
-  return s;
-}
-
-/// Open-loop arrival pacer: the i-th arrival happens at start + i/rate,
-/// FIXED at construction -- arrivals do not slow down when the system
-/// saturates, which is what distinguishes open-loop load (a public queue:
-/// clients keep coming) from the closed-loop batch shape (each "client"
-/// waits for its previous job). Under open-loop overload the queue grows
-/// without bound unless admission control sheds; that makes this pacer the
-/// right driver for measuring shed rate and bounded-queue tail latency.
-class OpenLoopPacer {
- public:
-  explicit OpenLoopPacer(double arrivals_per_sec)
-      : period_(1.0 / arrivals_per_sec), start_(Clock::now()) {}
-
-  /// Sleeps until the next scheduled arrival instant and consumes it.
-  /// Returns the lateness in ms (>= 0 when the caller fell behind the
-  /// schedule -- e.g. a blocking submit -- 0 when it was on time).
-  double wait_for_next_arrival() {
-    const auto due =
-        start_ + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(period_ *
-                                                   static_cast<double>(next_)));
-    ++next_;
-    const auto now = Clock::now();
-    if (now < due) {
-      std::this_thread::sleep_until(due);
-      return 0.0;
-    }
-    return std::chrono::duration<double, std::milli>(now - due).count();
-  }
-
- private:
-  double period_;  // seconds between arrivals
-  Clock::time_point start_;
-  std::uint64_t next_ = 0;
-};
-
 /// Widest per-step payload burst of a phase (max of words_per_round).
 inline std::uint64_t peak_round_words(const sim::RunStats& stats) {
   std::uint64_t peak = 0;
@@ -183,16 +71,6 @@ inline std::int32_t peak_active(const sim::RunStats& stats) {
   std::int32_t peak = 0;
   for (const std::int32_t a : stats.active_per_round) peak = std::max(peak, a);
   return peak;
-}
-
-/// Adds the standard latency fields to a JSON record.
-inline JsonRecord& latency_fields(JsonRecord& record, const LatencySummary& s) {
-  return record.field("latency_min_ms", s.min_ms)
-      .field("latency_mean_ms", s.mean_ms)
-      .field("p50_ms", s.p50_ms)
-      .field("p95_ms", s.p95_ms)
-      .field("p99_ms", s.p99_ms)
-      .field("latency_max_ms", s.max_ms);
 }
 
 }  // namespace dvc::benchio

@@ -50,7 +50,7 @@ TEST(Activity, LegalColoringProfileCoversEveryRound) {
             res.total.rounds);
   // Section 1.4: most rounds keep most vertices active. Require a mean
   // activity of at least 30% as a conservative regression floor (measured
-  // values are far higher; see bench_parallelism).
+  // values are far higher).
   double sum = 0;
   for (const auto live : res.total.active_per_round) sum += live;
   const double mean_fraction =

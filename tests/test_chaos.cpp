@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <new>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -558,6 +559,78 @@ TEST(ServiceChaos, QuarantineBreakerStopsBurningRetries) {
   const auto m = svc.metrics();
   EXPECT_GE(m.quarantined, 2u);
   EXPECT_EQ(m.quarantined_digests, 1u);
+}
+
+TEST(ServiceChaos, ConcurrentFaultStormHealsBitIdentically) {
+  // A seeded storm through 4 workers: half the jobs carry a shard failure
+  // pinned to attempt 0 plus low-rate drops, corruption and stalls that
+  // re-roll per attempt. Every ticket must end kOk or kFailed with retries
+  // exhausted, and every ok job -- healed or not -- must be bitwise-equal
+  // to a fault-free solo run.
+  ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.retry.max_attempts = 4;
+  cfg.retry.backoff_base_ms = 0.1;
+  cfg.retry.backoff_cap_ms = 2.0;
+  // Far above any real idle stretch here: wired in, never tripping.
+  cfg.retry.watchdog_idle_rounds = 4096;
+  ColoringService svc(cfg);
+
+  struct Input {
+    Graph g;
+    GraphRef ref;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({planted_arboricity(600, 4, 1), {}});
+  inputs.push_back({barabasi_albert(600, 4, 2), {}});
+  for (Input& in : inputs) in.ref = svc.intern(in.g);
+  const Preset presets[] = {Preset::NearLinearColors, Preset::LinearColors};
+
+  constexpr int kJobs = 32;
+  std::vector<JobTicket> tickets;
+  for (int j = 0; j < kJobs; ++j) {
+    JobSpec spec;
+    spec.graph = inputs[j % 2].ref;
+    spec.arboricity_bound = 4;
+    spec.preset = presets[(j / 2) % 2];
+    if (j % 2 == 0) {
+      spec.fault_plan.seed = 1 + static_cast<std::uint64_t>(j);
+      spec.fault_plan.scheduled.push_back(
+          {sim::FaultKind::kShardFailure, /*phase=*/1, /*round=*/0,
+           /*shard=*/-1, /*salt=*/0});
+      spec.fault_plan.drop_rate = 0.001;
+      spec.fault_plan.corrupt_rate = 0.001;
+      spec.fault_plan.stall_rate = 0.01;
+      spec.fault_plan.stall_us = 50;
+    }
+    tickets.push_back(svc.submit(std::move(spec)));
+  }
+  svc.drain();
+
+  std::optional<LegalColoringResult> solo[2][std::size(presets)];
+  int recovered_jobs = 0;
+  for (int j = 0; j < kJobs; ++j) {
+    const JobResult res = svc.wait(tickets[j]);
+    if (!res.ok) {
+      EXPECT_EQ(res.status, JobStatus::kFailed)
+          << "job " << j << " ended " << service::job_status_name(res.status)
+          << ": " << res.error;
+      EXPECT_NE(res.error.find("transient fault persisted"), std::string::npos)
+          << "job " << j << ": " << res.error;
+      continue;
+    }
+    if (res.recovered) ++recovered_jobs;
+    std::optional<LegalColoringResult>& want = solo[j % 2][(j / 2) % 2];
+    if (!want) want = color_graph(inputs[j % 2].g, 4, presets[(j / 2) % 2]);
+    expect_identical(*want, res.result,
+                     "job " + std::to_string(j) + " (attempts " +
+                         std::to_string(res.attempts) + ") vs solo run");
+  }
+  const auto m = svc.metrics();
+  EXPECT_GT(m.faults_injected, 0u);
+  EXPECT_GT(m.retries, 0u);
+  EXPECT_GT(m.recoveries, 0u);
+  EXPECT_GT(recovered_jobs, 0) << "the storm healed no job";
 }
 
 TEST(ServiceChaos, CancelDuringFaultRetryBackoffIsTerminal) {

@@ -11,8 +11,11 @@
 // CI (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -719,6 +722,76 @@ TEST(Service, AdmissionControlShedsInsteadOfBlocking) {
   for (const JobTicket t : queued) {
     EXPECT_TRUE(svc.wait(t).ok) << "admitted jobs run to completion";
   }
+}
+
+TEST(Service, OverloadBurstShedsAndEveryTicketTerminates) {
+  // Arrivals that keep coming whatever the service completes: with shedding
+  // on, a submit never blocks, the queue never holds more than its
+  // capacity, and every ticket ends kOk or kRejected. Every 4th arrival
+  // repeats the previous one exactly, so the result cache answers it.
+  const Graph graph = planted_arboricity(200, 3, 47);
+  ServiceConfig config;
+  config.workers = 1;  // FIFO: a repeat always runs after its original
+  config.queue_capacity = 4;
+  config.start_paused = true;  // the first burst saturates deterministically
+  config.shed_on_saturation = true;
+  ColoringService svc(config);
+  const GraphRef g = svc.intern(graph);
+
+  auto spec_for = [&](int arrival) {
+    JobSpec spec;
+    spec.graph = g;
+    spec.arboricity_bound = 3;
+    spec.preset = arrival % 2 == 0 ? Preset::NearLinearColors
+                                   : Preset::LinearColors;
+    // A jitter far below anything eps scales keys a distinct cache entry.
+    spec.knobs.eps = 0.25 + 1e-9 * arrival;
+    return spec;
+  };
+  std::vector<JobSpec> sent;
+  std::vector<JobTicket> tickets;
+  std::size_t max_depth = 0;
+  // Submits `arrivals` more jobs off-thread; false when they block.
+  auto burst = [&](int arrivals) {
+    auto done = std::async(std::launch::async, [&] {
+      for (int i = 0; i < arrivals; ++i) {
+        const int arrival = static_cast<int>(sent.size());
+        sent.push_back(spec_for(arrival % 4 == 3 ? arrival - 1 : arrival));
+        tickets.push_back(svc.submit(sent.back()));
+        max_depth = std::max(max_depth, svc.metrics().queue_depth);
+      }
+    });
+    const bool returned = done.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    if (!returned) svc.resume();  // unblock the stuck submit before failing
+    done.get();
+    return returned;
+  };
+
+  ASSERT_TRUE(burst(2 * static_cast<int>(config.queue_capacity)))
+      << "a shedding submit blocked on a paused service";
+  EXPECT_EQ(svc.metrics().shed, config.queue_capacity)
+      << "a paused queue admits exactly its capacity";
+  svc.resume();
+  ASSERT_TRUE(burst(24)) << "a shedding submit blocked under load";
+  svc.drain();
+
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const JobResult res = svc.wait(tickets[i]);
+    if (res.status == JobStatus::kRejected) continue;
+    expect_same_result(color_graph(graph, 3, sent[i].preset, sent[i].knobs),
+                       res,
+                       "arrival " + std::to_string(i) +
+                           (res.cache_hit ? " (cache hit)" : ""));
+  }
+  const ServiceMetrics m = svc.metrics();
+  EXPECT_LE(max_depth, config.queue_capacity);
+  EXPECT_EQ(m.queue_capacity, config.queue_capacity);
+  EXPECT_GT(m.shed, 0u);
+  EXPECT_EQ(m.submitted, sent.size());
+  EXPECT_EQ(m.completed, m.submitted);
+  EXPECT_EQ(m.ok + m.shed, m.submitted) << "only kOk and kRejected expected";
+  EXPECT_GT(m.cache_hit_ratio, 0.0);
 }
 
 TEST(Service, DigestClassSheddingProtectsDiversity) {

@@ -21,9 +21,11 @@ side). An end-to-end metric of BENCHMARK.json reads:
                 and not every change run beats every parent run;
     ok          otherwise.
 
-A rise in the failed share (failed / attempted) is flagged too. Exit status:
-0 when nothing is flagged, 1 when a metric is WORSE or the failed share
-rose, 2 when the runs cannot be compared.
+A rise in the failed share (failed / attempted) is flagged too. A run that
+lacks a metric BENCHMARK.json declares for its mode (end-to-end untraced,
+per-layer traced) cannot be compared. Exit status: 0 when nothing is
+flagged, 1 when a metric is WORSE or the failed share rose, 2 when the runs
+cannot be compared.
 """
 import argparse
 import json
@@ -86,6 +88,16 @@ def quartiles(values):
 def compare(parent, change, spec):
     """Returns (report lines, flagged) for two lists of parsed runs."""
     workload = check_comparable(parent, change)
+    # run.py prints the end-to-end metrics of untraced runs and the
+    # per-layer metrics of traced ones; a declared metric a run lacks would
+    # otherwise drop out of the table unseen.
+    declared = spec["per_layer" if workload.endswith(" trace 1") else "end_to_end"]
+    for side, runs in (("parent", parent), ("change", change)):
+        for i, run in enumerate(runs):
+            missing = [m["name"] for m in declared
+                       if m["name"] not in run["result"]["metrics"]]
+            if missing:
+                raise Refused(f"{side} run {i + 1} lacks {', '.join(missing)}")
     bounds = {m["name"]: m for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     names = [n for n in parent[0]["result"]["metrics"]
@@ -214,6 +226,18 @@ def selftest():
             checks += 1
         else:
             raise AssertionError(f"runs with {what} were compared")
+    # A declared metric missing from any run, on either side, is refused.
+    full = [canned_run("X", "git:b", w) for w in parent_walls]
+    dropped = [full[0].replace('"msgs_per_s"', '"msgs_per_s_gone"')] + full[1:]
+    for parent_text, change_text, what in (
+            (parent, "".join(dropped), "change"),
+            ("".join(dropped), "".join(full), "parent")):
+        try:
+            verdicts(change_text, parent_text)
+        except Refused:
+            checks += 1
+        else:
+            raise AssertionError(f"a {what} run without msgs_per_s was compared")
     try:
         parse_runs("wall_s 1 s\n", "empty")
     except Refused:
