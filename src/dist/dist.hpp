@@ -71,7 +71,8 @@ struct DistConfig {
 /// identical frames); declared_words/declared_messages are the phase's
 /// RunStats totals -- the CONGEST-model cost the paper reasons about. The
 /// ratio of measured bytes to declared words is the transport's framing
-/// overhead, reported by bench_dist.
+/// overhead, reported as dist.bytes_per_declared_word by the
+/// dist-fork-planted benchmark workload.
 struct PhaseWireMetrics {
   std::string label;
   int phase = -1;

@@ -31,16 +31,22 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
   return detail::digest_mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
-void validate_dist_spec(const JobSpec::DistSpec& dist) {
-  DVC_REQUIRE(dist.workers >= 0,
+/// The admission check every submit path runs before admitting a spec.
+void validate_spec(const JobSpec& spec) {
+  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
+  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
+  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
+              "Knobs::fault_plan is a borrowed pointer for direct calls; "
+              "service jobs carry the plan by value in JobSpec::fault_plan");
+  DVC_REQUIRE(spec.dist.workers >= 0,
               "JobSpec::dist.workers must be >= 0 (0 = in-process)");
-  DVC_REQUIRE(dist.kill_attempt >= 0,
+  DVC_REQUIRE(spec.dist.kill_attempt >= 0,
               "JobSpec::dist.kill_attempt must be >= 0");
 }
 
 double percentile_sorted_ms(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
-  // Nearest-rank, matching bench_stats.hpp: ceil(q * n) clamped to [1, n].
+  // Nearest-rank: the ceil(q * n)-th smallest sample, rank clamped to [1, n].
   std::size_t rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(sorted.size())));
   if (rank < 1) rank = 1;
@@ -296,18 +302,13 @@ JobTicket ColoringService::admit_locked(JobSpec& spec, Job& out) {
   return JobTicket{out.id};
 }
 
-void ColoringService::forget_queued_locked(const Job& job) {
-  const auto it = digest_queued_.find(job.spec.graph.digest);
+void ColoringService::forget_queued_locked(std::uint64_t digest) {
+  const auto it = digest_queued_.find(digest);
   if (it != digest_queued_.end() && --it->second == 0) digest_queued_.erase(it);
 }
 
 JobTicket ColoringService::submit(JobSpec spec) {
-  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-              "Knobs::fault_plan is a borrowed pointer for direct calls; "
-              "service jobs carry the plan by value in JobSpec::fault_plan");
-  validate_dist_spec(spec.dist);
+  validate_spec(spec);
   Job job;
   JobTicket ticket;
   const char* rejection = nullptr;
@@ -349,10 +350,7 @@ JobTicket ColoringService::submit(JobSpec spec) {
     // stays claimable and drain() still converges.
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto it = digest_queued_.find(digest);
-      if (it != digest_queued_.end() && --it->second == 0) {
-        digest_queued_.erase(it);
-      }
+      forget_queued_locked(digest);
     }
     JobResult failed;
     failed.id = id;
@@ -367,12 +365,7 @@ JobTicket ColoringService::submit(JobSpec spec) {
 }
 
 std::optional<JobTicket> ColoringService::try_submit(JobSpec spec) {
-  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-              "Knobs::fault_plan is a borrowed pointer for direct calls; "
-              "service jobs carry the plan by value in JobSpec::fault_plan");
-  validate_dist_spec(spec.dist);
+  validate_spec(spec);
   // The id/submitted_ reservation and the non-blocking enqueue happen under
   // one state-lock hold: reserving first and rolling back on a full queue
   // would let a concurrent drain() capture a submitted_ target that no job
@@ -400,6 +393,9 @@ std::optional<JobTicket> ColoringService::try_submit(JobSpec spec) {
 }
 
 std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs) {
+  // The whole batch is checked before any spec is admitted: a throw from
+  // inside the admit loop would strand the specs admitted before it.
+  for (const JobSpec& spec : specs) validate_spec(spec);
   std::vector<JobTicket> tickets;
   tickets.reserve(specs.size());
   std::vector<Job> jobs;
@@ -412,13 +408,6 @@ std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs)
     std::lock_guard<std::mutex> lock(state_mutex_);
     DVC_REQUIRE(accepting_, "service is shut down");
     for (JobSpec& spec : specs) {
-      DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-      DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-      DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-                  "Knobs::fault_plan is a borrowed pointer for direct calls; "
-                  "service jobs carry the plan by value in "
-                  "JobSpec::fault_plan");
-      validate_dist_spec(spec.dist);
       const char* rejection =
           config_.shed_on_saturation
               ? admission_reject_locked(spec, jobs.size())
@@ -457,10 +446,7 @@ std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs)
       // cancel token is erased by deliver below).
       std::lock_guard<std::mutex> lock(state_mutex_);
       for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
-        const auto it = digest_queued_.find(admitted_ids[i].second);
-        if (it != digest_queued_.end() && --it->second == 0) {
-          digest_queued_.erase(it);
-        }
+        forget_queued_locked(admitted_ids[i].second);
       }
     }
     for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
@@ -659,7 +645,7 @@ void ColoringService::worker_loop() {
       // The job left the queue: its digest class no longer occupies queue
       // space, so the shedding policy must stop counting it.
       std::lock_guard<std::mutex> lock(state_mutex_);
-      forget_queued_locked(job);
+      forget_queued_locked(job.spec.graph.digest);
     }
     // Retry backoff booked at requeue time (deterministic per-job jitter).
     if (job.not_before != std::chrono::steady_clock::time_point{}) {
@@ -972,10 +958,7 @@ std::optional<JobResult> ColoringService::handle_transient(
     // and fail structurally so the ticket stays claimable.
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto it = digest_queued_.find(digest);
-      if (it != digest_queued_.end() && --it->second == 0) {
-        digest_queued_.erase(it);
-      }
+      forget_queued_locked(digest);
     }
     res.status = JobStatus::kFailed;
     res.ok = false;

@@ -488,7 +488,8 @@ class ColoringService {
   std::optional<JobTicket> try_submit(JobSpec spec);
   /// Enqueues the whole batch in order with bulk queue insertion; blocks
   /// for space as needed (per-job admission control applies first when
-  /// shedding is enabled). Tickets are returned in spec order.
+  /// shedding is enabled). Tickets are returned in spec order. An invalid
+  /// spec anywhere in the batch throws before any spec is admitted.
   std::vector<JobTicket> submit_batch(std::vector<JobSpec> specs);
 
   /// Blocks until the job completes and transfers its result out. Each
@@ -584,10 +585,10 @@ class ColoringService {
   /// Reserves an id and the queue-side bookkeeping (digest-class count,
   /// cancel token) for an admitted job. Requires state_mutex_.
   JobTicket admit_locked(JobSpec& spec, Job& out);
-  /// Rolls back admit_locked's bookkeeping for a job that never reached the
-  /// queue (shutdown race) or just left it (worker dequeue). Requires
-  /// state_mutex_.
-  void forget_queued_locked(const Job& job);
+  /// Drops one job of digest class `digest` from the queue-side occupancy
+  /// count: the job never reached the queue (shutdown race) or just left it
+  /// (worker dequeue). Requires state_mutex_.
+  void forget_queued_locked(std::uint64_t digest);
   bool claimed_locked(std::uint64_t id) const;
   void mark_claimed_locked(std::uint64_t id);
   void require_known_locked(std::uint64_t id) const;

@@ -3,9 +3,10 @@
 // test is REPRODUCIBILITY OF FAILURE: the same FaultPlan raises the same
 // structured error at the same (phase, round, shard) on every run and at
 // every shard count; a session that survived a fault keeps serving
-// bit-identical results; a checkpoint taken at any phase boundary resumes
-// to a bit-identical run; and a job the service healed through a retry is
-// bitwise-equal to a fault-free solo run.
+// bit-identical results; a checkpoint is rejected when foreign, corrupt or
+// replayed divergently (resume at every phase boundary is an axis of
+// tests/test_determinism_oracle.cpp); and a job the service healed through
+// a retry is bitwise-equal to a fault-free solo run.
 //
 // This file is the `chaos` ctest label and runs in BOTH the ASan+UBSan and
 // ThreadSanitizer CI legs (see .github/workflows/ci.yml): injected faults
@@ -30,6 +31,7 @@
 #include "service/service.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
+#include "determinism_oracle.hpp"
 #include "test_helpers.hpp"
 
 namespace dvc {
@@ -51,14 +53,6 @@ class Silent : public sim::VertexProgram {
   std::string name() const override { return "silent"; }
   void step(sim::Ctx&, const sim::Inbox&) override {}
 };
-
-void expect_identical(const LegalColoringResult& a, const LegalColoringResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.colors, b.colors) << what;
-  EXPECT_EQ(a.distinct, b.distinct) << what;
-  EXPECT_TRUE(a.total == b.total) << what;
-  EXPECT_TRUE(a.phases == b.phases) << what;
-}
 
 // ---------------------------------------------------------------------------
 // Fault injection: structured, deterministic, shard-count-invariant
@@ -278,7 +272,8 @@ TEST(Fault, DirectKnobsFaultPlanInstallsForTheCall) {
   chaos.fault_plan = &plan;
   const LegalColoringResult stalled =
       color_graph(g, 3, Preset::NearLinearColors, chaos);
-  expect_identical(plain, stalled, "stall-only plan through Knobs");
+  EXPECT_TRUE(dvc_test::bit_identical(plain, stalled))
+      << "stall-only plan through Knobs";
 }
 
 // ---------------------------------------------------------------------------
@@ -316,84 +311,6 @@ TEST(Watchdog, SilentProgramTripsPromptStructuralFailure) {
 
 // ---------------------------------------------------------------------------
 // Checkpoint / resume
-
-TEST(Checkpoint, ResumeAtEveryPhaseBoundaryIsBitIdentical) {
-  const Graph g = planted_arboricity(240, 3, 5);
-  constexpr int kBound = 3;
-  constexpr Preset kPreset = Preset::NearLinearColors;
-
-  // Baseline: count the pipeline's phase boundaries (the interrupt hook is
-  // polled exactly once at the top of every run_phase) and keep the result.
-  sim::Runtime base(g, 2);
-  int polls = 0;
-  base.set_interrupt([&polls] { ++polls; });
-  const LegalColoringResult baseline = color_graph(base, kBound, kPreset);
-  ASSERT_GT(polls, 2) << "pipeline too short to exercise boundaries";
-
-  struct Abort {};
-  const int total = polls;
-  for (int k = 0; k < total; ++k) {
-    SCOPED_TRACE("boundary " + std::to_string(k) + " of " +
-                 std::to_string(total));
-    // Kill the run at the k-th boundary, checkpointing on the way out.
-    std::vector<std::uint8_t> ckpt;
-    sim::Runtime victim(g, 2);
-    int seen = 0;
-    victim.set_interrupt([&] {
-      if (seen++ == k) {
-        ckpt = victim.checkpoint();
-        throw Abort{};
-      }
-    });
-    try {
-      color_graph(victim, kBound, kPreset);
-      FAIL() << "interrupt hook never fired";
-    } catch (const Abort&) {
-    }
-    ASSERT_FALSE(ckpt.empty());
-
-    // Resume into a FRESH session and re-run the pipeline from the top:
-    // the replay machinery verifies the first k phases against the
-    // checkpoint, and the final result must equal the uninterrupted run.
-    sim::Runtime resumed(g, 2);
-    resumed.resume(ckpt);
-    const LegalColoringResult after = color_graph(resumed, kBound, kPreset);
-    expect_identical(baseline, after, "resume at boundary " + std::to_string(k));
-  }
-}
-
-TEST(Checkpoint, ResumeCrossesShardCounts) {
-  // The checkpoint stores shard-agnostic boundary state, so a run killed at
-  // one shard count can resume at another -- and still lands bit-identical
-  // (the shard-count bit-identity contract composes with resume).
-  const Graph g = planted_arboricity(240, 3, 5);
-  constexpr int kBound = 3;
-  constexpr Preset kPreset = Preset::NearLinearColors;
-
-  sim::Runtime base(g, 8);
-  const LegalColoringResult baseline = color_graph(base, kBound, kPreset);
-
-  struct Abort {};
-  std::vector<std::uint8_t> ckpt;
-  sim::Runtime victim(g, 2);
-  int seen = 0;
-  victim.set_interrupt([&] {
-    if (seen++ == 3) {
-      ckpt = victim.checkpoint();
-      throw Abort{};
-    }
-  });
-  try {
-    color_graph(victim, kBound, kPreset);
-    FAIL() << "interrupt hook never fired";
-  } catch (const Abort&) {
-  }
-
-  sim::Runtime resumed(g, 8);
-  resumed.resume(ckpt);
-  const LegalColoringResult after = color_graph(resumed, kBound, kPreset);
-  expect_identical(baseline, after, "checkpoint at shards=2, resume at 8");
-}
 
 TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
   const Graph g = planted_arboricity(200, 3, 53);
@@ -490,7 +407,8 @@ TEST(ServiceChaos, RetryHealsTransientFaultBitIdentically) {
   ASSERT_EQ(res.status, JobStatus::kOk) << res.error;
   EXPECT_EQ(res.attempts, 2);
   EXPECT_TRUE(res.recovered);
-  expect_identical(solo, res.result, "healed job vs fault-free solo run");
+  EXPECT_TRUE(dvc_test::bit_identical(solo, res.result))
+      << "healed job vs fault-free solo run";
 
   const auto m = svc.metrics();
   EXPECT_EQ(m.retries, 1u);
@@ -622,9 +540,8 @@ TEST(ServiceChaos, ConcurrentFaultStormHealsBitIdentically) {
     if (res.recovered) ++recovered_jobs;
     std::optional<LegalColoringResult>& want = solo[j % 2][(j / 2) % 2];
     if (!want) want = color_graph(inputs[j % 2].g, 4, presets[(j / 2) % 2]);
-    expect_identical(*want, res.result,
-                     "job " + std::to_string(j) + " (attempts " +
-                         std::to_string(res.attempts) + ") vs solo run");
+    EXPECT_TRUE(dvc_test::bit_identical(*want, res.result))
+        << "job " << j << " (attempts " << res.attempts << ") vs solo run";
   }
   const auto m = svc.metrics();
   EXPECT_GT(m.faults_injected, 0u);
@@ -712,31 +629,15 @@ TEST(ServiceChaos, ArmedPlanBypassesResultCacheBothWays) {
   const JobResult stormed = svc.wait(svc.submit(chaotic));
   ASSERT_TRUE(stormed.ok) << stormed.error;
   EXPECT_FALSE(stormed.cache_hit) << "armed plan must bypass the cache";
-  expect_identical(fresh.result, stormed.result, "stall storm vs clean run");
+  EXPECT_TRUE(dvc_test::bit_identical(fresh.result, stormed.result))
+      << "stall storm vs clean run";
 
   // And the faulted run must not have poisoned the cache for clean jobs.
   const JobResult cached = svc.wait(svc.submit(clean));
   ASSERT_TRUE(cached.ok) << cached.error;
   EXPECT_TRUE(cached.cache_hit);
-  expect_identical(fresh.result, cached.result, "cache after storm");
-}
-
-TEST(ServiceChaos, BorrowedKnobsPlanPointerIsRejectedAtSubmit) {
-  // Knobs::fault_plan is a borrowed pointer for DIRECT calls; service jobs
-  // outlive the submitting frame, so the service refuses it up front
-  // instead of dereferencing a dangling pointer later.
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  ColoringService svc(cfg);
-  const GraphRef ref = svc.intern(cycle_graph(64));
-
-  sim::FaultPlan plan;
-  plan.stall_rate = 0.5;
-  JobSpec spec;
-  spec.graph = ref;
-  spec.arboricity_bound = 2;
-  spec.knobs.fault_plan = &plan;
-  EXPECT_THROW(svc.submit(spec), precondition_error);
+  EXPECT_TRUE(dvc_test::bit_identical(fresh.result, cached.result))
+      << "cache after storm";
 }
 
 }  // namespace

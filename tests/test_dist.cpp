@@ -1,9 +1,10 @@
 // Distributed transport suite (src/dist/, common/wire.hpp): the simulator's
-// round loop running across OS processes. The contract under test is the
-// ROADMAP acceptance bar: a preset pipeline run over the loopback or
-// fork/socketpair backend is BIT-IDENTICAL (colors, RunStats, PhaseLog) to
-// the in-process run at every shard and worker count; measured wire traffic
-// is reported next to the declared CONGEST words; and every transport
+// round loop running across OS processes. A preset pipeline run over the
+// loopback or fork/socketpair backend is BIT-IDENTICAL (colors, RunStats,
+// PhaseLog) to the in-process run at every shard and worker count -- an axis
+// of tests/test_determinism_oracle.cpp. Under test here: fork and loopback
+// put the same frames on the wire; measured wire traffic is reported next
+// to the declared CONGEST words; and every transport
 // failure edge -- truncated frame, checksum-corrupted frame, a worker
 // SIGKILLed mid-round, coordinator teardown with frames in flight --
 // surfaces as the structured error taxonomy (corruption_error /
@@ -33,6 +34,7 @@
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 #include "sim/runtime.hpp"
+#include "determinism_oracle.hpp"
 #include "test_helpers.hpp"
 
 namespace dvc {
@@ -59,14 +61,6 @@ class DistFlood : public FloodAll {
   void save_vertex_state(V, wire::ByteWriter&) const override {}
   void load_vertex_state(V, wire::ByteReader&) override {}
 };
-
-void expect_identical(const LegalColoringResult& a,
-                      const LegalColoringResult& b, const std::string& what) {
-  EXPECT_EQ(a.colors, b.colors) << what;
-  EXPECT_EQ(a.distinct, b.distinct) << what;
-  EXPECT_TRUE(a.total == b.total) << what;
-  EXPECT_TRUE(a.phases == b.phases) << what;
-}
 
 /// No unreaped child processes may survive a DistSession: the coordinator
 /// reaps every forked worker at phase end and on every failure path.
@@ -189,117 +183,70 @@ TEST(Wire, ChecksumMatchesCheckpointIdiom) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: distributed == in-process, at every shard/worker count
+// Wire traffic (that distributed runs are bit-identical to in-process ones
+// at every worker count is an axis of tests/test_determinism_oracle.cpp)
 
-TEST(DistIdentity, LoopbackMatchesInProcessAcrossPresetsShardsWorkers) {
-  struct Instance {
-    std::string family;
-    Graph g;
-    int bound;
-  };
-  std::vector<Instance> instances;
-  instances.push_back({"planted", planted_arboricity(150, 3, 11), 3});
-  instances.push_back({"gnm", random_gnm(120, 360, 5), 0});
-  for (Instance& inst : instances) {
-    if (inst.bound == 0) {
-      inst.bound = std::max(1, arboricity_bounds(inst.g).second);
-    }
-  }
-  const std::vector<Preset> presets = {
-      Preset::LinearColors,     Preset::NearLinearColors,
-      Preset::PolylogTime,      Preset::FastSubquadratic,
-      Preset::TradeoffAT,       Preset::DeltaPlusOneLowArb};
+TEST(DistWire, EveryPresetCrossesTheWire) {
+  const Graph g = planted_arboricity(150, 3, 11);
   Knobs knobs;
   knobs.congest_words = kCongestWordsPaperPath;
-
-  for (const Instance& inst : instances) {
-    for (const Preset preset : presets) {
-      const LegalColoringResult base = solo_run(inst.g, inst.bound, preset, 1);
-      EXPECT_TRUE(is_legal_coloring(inst.g, base.colors));
-      for (const int shards : {1, 2, 8}) {
-        for (const int workers : {2, 3}) {
-          SCOPED_TRACE(inst.family + " preset=" + preset_name(preset) +
-                       " shards=" + std::to_string(shards) +
-                       " workers=" + std::to_string(workers));
-          sim::Runtime rt(inst.g, shards, /*inline_shards=*/true);
-          DistConfig cfg;
-          cfg.workers = workers;
-          cfg.backend = Backend::kLoopback;
-          DistSession session(rt, cfg);
-          const LegalColoringResult got =
-              color_graph(rt, inst.bound, preset, knobs);
-          expect_identical(base, got, "loopback diverged from in-process");
-          // Wire accounting: at least one phase actually crossed the
-          // (simulated) wire, and declared CONGEST totals match the stats.
-          const PhaseWireMetrics totals = session.totals();
-          EXPECT_TRUE(totals.distributed);
-          EXPECT_GT(totals.wire_bytes, 0u);
-          EXPECT_GT(totals.frames, 0u);
-          EXPECT_GT(totals.round_trips, 0u);
-        }
-      }
-    }
+  for (int p = 0; p < kNumPresets; ++p) {
+    const auto preset = static_cast<Preset>(p);
+    SCOPED_TRACE(preset_name(preset));
+    sim::Runtime rt(g, 4, /*inline_shards=*/true);
+    DistSession session(rt, DistConfig{.workers = 2,
+                                       .backend = Backend::kLoopback});
+    const LegalColoringResult got = color_graph(rt, 3, preset, knobs);
+    EXPECT_TRUE(is_legal_coloring(g, got.colors));
+    // At least one phase actually crossed the (simulated) wire.
+    const PhaseWireMetrics totals = session.totals();
+    EXPECT_TRUE(totals.distributed);
+    EXPECT_GT(totals.wire_bytes, 0u);
+    EXPECT_GT(totals.frames, 0u);
+    EXPECT_GT(totals.round_trips, 0u);
   }
 }
 
-TEST(DistIdentity, ForkMatchesInProcessAndLoopbackByteForByte) {
-  const Graph g = planted_arboricity(140, 3, 7);
-  const int bound = 3;
+/// Per-phase wire metrics of one PolylogTime run over `backend`.
+std::vector<PhaseWireMetrics> wire_metrics(const Graph& g, int shards,
+                                           int workers, Backend backend) {
   Knobs knobs;
   knobs.congest_words = kCongestWordsPaperPath;
-  const LegalColoringResult base =
-      solo_run(g, bound, Preset::PolylogTime, 2);
+  sim::Runtime rt(g, shards, /*inline_shards=*/true);
+  DistSession session(rt, DistConfig{.workers = workers, .backend = backend});
+  (void)color_graph(rt, 3, Preset::PolylogTime, knobs);
+  return session.metrics();
+}
 
+TEST(DistWire, ForkEncodesTheSameFramesAsLoopback) {
+  const Graph g = planted_arboricity(140, 3, 7);
   for (const int shards : {1, 2, 8}) {
     for (const int workers : {2, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " workers=" + std::to_string(workers));
-      // Loopback first: the oracle for the wire traffic.
-      std::vector<PhaseWireMetrics> loop_metrics;
-      {
-        sim::Runtime rt(g, shards, /*inline_shards=*/true);
-        DistConfig cfg;
-        cfg.workers = workers;
-        cfg.backend = Backend::kLoopback;
-        DistSession session(rt, cfg);
-        const LegalColoringResult got =
-            color_graph(rt, bound, Preset::PolylogTime, knobs);
-        expect_identical(base, got, "loopback diverged");
-        loop_metrics = session.metrics();
-      }
-      // Fork: real processes over socketpairs, same frames on the wire.
-      {
-        sim::Runtime rt(g, shards, /*inline_shards=*/true);
-        DistConfig cfg;
-        cfg.workers = workers;
-        cfg.backend = Backend::kFork;
-        DistSession session(rt, cfg);
-        const LegalColoringResult got =
-            color_graph(rt, bound, Preset::PolylogTime, knobs);
-        expect_identical(base, got, "fork diverged");
-        const auto& fork_metrics = session.metrics();
-        ASSERT_EQ(fork_metrics.size(), loop_metrics.size());
-        for (std::size_t i = 0; i < fork_metrics.size(); ++i) {
-          EXPECT_EQ(fork_metrics[i].distributed, loop_metrics[i].distributed);
-          EXPECT_EQ(fork_metrics[i].wire_bytes, loop_metrics[i].wire_bytes)
-              << "phase '" << fork_metrics[i].label
-              << "': fork and loopback must encode identical wire traffic";
-          EXPECT_EQ(fork_metrics[i].frames, loop_metrics[i].frames);
-          EXPECT_EQ(fork_metrics[i].round_trips, loop_metrics[i].round_trips);
-        }
+      const std::vector<PhaseWireMetrics> loop =
+          wire_metrics(g, shards, workers, Backend::kLoopback);
+      const std::vector<PhaseWireMetrics> fork =
+          wire_metrics(g, shards, workers, Backend::kFork);
+      ASSERT_EQ(fork.size(), loop.size());
+      for (std::size_t i = 0; i < fork.size(); ++i) {
+        EXPECT_EQ(fork[i].distributed, loop[i].distributed);
+        EXPECT_EQ(fork[i].wire_bytes, loop[i].wire_bytes)
+            << "phase '" << fork[i].label
+            << "': fork and loopback must encode identical wire traffic";
+        EXPECT_EQ(fork[i].frames, loop[i].frames);
+        EXPECT_EQ(fork[i].round_trips, loop[i].round_trips);
       }
       expect_no_zombie_children();
     }
   }
 }
 
-TEST(DistIdentity, WorkerCountAboveShardsClampsAndStillMatches) {
+TEST(DistWire, WorkerCountAboveShardsClamps) {
   const Graph g = random_gnm(90, 240, 3);
   const int bound = std::max(1, arboricity_bounds(g).second);
   Knobs knobs;
   knobs.congest_words = kCongestWordsPaperPath;
-  const LegalColoringResult base =
-      solo_run(g, bound, Preset::NearLinearColors, 2);
   sim::Runtime rt(g, /*shards=*/2, /*inline_shards=*/true);
   DistConfig cfg;
   cfg.workers = 16;  // only 2 shards exist: clamps to 2 workers
@@ -308,11 +255,12 @@ TEST(DistIdentity, WorkerCountAboveShardsClampsAndStillMatches) {
   EXPECT_EQ(session.effective_workers(), 2);
   const LegalColoringResult got =
       color_graph(rt, bound, Preset::NearLinearColors, knobs);
-  expect_identical(base, got, "clamped worker count diverged");
+  EXPECT_TRUE(is_legal_coloring(g, got.colors));
+  EXPECT_EQ(session.totals().workers, 2);
   expect_no_zombie_children();
 }
 
-TEST(DistIdentity, DeclaredCongestWordsMatchRunStatsTotals) {
+TEST(DistWire, DeclaredCongestWordsMatchRunStatsTotals) {
   const Graph g = planted_arboricity(120, 3, 19);
   Knobs knobs;
   knobs.congest_words = kCongestWordsPaperPath;
@@ -434,7 +382,8 @@ TEST(DistFailure, SessionStaysSoundAfterAWorkerDeath) {
     DistSession session(rt, cfg);
     const LegalColoringResult healed =
         color_graph(rt, 3, Preset::NearLinearColors, knobs);
-    expect_identical(base, healed, "post-death session diverged");
+    EXPECT_TRUE(dvc_test::bit_identical(base, healed))
+        << "post-death session diverged";
   }
   expect_no_zombie_children();
 }
@@ -527,14 +476,16 @@ TEST(DistService, DistributedJobMatchesInProcessJobAndReportsWireBytes) {
   JobSpec plain = dist_spec(svc, g, /*workers=*/0, Backend::kFork);
   const JobResult plain_res = svc.wait(svc.submit(std::move(plain)));
   ASSERT_TRUE(plain_res.ok) << plain_res.error;
-  expect_identical(base, plain_res.result, "in-process service job");
+  EXPECT_TRUE(dvc_test::bit_identical(base, plain_res.result))
+      << "in-process service job";
   EXPECT_EQ(plain_res.dist_workers, 0);
   EXPECT_EQ(plain_res.wire_bytes, 0u);
   // ...then the same work over 2 worker processes.
   JobSpec dist = dist_spec(svc, g, /*workers=*/2, Backend::kFork);
   const JobResult dist_res = svc.wait(svc.submit(std::move(dist)));
   ASSERT_TRUE(dist_res.ok) << dist_res.error;
-  expect_identical(base, dist_res.result, "distributed service job");
+  EXPECT_TRUE(dvc_test::bit_identical(base, dist_res.result))
+      << "distributed service job";
   EXPECT_EQ(dist_res.dist_workers, 2);
   EXPECT_GT(dist_res.wire_bytes, 0u);
   EXPECT_GT(dist_res.wire_frames, 0u);
@@ -592,7 +543,8 @@ TEST(DistService, SigkilledWorkerIsHealedByRetryCheckpointBitIdentically) {
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.recovered) << "the job must have healed through a retry";
   EXPECT_EQ(res.attempts, 2);
-  expect_identical(base, res.result, "healed result diverged from fault-free");
+  EXPECT_TRUE(dvc_test::bit_identical(base, res.result))
+      << "healed result diverged from fault-free";
 
   const auto metrics = svc.metrics();
   EXPECT_GE(metrics.retries, 1u);
@@ -619,18 +571,6 @@ TEST(DistService, ArmedKillBypassesTheResultCacheBothWays) {
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_FALSE(res.cache_hit);
   EXPECT_TRUE(res.recovered);
-}
-
-TEST(DistService, NegativeDistWorkersAreRejectedAtSubmit) {
-  const Graph g = cycle_graph(32);
-  ServiceConfig config;
-  config.workers = 1;
-  ColoringService svc(config);
-  JobSpec spec;
-  spec.graph = svc.intern(Graph(g));
-  spec.arboricity_bound = 2;
-  spec.dist.workers = -1;
-  EXPECT_THROW((void)svc.submit(std::move(spec)), precondition_error);
 }
 
 }  // namespace

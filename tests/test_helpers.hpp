@@ -4,15 +4,12 @@
 // header for the helpers below.
 #pragma once
 
+#include <limits>
 #include <string>
 
 #include "sim/runtime.hpp"
 
 namespace dvc_test {
-
-inline bool same_stats(const dvc::sim::RunStats& a, const dvc::sim::RunStats& b) {
-  return a == b;  // RunStats::operator== covers every field, new ones too
-}
 
 /// Densest LOCAL-model schedule: every vertex broadcasts a 3-word payload
 /// for `rounds` rounds (2m messages per round), with no program-side
@@ -30,5 +27,23 @@ class FloodAll : public dvc::sim::VertexProgram {
  private:
   int rounds_;
 };
+
+/// Port-scan oracle for the executor's delivery modes. Runtime::
+/// set_fault_plan documents the contract this relies on: while ANY plan is
+/// armed, the broadcast lane and grouped delivery are disabled -- every
+/// broadcast is written one slot cell per port and every round delivers by
+/// port scan over the live vertices' slots. This plan is armed but can
+/// never fire -- its only entry is a stall scheduled at an unreachable
+/// phase, and the checksum lane is off -- so a session carrying it runs
+/// the per-slot path and must reproduce colors, RunStats and PhaseLog bit
+/// for bit. Install it with Knobs::fault_plan or Runtime::set_fault_plan.
+inline dvc::sim::FaultPlan port_scan_oracle_plan() {
+  dvc::sim::FaultPlan plan;
+  plan.checksum = false;
+  plan.scheduled.push_back({dvc::sim::FaultKind::kStall,
+                            /*phase=*/std::numeric_limits<int>::max(),
+                            /*round=*/0, /*shard=*/-1, /*salt=*/-1});
+  return plan;
+}
 
 }  // namespace dvc_test

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "core/api.hpp"
 #include "core/arb_kuhn.hpp"
 #include "core/legal_coloring.hpp"
 #include "decomp/h_partition.hpp"
@@ -167,24 +166,6 @@ TEST(Shape, TradeoffRoundsDecreaseInT) {
   const LegalColoringResult t8 = tradeoff_coloring(rt, a, 8);
   EXPECT_GT(t1.total.rounds, t8.total.rounds);
 }
-
-// ---------- determinism sweeps --------------------------------------------
-
-class DeterminismSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(DeterminismSweep, EveryPresetReplaysBitIdentically) {
-  const int idx = GetParam();
-  const Preset preset = static_cast<Preset>(idx);
-  Graph g = planted_arboricity(768, 8, 13);
-  const LegalColoringResult r1 = color_graph(g, 8, preset);
-  const LegalColoringResult r2 = color_graph(g, 8, preset);
-  EXPECT_EQ(r1.colors, r2.colors) << preset_name(preset);
-  EXPECT_EQ(r1.total.rounds, r2.total.rounds);
-  EXPECT_EQ(r1.total.messages, r2.total.messages);
-  EXPECT_EQ(r1.total.words, r2.total.words);
-}
-
-INSTANTIATE_TEST_SUITE_P(Presets, DeterminismSweep, ::testing::Range(0, 6));
 
 // ---------- bound misuse ---------------------------------------------------
 

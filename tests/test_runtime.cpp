@@ -1,16 +1,15 @@
 // Guarantees of the persistent sim::Runtime session layer (DESIGN.md,
-// "Runtime sessions"):
-//   1. Sharing one session across a pipeline of phases is bit-identical to
-//      running every phase in a fresh session, at any shard count.
-//   2. Phases after the first allocate nothing: arenas, inboxes, scratch,
+// "Runtime sessions"); that a shared session is bit-identical to fresh ones
+// at any shard count is tests/test_determinism_oracle.cpp's:
+//   1. Phases after the first allocate nothing: arenas, inboxes, scratch,
 //      stats buffers and the PhaseLog all keep their capacity, verified
 //      through a global operator-new counting hook.
-//   3. A full PolylogTime preset run on a session spawns zero threads after
+//   2. A full PolylogTime preset run on a session spawns zero threads after
 //      the session is constructed, and a warm re-run performs zero
 //      runtime-side heap allocations end to end.
-//   4. The PhaseLog is a consistent tree: spans aggregate their subtrees
+//   3. The PhaseLog is a consistent tree: spans aggregate their subtrees
 //      and slices rebase cleanly.
-//   5. Shard boundaries are contiguous, cost-balanced and a pure function
+//   4. Shard boundaries are contiguous, cost-balanced and a pure function
 //      of (graph, shard count).
 #include <gtest/gtest.h>
 
@@ -22,72 +21,17 @@
 #include "common/check.hpp"
 #include "core/api.hpp"
 #include "decomp/h_partition.hpp"
-#include "defective/kuhn.hpp"
-#include "defective/reduce.hpp"
 #include "graph/generators.hpp"
 #include "sim/runtime.hpp"
+#include "determinism_oracle.hpp"
 #include "test_support.hpp"
 
 namespace dvc {
 namespace {
 
 using dvc_test::FloodAll;
-using dvc_test::same_stats;
 
-// --- 1. Session reuse is bit-identical to fresh sessions ------------------
-
-TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
-  const Graph g = planted_arboricity(1 << 10, 4, 7);
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-
-    // One session carries all three phases...
-    sim::Runtime rt(g, shards);
-    const HPartitionResult hp_shared = h_partition(rt, 4);
-    const DefectiveResult def_shared = kuhn_defective(rt, g.max_degree(), 2);
-    const ReduceResult red_shared =
-        kw_reduce(rt, def_shared.colors, def_shared.palette, g.max_degree());
-
-    // ...vs a fresh session per phase.
-    sim::Runtime fresh_hp(g, shards), fresh_def(g, shards), fresh_red(g, shards);
-    const HPartitionResult hp_fresh = h_partition(fresh_hp, 4);
-    const DefectiveResult def_fresh = kuhn_defective(fresh_def, g.max_degree(), 2);
-    const ReduceResult red_fresh =
-        kw_reduce(fresh_red, def_fresh.colors, def_fresh.palette, g.max_degree());
-
-    EXPECT_EQ(hp_shared.level, hp_fresh.level);
-    EXPECT_TRUE(same_stats(hp_shared.stats, hp_fresh.stats));
-    EXPECT_EQ(def_shared.colors, def_fresh.colors);
-    EXPECT_TRUE(same_stats(def_shared.stats, def_fresh.stats));
-    EXPECT_EQ(red_shared.colors, red_fresh.colors);
-    EXPECT_TRUE(same_stats(red_shared.stats, red_fresh.stats));
-
-    // The session log recorded all three leaves in order.
-    ASSERT_EQ(rt.log().size(), 3u);
-    EXPECT_EQ(rt.log().name(0), "h-partition");
-    EXPECT_EQ(rt.log().name(1), "kuhn-defective");
-    EXPECT_EQ(rt.log().name(2), "kw-reduce");
-  }
-}
-
-TEST(Runtime, PresetOnSessionMatchesFacadeAndIsShardInvariant) {
-  const Graph g = planted_arboricity(1 << 10, 8, 3);
-  Knobs knobs;
-  knobs.shards = 1;
-  const LegalColoringResult base = color_graph(g, 8, Preset::PolylogTime, knobs);
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    sim::Runtime rt(g, shards);
-    const LegalColoringResult res = color_graph(rt, 8, Preset::PolylogTime);
-    EXPECT_EQ(res.colors, base.colors);
-    EXPECT_EQ(res.distinct, base.distinct);
-    EXPECT_TRUE(same_stats(res.total, base.total));
-    EXPECT_TRUE(res.phases == base.phases)
-        << "phase log differs at " << shards << " shards";
-  }
-}
-
-// --- 2. Warm phases allocate nothing --------------------------------------
+// --- 1. Warm phases allocate nothing --------------------------------------
 
 TEST(Runtime, PhasesAfterTheFirstAllocateNothing) {
   const Graph g = random_near_regular(2048, 8, 3);
@@ -142,7 +86,7 @@ TEST(Runtime, WarmRoundsOfTheFirstPhaseAllocateNothing) {
   }
 }
 
-// --- 3. A full preset pipeline: zero thread spawns, warm re-run
+// --- 2. A full preset pipeline: zero thread spawns, warm re-run
 //        performs zero runtime-side allocations ----------------------------
 
 TEST(Runtime, PolylogPresetSpawnsNoThreadsAfterConstructionAndRerunsCleanly) {
@@ -166,9 +110,7 @@ TEST(Runtime, PolylogPresetSpawnsNoThreadsAfterConstructionAndRerunsCleanly) {
       << "runtime machinery allocated during a warm preset re-run";
   EXPECT_EQ(sim::Runtime::lifetime_threads_spawned(), spawned);
 
-  EXPECT_EQ(second.colors, first.colors);
-  EXPECT_TRUE(same_stats(second.total, first.total));
-  EXPECT_TRUE(second.phases == first.phases);
+  EXPECT_TRUE(dvc_test::bit_identical(first, second));
 }
 
 TEST(Runtime, CaughtProgramErrorDoesNotPoisonTheNextPhase) {
@@ -192,37 +134,6 @@ TEST(Runtime, CaughtProgramErrorDoesNotPoisonTheNextPhase) {
   sim::Runtime rt(g, 4);
   EXPECT_THROW(rt.run_phase(bad, 4, "bad"), invariant_error);
   EXPECT_NO_THROW(rt.run_phase(good, 4, "good"));
-}
-
-// --- 4. Delivery-mode bit-identity against the port-scan oracle -----------
-
-TEST(Runtime, DeliveryModesAreBitIdenticalOnEveryPreset) {
-  // Grouped vs port-scan delivery is a pure executor choice: colors,
-  // RunStats (including work_items) and the PhaseLog of a default session
-  // must match the port-scan oracle bit for bit on all six presets at
-  // 1/2/8 shards.
-  const Graph g = planted_arboricity(1 << 10, 8, 21);
-  const sim::FaultPlan oracle_plan = dvc_test::port_scan_oracle_plan();
-  for (const Preset preset :
-       {Preset::LinearColors, Preset::NearLinearColors, Preset::PolylogTime,
-        Preset::FastSubquadratic, Preset::TradeoffAT,
-        Preset::DeltaPlusOneLowArb}) {
-    Knobs oracle;
-    oracle.shards = 1;
-    oracle.fault_plan = &oracle_plan;
-    const LegalColoringResult base = color_graph(g, 8, preset, oracle);
-    for (const int shards : {1, 2, 8}) {
-      SCOPED_TRACE("preset=" + preset_name(preset) +
-                   " shards=" + std::to_string(shards));
-      sim::Runtime rt(g, shards);
-      const LegalColoringResult res = color_graph(rt, 8, preset);
-      EXPECT_EQ(res.colors, base.colors);
-      EXPECT_EQ(res.distinct, base.distinct);
-      EXPECT_TRUE(same_stats(res.total, base.total));
-      EXPECT_TRUE(res.phases == base.phases)
-          << "phase log differs from the port-scan oracle";
-    }
-  }
 }
 
 namespace adversarial {
@@ -283,7 +194,7 @@ TEST(Runtime, HaltHeavyProgramMatchesPortScanOracleAtAnyShardCount) {
     sim::Runtime rt(g, shards);
     adversarial::HaltHeavy prog(digest);
     const sim::RunStats& stats = rt.run_phase(prog, 64, "halt-heavy");
-    EXPECT_TRUE(same_stats(stats, base));
+    EXPECT_TRUE(stats == base);
     EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
   }
 }
@@ -388,7 +299,7 @@ TEST(Runtime, GroupedDeliveryMatchesPortScanOracleAtAnyShardCount) {
       adversarial::FewSenders prog(kRounds, digest, mixed);
       const sim::RunStats& stats =
           rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "few");
-      EXPECT_TRUE(same_stats(stats, base));
+      EXPECT_TRUE(stats == base);
       EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
     }
   }

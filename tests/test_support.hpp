@@ -10,16 +10,11 @@
 //     (sim::Runtime::in_machinery()): the round loop, delivery sweep, send
 //     bookkeeping and phase logging, but not program callbacks or driver
 //     code.
-//
-// Also home of the delivery-mode oracle (port_scan_oracle_plan), which the
-// executor bit-identity suites compare against.
 #pragma once
 
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <new>
-#include <string>
 
 #include "sim/runtime.hpp"
 #include "test_helpers.hpp"
@@ -41,24 +36,6 @@ inline void count_alloc() {
   if (dvc::sim::Runtime::in_machinery()) {
     g_machinery_allocs.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-/// Port-scan oracle for the executor's delivery modes. Runtime::
-/// set_fault_plan documents the contract this relies on: while ANY plan is
-/// armed, the broadcast lane and grouped delivery are disabled -- every
-/// broadcast is written one slot cell per port and every round delivers by
-/// port scan over the live vertices' slots. This plan is armed but can
-/// never fire -- its only entry is a stall scheduled at an unreachable
-/// phase, and the checksum lane is off -- so a session carrying it runs
-/// the per-slot path and must reproduce colors, RunStats and PhaseLog bit
-/// for bit. Install it with Knobs::fault_plan or Runtime::set_fault_plan.
-inline dvc::sim::FaultPlan port_scan_oracle_plan() {
-  dvc::sim::FaultPlan plan;
-  plan.checksum = false;
-  plan.scheduled.push_back({dvc::sim::FaultKind::kStall,
-                            /*phase=*/std::numeric_limits<int>::max(),
-                            /*round=*/0, /*shard=*/-1, /*salt=*/-1});
-  return plan;
 }
 
 }  // namespace dvc_test
