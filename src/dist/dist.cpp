@@ -53,16 +53,6 @@ struct RuntimeAccess {
     rt.arenas_[1 - rt.in_idx_].clear_round();
   }
 
-  static void set_capture(R& rt, bool on, std::int64_t slot_lo,
-                          std::int64_t slot_hi) {
-    rt.dist_capture_ = on;
-    rt.dist_slot_lo_ = slot_lo;
-    rt.dist_slot_hi_ = slot_hi;
-  }
-  static std::vector<std::int64_t>& captured(R& rt, int shard) {
-    return rt.dist_captured_[static_cast<std::size_t>(shard)];
-  }
-
   /// Failure-path scrub: zero every per-shard counter and drop pending
   /// errors, so a phase abandoned mid-sweep (worker death before its stats
   /// landed) cannot leak partial counter fills into the next phase's first
@@ -74,6 +64,7 @@ struct RuntimeAccess {
       sh.work_items = 0;
       sh.max_msg_words = 0;
       sh.newly_halted = 0;
+      sh.spoken_ports = 0;
       sh.error = nullptr;
     }
   }
@@ -194,7 +185,7 @@ struct WorkerCore {
   int worker = 0;
   WorkerSlice slice;
   /// slot_lo per worker (size workers + 1, last = num_slots): routing table
-  /// mapping a captured slot to the worker owning it.
+  /// mapping a relayed slot to the worker owning it.
   std::vector<std::int64_t> worker_slot_lo;
   bool owns_runtime_state = false;
   /// Sweeps until the armed fault fires (-1 = disarmed), decremented at
@@ -262,14 +253,9 @@ struct WorkerCore {
     if (owns_runtime_state && !is_begin) {
       RuntimeAccess::advance_round(*rt, h.round);
     }
-    // Capture gate: per-worker slot range (loopback workers share one
-    // session, so the range is re-pointed before every sweep).
-    RuntimeAccess::set_capture(*rt, true, slice.slot_lo, slice.slot_hi);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
-      RuntimeAccess::captured(*rt, s).clear();
       RuntimeAccess::run_shard(*rt, s, *program, is_begin);
     }
-    RuntimeAccess::set_capture(*rt, false, 0, 0);
     // A sweep exception was parked in the shard struct (the in-process
     // pool's convention); surface the first one here, leaving the counters
     // to the coordinator's failure scrub.
@@ -285,17 +271,21 @@ struct WorkerCore {
     std::vector<std::vector<std::uint8_t>> out;
     const int phase = h.phase;
     const int round = h.round;
-    // Cross-worker messages, grouped by destination worker. Entry layout:
+    // Cross-worker messages, grouped by destination worker: the fresh
+    // cells each of this worker's speakers wrote on the two tails of its
+    // sorted adjacency row that lie outside [vtx_lo, vtx_hi). Entry layout:
     //   u32 dest_worker, u32 n_entries,
     //   n x { i64 slot, u32 sender_shard, u32 len, len x i64 words }
     const int workers = static_cast<int>(worker_slot_lo.size()) - 1;
     std::vector<ByteWriter> per_dest(static_cast<std::size_t>(workers));
     std::vector<std::uint32_t> counts(static_cast<std::size_t>(workers), 0);
+    const Graph& g = rt->graph();
     auto& arena = RuntimeAccess::out_arena(*rt);
+    const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
-      auto& captured = RuntimeAccess::captured(*rt, s);
       const auto& words = arena.words[static_cast<std::size_t>(s)];
-      for (const std::int64_t slot : captured) {
+      const auto relay = [&](std::int64_t slot) {
+        if (arena.epoch[slot] != stamp) return;
         const int dest = dest_worker_of(slot);
         ByteWriter& w = per_dest[static_cast<std::size_t>(dest)];
         if (counts[static_cast<std::size_t>(dest)] == 0) {
@@ -311,8 +301,19 @@ struct WorkerCore {
         for (std::uint32_t k = 0; k < len; ++k) {
           w.i64(words[arena.off[si] + k]);
         }
+      };
+      for (const V u : arena.speakers[static_cast<std::size_t>(s)]) {
+        const auto row = g.neighbors(u);
+        const std::int64_t base = g.slot(u, 0);
+        const auto lo = std::lower_bound(row.begin(), row.end(), slice.vtx_lo);
+        const auto hi = std::lower_bound(lo, row.end(), slice.vtx_hi);
+        for (std::int64_t p = 0; p < lo - row.begin(); ++p) {
+          relay(g.mirror_slot(base + p));
+        }
+        for (std::int64_t p = hi - row.begin(); p < std::ssize(row); ++p) {
+          relay(g.mirror_slot(base + p));
+        }
       }
-      captured.clear();
     }
     for (int d = 0; d < workers; ++d) {
       const std::uint32_t n = counts[static_cast<std::size_t>(d)];

@@ -1,8 +1,8 @@
 // Deterministic fault injection for the simulation runtime.
 //
 // A FaultPlan is a pure value describing WHICH faults to inject WHERE; the
-// Runtime consults it at fixed points of run_phase (shard sweep entry, the
-// send path, the delivery boundary between rounds). Every decision is a pure
+// Runtime consults it at fixed points of run_phase (shard sweep entry and
+// the delivery boundary between rounds). Every decision is a pure
 // hash of (seed, salt, kind, phase, round, shard) through the same splitmix
 // combiner the graph digest uses, so a plan replayed against the same
 // session reproduces the same faults bit-identically -- at any shard count
@@ -22,9 +22,12 @@
 //                      delivery boundary, as if the word never arrived.
 //   * kMessageCorrupt -- one payload word of a freshly-sent slot is
 //                      bit-flipped at the delivery boundary.
-//     Both are detected (when FaultPlan::checksum is on) by the per-round
-//     XOR checksum lane and surface as corruption_error BEFORE any step()
-//     observes the damaged round.
+//     Both are detected by the per-round XOR checksum lane, which runs in
+//     every phase under an armed plan: it folds the fresh cells of the
+//     vertices that spoke before anything is injected, re-folds every fresh
+//     cell of the arena at the delivery boundary, and raises
+//     corruption_error on a mismatch BEFORE any step() observes the damaged
+//     round.
 //   * kAllocFailure -- std::bad_alloc at sweep entry (the standard library
 //                      type, so injected and genuine exhaustion share a
 //                      recovery path).
@@ -142,12 +145,6 @@ struct FaultPlan {
 
   /// Stall duration for kStall faults, microseconds.
   int stall_us = 200;
-  /// Arm the per-round XOR checksum lane. On: every injected (or
-  /// environmental) drop/corruption is detected at the delivery boundary
-  /// and raised as corruption_error before any step() sees damaged data.
-  /// Off: drops/corruptions silently alter delivery -- for tests that prove
-  /// the lane is what detects them.
-  bool checksum = true;
 
   /// Exactly-scheduled fault: fires when (phase, round) match -- and, for
   /// the shard-keyed kinds, the shard -- regardless of the rates. salt = -1

@@ -27,24 +27,12 @@ constexpr std::uint64_t kGroupedDeliveryFactor = 12;
 constexpr const char* kOneMessagePerEdge =
     "at most one message per edge-direction per round (LOCAL model)";
 
-/// Seed of the per-round XOR checksum lane (see Runtime::do_send /
-/// verify_delivery_checksum): slot identities and payload words are folded
-/// through digest_mix under this seed on the send path, XOR-combined across
-/// shards (order-independent, hence shard-count invariant), and re-derived
-/// from the arena at the delivery boundary.
+/// Seed of the per-round XOR checksum lane (see Runtime::LaneTotals):
+/// slot identities and payload words are folded through digest_mix under
+/// this seed, once from the speakers' fresh slots before faults are
+/// injected and once from every fresh slot of the arena at the delivery
+/// boundary.
 constexpr std::uint64_t kLaneSeed = 0x64766c616e65ULL;  // "dvlane"
-
-/// Order-dependent fold of one message's payload, bound to its slot. XORing
-/// these per-slot hashes across all fresh slots yields the round's word
-/// checksum: any dropped slot or flipped payload bit changes it.
-std::uint64_t lane_slot_hash(std::int64_t slot,
-                             std::span<const std::int64_t> words) {
-  std::uint64_t h = kLaneSeed;
-  for (const std::int64_t w : words) {
-    h = dvc::detail::digest_mix(h, std::bit_cast<std::uint64_t>(w));
-  }
-  return dvc::detail::digest_mix(h, static_cast<std::uint64_t>(slot));
-}
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
 // magic + version header, graph fingerprint, boundary state, the serialized
@@ -162,7 +150,6 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     arena.speakers.resize(static_cast<std::size_t>(num_shards_));
   }
   halted_.assign(static_cast<std::size_t>(n), 0);
-  dist_captured_.resize(static_cast<std::size_t>(num_shards_));
   for (int i = 0; i < num_shards_; ++i) {
     // Live list and speaker lists hold at most the shard's vertex range;
     // the grouped workspace at most (slot range) / kGroupedDeliveryFactor
@@ -281,39 +268,21 @@ void Runtime::do_send(int shard, V from, int port,
   Arena& out = arenas_[1 - in_idx_];
   const std::int32_t stamp = stamp_base_ + round_;
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  if (lane_) {
-    // The sender's record marks that it spoke on ports this round: delivery
-    // then reads the slot arena for it, and a later broadcast must throw.
-    SenderRecord& rec = out.record[static_cast<std::size_t>(from)];
-    DVC_ENSURE(rec.bcast_stamp != stamp, kOneMessagePerEdge);
-    if (rec.port_stamp != stamp) {
-      rec.port_stamp = stamp;
-      out.speakers[static_cast<std::size_t>(shard)].push_back(from);
-      sh.spoken_ports += static_cast<std::uint64_t>(g_->degree(from));
-    }
+  // The sender's record marks that it spoke on ports this round, and its
+  // first port send enters it in the speaker list: delivery then reads the
+  // slot arena for it, and a later broadcast must throw.
+  SenderRecord& rec = out.record[static_cast<std::size_t>(from)];
+  DVC_ENSURE(rec.bcast_stamp != stamp, kOneMessagePerEdge);
+  if (rec.port_stamp != stamp) {
+    rec.port_stamp = stamp;
+    out.speakers[static_cast<std::size_t>(shard)].push_back(from);
+    sh.spoken_ports += static_cast<std::uint64_t>(g_->degree(from));
   }
   const auto s = static_cast<std::size_t>(g_->mirror_slot(g_->slot(from, port)));
   DVC_ENSURE(out.epoch[s] != stamp, kOneMessagePerEdge);
   out.epoch[s] = stamp;
   out.off[s] = append_words(out, shard, payload);
   out.len[s] = static_cast<std::uint32_t>(payload.size());
-  if (dist_capture_) {
-    // Distributed sweep: remember every slot written outside this worker's
-    // own range -- those messages must cross the wire to their owner.
-    const auto si = static_cast<std::int64_t>(s);
-    if (si < dist_slot_lo_ || si >= dist_slot_hi_) {
-      dist_captured_[static_cast<std::size_t>(shard)].push_back(si);
-    }
-  }
-  if (fault_armed_ && fault_plan_.checksum) {
-    // Checksum lane: fold what was ACTUALLY sent, before any injector can
-    // touch the arena. XOR-combined across slots and shards, so the totals
-    // are delivery-order and shard-count invariant.
-    sh.lane_count += 1;
-    sh.lane_xor_slots ^=
-        detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
-    sh.lane_xor_words ^= lane_slot_hash(static_cast<std::int64_t>(s), payload);
-  }
   sh.messages += 1;
   sh.words += payload.size();
   sh.max_msg_words =
@@ -632,14 +601,7 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   live_ = n;
   round_ = 0;
   idle_rounds_ = 0;
-  lane_valid_ = false;
-  if (fault_armed_) {
-    for (Shard& sh : shards_) {
-      sh.lane_count = 0;
-      sh.lane_xor_slots = 0;
-      sh.lane_xor_words = 0;
-    }
-  }
+  lane_expected_.reset();
   stats_.rounds = 0;
   stats_.messages = 0;
   stats_.words = 0;
@@ -715,7 +677,7 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     arenas_[1 - in_idx_].clear_round();
     // Delivery-boundary integrity check: what this round is about to
     // deliver must match what last round's senders recorded in the lane.
-    if (lane_valid_) verify_delivery_checksum();
+    if (lane_expected_) verify_delivery_checksum();
     words_before = stats_.words;
     msgs_before = stats_.messages;
     const V live_before = live_;
@@ -796,36 +758,46 @@ void Runtime::inject_shard_faults(int shard, int round) {
   }
 }
 
+void Runtime::LaneTotals::add(std::int64_t slot, std::uint64_t slot_hash) {
+  ++count;
+  xor_slots ^= detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(slot));
+  xor_words ^= slot_hash;
+}
+
 std::uint64_t Runtime::lane_hash_slot(const Arena& a, std::int64_t s) const {
+  // Order-dependent fold of the payload, bound to its slot: XORed over all
+  // fresh slots, any dropped slot or flipped payload bit changes the total.
   const auto si = static_cast<std::size_t>(s);
   const std::size_t sender =
       num_shards_ == 1
           ? 0
           : static_cast<std::size_t>(
                 shard_of(g_->slot_owner(g_->mirror_slot(s))));
-  const auto& words = a.words[sender];
-  return lane_slot_hash(
-      s, std::span<const std::int64_t>(words.data() + a.off[si], a.len[si]));
+  const std::int64_t* words = a.words[sender].data() + a.off[si];
+  std::uint64_t h = kLaneSeed;
+  for (std::uint32_t k = 0; k < a.len[si]; ++k) {
+    h = detail::digest_mix(h, std::bit_cast<std::uint64_t>(words[k]));
+  }
+  return detail::digest_mix(h, static_cast<std::uint64_t>(s));
 }
 
 void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
-  if (fault_plan_.checksum) {
-    // Fold the per-shard send accumulators into the expected lane totals
-    // for the upcoming delivery boundary. XOR-combining keeps the fold
-    // independent of shard count and merge order.
-    lane_count_ = 0;
-    lane_xor_slots_ = 0;
-    lane_xor_words_ = 0;
-    for (Shard& sh : shards_) {
-      lane_count_ += sh.lane_count;
-      lane_xor_slots_ ^= sh.lane_xor_slots;
-      lane_xor_words_ ^= sh.lane_xor_words;
-      sh.lane_count = 0;
-      sh.lane_xor_slots = 0;
-      sh.lane_xor_words = 0;
+  Arena& out = arenas_[1 - in_idx_];
+  const std::int32_t stamp = stamp_base_ + round_;
+  // The send side of the checksum lane, taken before anything is injected:
+  // every fresh cell of every vertex that spoke. Delivery re-folds the
+  // arena itself, so a message missing from either side trips the lane.
+  LaneTotals sent;
+  for (const auto& speakers : out.speakers) {
+    for (const V u : speakers) {
+      const std::int64_t base = g_->slot(u, 0);
+      for (int p = 0; p < g_->degree(u); ++p) {
+        const std::int64_t s = g_->mirror_slot(base + p);
+        if (out.epoch[s] == stamp) sent.add(s, lane_hash_slot(out, s));
+      }
     }
-    lane_valid_ = true;
   }
+  lane_expected_ = sent;
   // Message-level faults are keyed on (phase, delivery round) alone and
   // pick their victim by canonical slot id, so the same plan injects the
   // same fault at any shard count.
@@ -835,8 +807,6 @@ void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
                                          phase_cur_, delivery_round,
                                          /*shard=*/-1);
   if (!drop && !corrupt) return;
-  Arena& out = arenas_[1 - in_idx_];
-  const std::int32_t stamp = stamp_base_ + round_;
   std::vector<std::int64_t> fresh;  // fault path only; allocation is fine
   for (std::int64_t s = 0; s < slots_; ++s) {
     if (out.epoch[s] == stamp) fresh.push_back(s);
@@ -879,30 +849,27 @@ void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
 }
 
 void Runtime::verify_delivery_checksum() {
-  lane_valid_ = false;
+  const LaneTotals sent = *lane_expected_;
+  lane_expected_.reset();
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
-  std::uint64_t count = 0, xor_slots = 0, xor_words = 0;
+  LaneTotals seen;
   for (std::int64_t s = 0; s < slots_; ++s) {
-    if (in.epoch[s] != want) continue;
-    ++count;
-    xor_slots ^= detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
-    xor_words ^= lane_hash_slot(in, s);
+    if (in.epoch[s] == want) seen.add(s, lane_hash_slot(in, s));
   }
-  if (count != lane_count_ || xor_slots != lane_xor_slots_ ||
-      xor_words != lane_xor_words_) {
+  if (seen != sent) {
     std::string what =
         "message checksum lane mismatch at the delivery boundary of round " +
         std::to_string(round_) + " in phase '" + phase_label_ + "' (phase " +
         std::to_string(phase_cur_) + "): senders recorded " +
-        std::to_string(lane_count_) + " messages, delivery observes " +
-        std::to_string(count);
-    what += count == lane_count_
+        std::to_string(sent.count) + " messages, delivery observes " +
+        std::to_string(seen.count);
+    what += seen.count == sent.count
                 ? " with a payload/slot hash mismatch -- a message was "
                   "corrupted in the mailbox"
                 : " -- a message was dropped in the mailbox";
-    throw corruption_error(what, phase_label_, phase_cur_, round_,
-                           lane_count_, count);
+    throw corruption_error(what, phase_label_, phase_cur_, round_, sent.count,
+                           seen.count);
   }
 }
 
@@ -987,19 +954,15 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
   DVC_REQUIRE(r.i64() == static_cast<std::int64_t>(g_->num_vertices()),
               "resume: vertex count mismatch");
   DVC_REQUIRE(r.i64() == slots_, "resume: slot count mismatch");
-  congest_words_ = r.i32();
-  // Monotonic: the restored base can only move this session's stamps
-  // forward, never behind cells this session already wrote.
-  stamp_base_ = std::max(stamp_base_, r.i32());
+  // Everything below is parsed into locals and committed only after the
+  // last check: a rejected buffer leaves the session as it was.
+  const int congest_words = r.i32();
+  const std::int32_t stamp_base = r.i32();
   r.u32();  // checkpointed phase_index: informational; replay re-runs from 0
   const std::uint64_t hn = r.u64();
   DVC_REQUIRE(hn == halted_.size(), "resume: halted bitmap size mismatch");
-  V live = 0;
-  for (std::size_t i = 0; i < halted_.size(); ++i) {
-    halted_[i] = r.u8();
-    if (!halted_[i]) ++live;
-  }
-  live_ = live;
+  std::vector<std::uint8_t> halted(halted_.size());
+  for (std::uint8_t& h : halted) h = r.u8();
   // Rebuild the checkpointed PhaseLog and arm replay verification: the
   // caller re-runs its pipeline from the top, and every re-recorded phase
   // is matched against this target as it lands (see PhaseLog::replaying).
@@ -1033,6 +996,12 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
   }
   DVC_REQUIRE(r.pos == body.size(),
               "resume: trailing bytes after the checkpoint payload");
+  congest_words_ = congest_words;
+  // Monotonic: the restored base can only move this session's stamps
+  // forward, never behind cells this session already wrote.
+  stamp_base_ = std::max(stamp_base_, stamp_base);
+  halted_ = std::move(halted);
+  live_ = static_cast<V>(std::ranges::count(halted_, std::uint8_t{0}));
   log_.begin_replay(std::move(target));
 }
 

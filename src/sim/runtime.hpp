@@ -84,6 +84,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -374,10 +375,11 @@ class Runtime {
   /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
-  /// While ANY plan is armed (FaultPlan::armed()) the broadcast lane and
-  /// grouped delivery are disabled: an armed plan also routes broadcasts
-  /// per slot, one cell per port, and every round delivers by port scan
-  /// (delivery must re-read the epoch stamps the injector rewinds). Outputs
+  /// While ANY plan is armed (FaultPlan::armed()) the checksum lane checks
+  /// every delivery boundary, and the broadcast lane and grouped delivery
+  /// are disabled: an armed plan also routes broadcasts per slot, one cell
+  /// per port, and every round delivers by port scan (delivery must
+  /// re-read the epoch stamps the injector rewinds). Outputs
   /// are unchanged, per the delivery-mode bit-identity contract -- which is
   /// why an armed plan that can never fire serves the test suite as the
   /// port-scan oracle of both the lane and grouped delivery. Pass a
@@ -544,11 +546,12 @@ class Runtime {
     /// written only by the sender's own shard.
     std::unique_ptr<SenderRecord[]> record;
     std::vector<Padded<std::vector<std::int64_t>>> words;  // one per shard
-    /// The sparse-delivery index: per sending shard, the vertices that
-    /// spoke this round, in send order. A vertex enters once per round (on
-    /// its broadcast or its first port send), so reserving each list to its
-    /// shard's vertex count keeps appends allocation-free. Cleared per
-    /// round; capacity persists.
+    /// The one record of who spoke: per sending shard, the vertices that
+    /// spoke this round, in send order. Grouped delivery, the dist relay and
+    /// the checksum lane's send side all walk it. A vertex enters once per
+    /// round (on its broadcast or its first port send), so reserving each
+    /// list to its shard's vertex count keeps appends allocation-free.
+    /// Cleared per round; capacity persists.
     std::vector<Padded<std::vector<V>>> speakers;
 
     void clear_round() {
@@ -575,14 +578,6 @@ class Runtime {
     std::uint32_t max_msg_words = 0;
     V newly_halted = 0;
     std::exception_ptr error;
-    /// Checksum-lane accumulators (fault plans with checksum only): what
-    /// this shard SENT this round, folded order-independently (count sums,
-    /// slot/word hashes XOR) so the cross-shard total is shard-count
-    /// invariant. Snapshotted and reset by the round loop before faults are
-    /// injected, then compared against what delivery OBSERVES.
-    std::uint64_t lane_count = 0;
-    std::uint64_t lane_xor_slots = 0;
-    std::uint64_t lane_xor_words = 0;
     /// The shard's non-halted vertices in ascending
     /// (canonical) order. Rebuilt after begin(), then compacted in place
     /// during each step sweep -- a vertex can only halt itself, so the
@@ -642,17 +637,29 @@ class Runtime {
   /// phase label.
   const RunStats& run_phase_body(VertexProgram& program, int max_rounds,
                                  std::string_view label);
-  /// Fault-plan hooks (no-ops unless a plan is armed). inject_shard_faults
+  /// Checksum-lane totals of one round's messages: their count and XOR
+  /// folds of their slot ids and payload hashes (order-independent, hence
+  /// shard-count invariant).
+  struct LaneTotals {
+    std::uint64_t count = 0;
+    std::uint64_t xor_slots = 0;
+    std::uint64_t xor_words = 0;
+    void add(std::int64_t slot, std::uint64_t slot_hash);
+    friend bool operator==(const LaneTotals&, const LaneTotals&) = default;
+  };
+
+  /// Fault-plan hooks (run only while a plan is armed). inject_shard_faults
   /// runs at sweep entry on the shard's own thread; the message-fault pair
-  /// runs serially in the round loop: snapshot_send_lane folds the shards'
-  /// send accumulators into lane_expected_ and applies scheduled/random
-  /// drops and corruptions to the freshly-written out arena;
-  /// verify_delivery_checksum re-derives the lane from the in arena at the
-  /// next delivery boundary and throws corruption_error on mismatch.
+  /// runs serially in the round loop: snapshot_send_lane_and_inject folds
+  /// the speakers' fresh slots into lane_expected_, then applies
+  /// scheduled/random drops and corruptions to the freshly-written out
+  /// arena; verify_delivery_checksum re-folds every fresh slot of the in
+  /// arena at the next delivery boundary and throws corruption_error on
+  /// mismatch.
   void inject_shard_faults(int shard, int round);
   void snapshot_send_lane_and_inject(int delivery_round);
   void verify_delivery_checksum();
-  /// Order-independent fold of one slot's payload for the checksum lane.
+  /// Order-dependent hash of one slot's payload for the checksum lane.
   std::uint64_t lane_hash_slot(const Arena& a, std::int64_t s) const;
 
   const Graph* g_;
@@ -667,7 +674,7 @@ class Runtime {
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  /// Whether this phase uses the broadcast lane and the speaker index:
+  /// Whether this phase uses the broadcast lane and grouped delivery:
   /// derived per phase as !dist && !fault_armed_, and false while the phase
   /// executor forks so distributed workers inherit the per-slot path.
   bool lane_ = false;
@@ -696,28 +703,18 @@ class Runtime {
   /// Progress watchdog (0 = off) and its consecutive-idle-round counter.
   int watchdog_idle_rounds_ = 0;
   int idle_rounds_ = 0;
-  /// Expected delivery lane of the in-flight round (what was sent, folded
-  /// before injection); valid only while lane_valid_.
-  std::uint64_t lane_count_ = 0;
-  std::uint64_t lane_xor_slots_ = 0;
-  std::uint64_t lane_xor_words_ = 0;
-  bool lane_valid_ = false;
+  /// Checksum lane of the in-flight round: what the speakers sent, folded
+  /// before injection; empty until the phase's first snapshot.
+  std::optional<LaneTotals> lane_expected_;
   /// Session CONGEST budget (0 = LOCAL) and the per-phase effective
   /// per-message cap derived from it and the program contract: the
   /// tighter of the two positives, or int64 max when both are 0.
   int congest_words_ = 0;
   int phase_contract_words_ = 0;
   std::int64_t msg_word_cap_ = 0;
-  /// Distributed-phase seam state. The executor (borrowed; see
-  /// set_phase_executor) is offered every phase. While a worker process
-  /// sweeps on behalf of the transport, dist_capture_ makes do_send also
-  /// record, per sending shard, every inbox slot OUTSIDE the worker's own
-  /// slot range [dist_slot_lo_, dist_slot_hi_) -- the messages that must
-  /// cross the wire to their owning worker.
+  /// Distributed-phase seam (borrowed; see set_phase_executor), offered
+  /// every phase.
   PhaseExecutor* phase_executor_ = nullptr;
-  bool dist_capture_ = false;
-  std::int64_t dist_slot_lo_ = 0, dist_slot_hi_ = 0;
-  std::vector<Padded<std::vector<std::int64_t>>> dist_captured_;
 
   // Parked worker pool: spawned once in the constructor, woken per
   // begin/step sweep, joined in the destructor.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "decomp/forests.hpp"
 #include "dist/dist.hpp"
 #include "service/service.hpp"
 #include "sim/runtime.hpp"
@@ -35,15 +36,16 @@ inline std::string counters(const dvc::sim::RunStats& s) {
          std::to_string(s.max_msg_words);
 }
 
-/// Where two per-vertex outputs first differ.
+/// Where two per-vertex (or per-slot) outputs first differ.
 template <class T>
-std::string first_difference(const std::vector<T>& a, const std::vector<T>& b) {
+std::string first_difference(const std::vector<T>& a, const std::vector<T>& b,
+                             const std::string& index = "vertex") {
   if (a.size() != b.size()) {
     return std::to_string(a.size()) + " vs " + std::to_string(b.size()) +
-           " vertices";
+           " entries";
   }
   const auto [x, y] = std::ranges::mismatch(a, b);
-  return "vertex " + std::to_string(x - a.begin()) + ": " +
+  return index + " " + std::to_string(x - a.begin()) + ": " +
          std::to_string(*x) + " vs " + std::to_string(*y);
 }
 
@@ -108,6 +110,24 @@ inline ::testing::AssertionResult bit_identical(const dvc::MisResult& want,
   }
   return oracle_detail::same_run(want.total, got.total, want.phases,
                                  got.phases);
+}
+
+/// Every deterministic field of two forests decompositions, each with the
+/// session log its run recorded into.
+inline ::testing::AssertionResult bit_identical(
+    const dvc::ForestsDecomposition& want, const dvc::sim::PhaseLog& want_log,
+    const dvc::ForestsDecomposition& got, const dvc::sim::PhaseLog& got_log) {
+  if (want.forest_of_slot != got.forest_of_slot) {
+    return ::testing::AssertionFailure()
+           << "forest labels differ at "
+           << oracle_detail::first_difference(want.forest_of_slot,
+                                              got.forest_of_slot, "slot");
+  }
+  if (want.num_forests != got.num_forests) {
+    return ::testing::AssertionFailure() << "num_forests " << want.num_forests
+                                         << " vs " << got.num_forests;
+  }
+  return oracle_detail::same_run(want.total, got.total, want_log, got_log);
 }
 
 /// A service job against the run it must reproduce: the job succeeded and

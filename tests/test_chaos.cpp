@@ -173,7 +173,6 @@ TEST(Fault, ChecksumLaneIsObservationOnly) {
   sim::Runtime rt(g, 2);
   sim::FaultPlan plan;
   plan.seed = 23;
-  plan.checksum = true;
   plan.scheduled.push_back(
       {sim::FaultKind::kStall, /*phase=*/99, /*round=*/0, /*shard=*/-1,
        /*salt=*/-1});
@@ -315,9 +314,22 @@ TEST(Watchdog, SilentProgramTripsPromptStructuralFailure) {
 TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
   const Graph g = planted_arboricity(200, 3, 53);
   sim::Runtime rt(g, 2);
+  rt.set_congest_words(3);
   FloodAll flood(4);
   rt.run_phase(flood, 32);
   const std::vector<std::uint8_t> ckpt = rt.checkpoint();
+  // Recomputes the trailing checksum of an edited buffer, so the bytes are
+  // intact and only a field check can reject them.
+  const auto reseal = [](std::vector<std::uint8_t>& buf) {
+    wire::ByteReader r{buf, 0, "checkpoint"};
+    const std::uint64_t magic = r.u64();  // also the checksum seed
+    const std::size_t body = buf.size() - 8;
+    const std::uint64_t sum = wire::checksum64(
+        magic, std::span<const std::uint8_t>(buf.data(), body));
+    for (int i = 0; i < 8; ++i) {
+      buf[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+    }
+  };
 
   {  // Wrong graph: digest-checked before anything is restored.
     const Graph other = planted_arboricity(200, 3, 54);
@@ -336,21 +348,14 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
   }
   {  // Another format version: the version field (after the 8-byte magic)
-    // is patched and the trailing checksum recomputed, so the bytes are
-    // intact and only the version check can reject them.
+    // is patched, so only the version check can reject the buffer.
     std::vector<std::uint8_t> other = ckpt;
-    wire::ByteReader r{other, 0, "checkpoint"};
-    const std::uint64_t magic = r.u64();  // also the checksum seed
+    wire::ByteReader r{other, 8, "checkpoint"};
     const std::uint32_t version = r.u32();
     for (int i = 0; i < 4; ++i) {
       other[8 + i] = static_cast<std::uint8_t>((version + 1) >> (8 * i));
     }
-    const std::size_t body = other.size() - 8;
-    const std::uint64_t sum = wire::checksum64(
-        magic, std::span<const std::uint8_t>(other.data(), body));
-    for (int i = 0; i < 8; ++i) {
-      other[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
-    }
+    reseal(other);
     sim::Runtime fresh(g, 2);
     try {
       fresh.resume(other);
@@ -360,6 +365,26 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
                 std::string::npos)
           << e.what();
     }
+  }
+  {  // A buffer rejected by its LAST check (one byte past the payload)
+    // leaves the session untouched: it still runs under its own CONGEST
+    // budget, and a valid resume then succeeds.
+    std::vector<std::uint8_t> longer = ckpt;
+    longer.insert(longer.end() - 8, std::uint8_t{0});
+    reseal(longer);
+    sim::Runtime fresh(g, 2);
+    try {
+      fresh.resume(longer);
+      FAIL() << "a checkpoint with trailing bytes was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fresh.congest_words(), 0);
+    fresh.resume(ckpt);
+    EXPECT_EQ(fresh.congest_words(), 3);
+    FloodAll again(4);
+    EXPECT_NO_THROW(fresh.run_phase(again, 32));  // replay-verified
   }
   {  // A divergent replay (different phase than the checkpointed run) must
     // be caught at the first re-recorded phase.

@@ -19,6 +19,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <string>
@@ -27,6 +28,7 @@
 #include "common/check.hpp"
 #include "common/wire.hpp"
 #include "core/api.hpp"
+#include "decomp/forests.hpp"
 #include "dist/dist.hpp"
 #include "dist/transport.hpp"
 #include "graph/arboricity.hpp"
@@ -240,6 +242,28 @@ TEST(DistWire, ForkEncodesTheSameFramesAsLoopback) {
       expect_no_zombie_children();
     }
   }
+}
+
+TEST(DistWire, PortSubsetSendsCrossTheWireBitIdentically) {
+  // forest-labels sends on out-ports only: the relay must ship exactly the
+  // cells a speaker wrote this round, never a stale cell on another port.
+  const Graph g = planted_arboricity(3000, 3, 7);
+  sim::Runtime ref(g, 4, /*inline_shards=*/true);
+  const ForestsDecomposition want = forests_decomposition(ref, 3);
+  ASSERT_TRUE(verify_forests_decomposition(g, want));
+  for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+    SCOPED_TRACE(dist::backend_name(backend));
+    sim::Runtime rt(g, 4, /*inline_shards=*/true);
+    const DistSession session(rt, DistConfig{.workers = 2, .backend = backend});
+    const ForestsDecomposition got = forests_decomposition(rt, 3);
+    EXPECT_TRUE(verify_forests_decomposition(g, got));
+    EXPECT_TRUE(dvc_test::bit_identical(want, ref.log(), got, rt.log()));
+    EXPECT_TRUE(std::ranges::any_of(
+        session.metrics(), [](const PhaseWireMetrics& m) {
+          return m.label == "forest-labels" && m.distributed;
+        }));
+  }
+  expect_no_zombie_children();
 }
 
 TEST(DistWire, WorkerCountAboveShardsClamps) {

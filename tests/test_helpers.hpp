@@ -34,12 +34,12 @@ class FloodAll : public dvc::sim::VertexProgram {
 /// broadcast is written one slot cell per port and every round delivers by
 /// port scan over the live vertices' slots. This plan is armed but can
 /// never fire -- its only entry is a stall scheduled at an unreachable
-/// phase, and the checksum lane is off -- so a session carrying it runs
-/// the per-slot path and must reproduce colors, RunStats and PhaseLog bit
-/// for bit. Install it with Knobs::fault_plan or Runtime::set_fault_plan.
+/// phase -- so a session carrying it runs the per-slot path, checks every
+/// delivery boundary with the checksum lane, and must reproduce colors,
+/// RunStats and PhaseLog bit for bit. Install it with Knobs::fault_plan or
+/// Runtime::set_fault_plan.
 inline dvc::sim::FaultPlan port_scan_oracle_plan() {
   dvc::sim::FaultPlan plan;
-  plan.checksum = false;
   plan.scheduled.push_back({dvc::sim::FaultKind::kStall,
                             /*phase=*/std::numeric_limits<int>::max(),
                             /*round=*/0, /*shard=*/-1, /*salt=*/-1});
