@@ -1,11 +1,11 @@
 // Shared flat-buffer serialization: little-endian encode/decode, the
-// fold-of-all-bytes checksum, and the framed wire protocol the distributed
-// transport speaks.
+// checksum fold, and the framed wire protocol the distributed transport
+// speaks -- ONE copy shared by checkpoint() and the src/dist/ transport.
+// Everything here is format, not policy: no I/O, no simulator types.
 //
-// Hoisted out of sim/runtime.cpp (where the checkpoint format grew them) so
-// checkpoint() and the src/dist/ transport share ONE copy of the byte-level
-// idioms instead of two drifting ones. Everything here is format, not
-// policy: no I/O, no simulator types.
+// The codec works on whole words, not bytes: each fixed-width field is one
+// memcpy of its native representation (the host must be little-endian, see
+// the static_assert below), and checksum64 folds 8-byte words.
 //
 // Frame layout (all integers little-endian):
 //
@@ -21,13 +21,15 @@
 //       20   len  payload
 //   20+len     8  checksum   checksum64(kFrameMagic, header+payload)
 //
-// The trailing checksum is the same XOR-style digest_mix fold the checkpoint
-// trailer uses: any flipped bit or truncation anywhere in the frame changes
-// it, and decoding raises dvc::corruption_error -- never silent damage.
+// The trailing checksum is the same digest_mix fold the checkpoint trailer
+// uses: any flipped bit or truncation anywhere in the frame changes it, and
+// decoding raises dvc::corruption_error -- never silent damage.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,81 +39,112 @@
 
 namespace dvc::wire {
 
-/// Order-dependent fold of a byte stream under `seed`; the checksum idiom
-/// shared by the checkpoint trailer and the frame trailer.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec memcpy's native integers: the host must be "
+              "little-endian");
+
+/// Order-dependent fold of a byte stream under `seed`, shared by the
+/// checkpoint and frame trailers: each 8-byte little-endian word, then the
+/// 0-7 tail bytes (if any) zero-padded to one word, then the byte length,
+/// which keeps buffers that differ only by trailing zero bytes apart.
 inline std::uint64_t checksum64(std::uint64_t seed,
                                 std::span<const std::uint8_t> bytes) {
   std::uint64_t h = seed;
-  for (const std::uint8_t b : bytes) h = dvc::detail::digest_mix(h, b);
-  return h;
+  const std::size_t whole = bytes.size() & ~std::size_t{7};
+  for (std::size_t i = 0; i < whole; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, bytes.data() + i, 8);
+    h = dvc::detail::digest_mix(h, w);
+  }
+  if (whole < bytes.size()) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, bytes.data() + whole, bytes.size() - whole);
+    h = dvc::detail::digest_mix(h, tail);
+  }
+  return dvc::detail::digest_mix(h, bytes.size());
 }
 
 /// Little-endian append-only encoder for flat buffers.
 struct ByteWriter {
   std::vector<std::uint8_t> buf;
   void u8(std::uint8_t v) { buf.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
+  /// Raw bytes, no length prefix.
+  void bytes(std::span<const std::uint8_t> b) {
+    buf.insert(buf.end(), b.begin(), b.end());
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// A run of i64 words in one copy, no length prefix.
+  void i64s(std::span<const std::int64_t> v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf.insert(buf.end(), p, p + v.size_bytes());
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(std::bit_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf.insert(buf.end(), s.begin(), s.end());
+    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    buf.insert(buf.end(), p, p + sizeof(T));
   }
 };
 
 /// Little-endian decoder over a borrowed buffer. Every read is bounds
-/// checked: running past the end raises corruption_error naming `context`
-/// (truncation IS corruption at this layer -- the caller decides whether the
-/// transport maps it to something transient instead).
+/// checked once: running past the end raises corruption_error naming
+/// `context` (truncation IS corruption at this layer -- the caller decides
+/// whether the transport maps it to something transient instead).
 struct ByteReader {
   std::span<const std::uint8_t> buf;
   std::size_t pos = 0;
   const char* context = "wire buffer";
   void need(std::size_t n) {
-    if (pos + n > buf.size()) {
+    if (n > buf.size() - pos) {
       throw corruption_error(
           std::string(context) + " truncated: ran past its end while decoding",
           /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 0, 0);
     }
   }
-  std::uint8_t u8() {
-    need(1);
-    return buf[pos++];
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int32_t i32() { return get<std::int32_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
+  /// A view of the next n raw bytes.
+  std::span<const std::uint8_t> bytes(std::size_t n) {
+    need(n);
+    const auto view = buf.subspan(pos, n);
+    pos += n;
+    return view;
   }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(buf[pos++]) << (8 * i));
-    return v;
+  /// Appends the next n i64 words to `out` in one copy; bounds checked
+  /// before `out` grows, so a corrupt count cannot become an allocation.
+  void i64s(std::uint32_t n, std::vector<std::int64_t>& out) {
+    const std::span<const std::uint8_t> src = bytes(n * sizeof(std::int64_t));
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::copy_n(src.data(), src.size(),
+                reinterpret_cast<std::uint8_t*>(out.data() + at));
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[pos++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[pos++]) << (8 * i);
-    return v;
-  }
-  std::int32_t i32() { return std::bit_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
   std::string str() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(buf.data() + pos), len);
-    pos += len;
-    return s;
+    const std::span<const std::uint8_t> s = bytes(u32());
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
+  }
+
+ private:
+  template <typename T>
+  T get() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, buf.data() + pos, sizeof(T));
+    pos += sizeof(T);
+    return v;
   }
 };
 
@@ -119,7 +152,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 1;
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it
@@ -137,6 +170,11 @@ struct FrameHeader {
 inline std::vector<std::uint8_t> encode_frame(
     std::uint8_t type, std::int32_t phase, std::int32_t round,
     std::span<const std::uint8_t> payload) {
+  if (payload.size() > kFrameMaxPayload) {
+    throw invariant_error(
+        "encode_frame: payload of " + std::to_string(payload.size()) +
+        " bytes exceeds the frame cap of " + std::to_string(kFrameMaxPayload));
+  }
   ByteWriter w;
   w.buf.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
   w.u32(kFrameMagic);
@@ -146,7 +184,7 @@ inline std::vector<std::uint8_t> encode_frame(
   w.i32(phase);
   w.i32(round);
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.buf.insert(w.buf.end(), payload.begin(), payload.end());
+  w.bytes(payload);
   w.u64(checksum64(kFrameMagic, w.buf));
   return std::move(w.buf);
 }
@@ -192,8 +230,7 @@ inline std::span<const std::uint8_t> frame_payload(
                            -1, want, frame.size());
   }
   const std::size_t body = kFrameHeaderBytes + h.payload_len;
-  ByteReader trailer{frame.subspan(body, kFrameTrailerBytes), 0, "frame trailer"};
-  const std::uint64_t stored = trailer.u64();
+  const std::uint64_t stored = ByteReader{frame, body, "frame trailer"}.u64();
   const std::uint64_t computed = checksum64(kFrameMagic, frame.first(body));
   if (stored != computed) {
     throw corruption_error("frame checksum mismatch", "", -1, -1, computed,

@@ -82,11 +82,11 @@ constexpr std::uint8_t kErrTransient = 3;
 constexpr std::uint8_t kErrCorruption = 4;
 constexpr std::uint8_t kErrBadAlloc = 5;
 
-/// Encodes the exception a worker sweep raised into a kError payload:
-///   u8 kind, str what, then kind-specific fields (bandwidth: vertex, port,
-///   round, words, cap, from_contract; corruption: phase_label, phase,
-///   round, expected, observed).
-std::vector<std::uint8_t> encode_error_payload() {
+/// Encodes the exception a worker sweep raised into a kError frame whose
+/// payload is: u8 kind, str what, then kind-specific fields (bandwidth:
+/// vertex, port, round, words, cap, from_contract; corruption: phase_label,
+/// phase, round, expected, observed).
+std::vector<std::uint8_t> encode_error_frame() {
   ByteWriter w;
   try {
     throw;
@@ -123,12 +123,13 @@ std::vector<std::uint8_t> encode_error_payload() {
     w.u8(kErrInvariant);
     w.str("non-standard exception in a worker sweep");
   }
-  return std::move(w.buf);
+  return wire::encode_frame(static_cast<std::uint8_t>(FrameType::kError), -1,
+                            -1, w.buf);
 }
 
-/// Inverse of encode_error_payload: rethrows the worker's exception on the
-/// coordinator with its original type and fields, prefixed with the worker
-/// id so a multi-process failure names its origin.
+/// Inverse of encode_error_frame's payload: rethrows the worker's exception
+/// on the coordinator with its original type and fields, prefixed with the
+/// worker id so a multi-process failure names its origin.
 [[noreturn]] void rethrow_error_payload(std::span<const std::uint8_t> payload,
                                         int worker) {
   ByteReader r{payload, 0, "error frame"};
@@ -199,13 +200,6 @@ struct WorkerCore {
     return static_cast<int>(it - worker_slot_lo.begin()) - 1;
   }
 
-  /// True when the armed kill fires at this sweep (the caller decides what
-  /// death looks like: SIGKILL for fork, a dead channel for loopback).
-  bool kill_fires() {
-    if (kill_countdown < 0) return false;
-    return kill_countdown-- == 0;
-  }
-
   /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
   /// the slot for next round's delivery and appends the payload words to
   /// the SENDER shard's flat buffer (offsets are recomputed locally -- the
@@ -220,7 +214,7 @@ struct WorkerCore {
     auto& arena = RuntimeAccess::out_arena(*rt);
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t slot = r.i64();
+      const std::int64_t slot = r.u32();
       const auto sender_shard = static_cast<std::size_t>(r.u32());
       const std::uint32_t len = r.u32();
       DVC_ENSURE(slot >= slice.slot_lo && slot < slice.slot_hi,
@@ -236,7 +230,7 @@ struct WorkerCore {
       arena.epoch[s] = stamp;
       arena.off[s] = static_cast<std::uint32_t>(words.size());
       arena.len[s] = static_cast<std::uint32_t>(len);
-      for (std::uint32_t k = 0; k < len; ++k) words.push_back(r.i64());
+      r.i64s(len, words);
     }
     DVC_ENSURE(r.pos == payload.size(),
                "messages frame has trailing bytes past its entries");
@@ -275,7 +269,9 @@ struct WorkerCore {
     // cells each of this worker's speakers wrote on the two tails of its
     // sorted adjacency row that lie outside [vtx_lo, vtx_hi). Entry layout:
     //   u32 dest_worker, u32 n_entries,
-    //   n x { i64 slot, u32 sender_shard, u32 len, len x i64 words }
+    //   n x { u32 slot, u32 sender_shard, u32 len, len x i64 words }
+    static_assert(dvc::detail::kMaxSlots <= 0xffffffff,
+                  "relay entries carry the receiver slot as u32");
     const int workers = static_cast<int>(worker_slot_lo.size()) - 1;
     std::vector<ByteWriter> per_dest(static_cast<std::size_t>(workers));
     std::vector<std::uint32_t> counts(static_cast<std::size_t>(workers), 0);
@@ -295,12 +291,10 @@ struct WorkerCore {
         ++counts[static_cast<std::size_t>(dest)];
         const auto si = static_cast<std::size_t>(slot);
         const std::uint32_t len = arena.len[si];
-        w.i64(slot);
+        w.u32(static_cast<std::uint32_t>(slot));
         w.u32(static_cast<std::uint32_t>(s));
         w.u32(len);
-        for (std::uint32_t k = 0; k < len; ++k) {
-          w.i64(words[arena.off[si] + k]);
-        }
+        w.i64s({words.data() + arena.off[si], len});
       };
       for (const V u : arena.speakers[static_cast<std::size_t>(s)]) {
         const auto row = g.neighbors(u);
@@ -320,10 +314,7 @@ struct WorkerCore {
       if (n == 0) continue;
       ByteWriter& w = per_dest[static_cast<std::size_t>(d)];
       // Patch the entry count (little-endian u32 at offset 4).
-      for (int b = 0; b < 4; ++b) {
-        w.buf[4 + static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(n >> (8 * b));
-      }
+      std::memcpy(w.buf.data() + 4, &n, sizeof(n));
       out.push_back(wire::encode_frame(
           static_cast<std::uint8_t>(FrameType::kMsgs), phase, round, w.buf));
     }
@@ -371,6 +362,33 @@ struct WorkerCore {
     return wire::encode_frame(static_cast<std::uint8_t>(FrameType::kState),
                               h.phase, h.round, w.buf);
   }
+
+  /// Validates and runs one coordinator frame, handing each reply frame to
+  /// `reply`. Returns false when the armed kill fires at this sweep (the
+  /// caller decides what death looks like: SIGKILL for fork, a dead channel
+  /// for loopback). Throws on a bad frame or a sweep error; the caller
+  /// replies with encode_error_frame().
+  template <typename Reply>
+  bool serve(std::span<const std::uint8_t> frame, Reply&& reply) {
+    const wire::FrameHeader h = wire::decode_frame_header(frame);
+    const auto payload = wire::frame_payload(frame);
+    switch (static_cast<FrameType>(h.type)) {
+      case FrameType::kSweep:
+        if (kill_countdown >= 0 && kill_countdown-- == 0) return false;
+        for (auto& f : handle_sweep(h, payload)) reply(std::move(f));
+        return true;
+      case FrameType::kMsgs:
+        apply_msgs(payload);
+        return true;
+      case FrameType::kFinish:
+        reply(handle_finish(h));
+        return true;
+      default:
+        throw corruption_error("worker received an unexpected frame type " +
+                                   std::to_string(static_cast<int>(h.type)),
+                               "", h.phase, h.round, 0, 0);
+    }
+  }
 };
 
 /// Forked worker process: a blocking serve loop on its socketpair end.
@@ -390,37 +408,16 @@ struct WorkerCore {
       _exit(1);
     }
     try {
-      const wire::FrameHeader h = wire::decode_frame_header(frame);
-      const auto payload = wire::frame_payload(frame);
-      switch (static_cast<FrameType>(h.type)) {
-        case FrameType::kSweep: {
-          if (core.kill_fires()) {
-            // The scheduled mid-round death: no goodbye frame, no teardown
-            // -- exactly what kill -9 on a real worker box looks like.
-            ::raise(SIGKILL);
-          }
-          for (const auto& f : core.handle_sweep(h, payload)) link.send(f);
-          break;
-        }
-        case FrameType::kMsgs:
-          core.apply_msgs(payload);
-          break;
-        case FrameType::kFinish:
-          link.send(core.handle_finish(h));
-          break;
-        default:
-          throw corruption_error(
-              "worker received an unexpected frame type " +
-                  std::to_string(static_cast<int>(h.type)),
-              "", h.phase, h.round, 0, 0);
+      if (!core.serve(frame, [&](const auto& f) { link.send(f); })) {
+        // The scheduled mid-round death: no goodbye frame, no teardown --
+        // exactly what kill -9 on a real worker box looks like.
+        ::raise(SIGKILL);
       }
     } catch (const worker_lost_error&) {
       _exit(0);  // coordinator vanished mid-reply
     } catch (...) {
-      const std::vector<std::uint8_t> payload = encode_error_payload();
       try {
-        link.send(wire::encode_frame(
-            static_cast<std::uint8_t>(FrameType::kError), -1, -1, payload));
+        link.send(encode_error_frame());
       } catch (...) {
         _exit(1);
       }
@@ -439,38 +436,14 @@ class LoopbackTransport final : public Transport {
   void send(std::span<const std::uint8_t> frame) override {
     if (dead_) lost("send to a dead loopback worker");
     try {
-      const wire::FrameHeader h = wire::decode_frame_header(frame);
-      const auto payload = wire::frame_payload(frame);
-      switch (static_cast<FrameType>(h.type)) {
-        case FrameType::kSweep: {
-          if (core_.kill_fires()) {
-            // Simulated kill -9: the worker stops responding; queued
-            // replies die with it.
-            dead_ = true;
-            outbox_.clear();
-            return;
-          }
-          for (auto& f : core_.handle_sweep(h, payload)) {
-            outbox_.push_back(std::move(f));
-          }
-          break;
-        }
-        case FrameType::kMsgs:
-          core_.apply_msgs(payload);
-          break;
-        case FrameType::kFinish:
-          outbox_.push_back(core_.handle_finish(h));
-          break;
-        default:
-          throw corruption_error(
-              "worker received an unexpected frame type " +
-                  std::to_string(static_cast<int>(h.type)),
-              "", h.phase, h.round, 0, 0);
+      const auto queue = [&](auto f) { outbox_.push_back(std::move(f)); };
+      if (!core_.serve(frame, queue)) {
+        // Simulated kill -9: the worker stops responding; queued replies
+        // die with it.
+        shutdown();
       }
     } catch (...) {
-      outbox_.push_back(
-          wire::encode_frame(static_cast<std::uint8_t>(FrameType::kError), -1,
-                             -1, encode_error_payload()));
+      outbox_.push_back(encode_error_frame());
     }
   }
 

@@ -36,22 +36,11 @@ constexpr std::uint64_t kLaneSeed = 0x64766c616e65ULL;  // "dvlane"
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
 // magic + version header, graph fingerprint, boundary state, the serialized
-// PhaseLog, and a trailing fold-of-all-bytes checksum. The byte-level
-// encode/decode/checksum idioms live in common/wire.hpp, shared with the
-// distributed transport's frame protocol.
+// PhaseLog, and a trailing wire::checksum64. The encode/decode/checksum
+// idioms live in common/wire.hpp, shared with the distributed transport's
+// frame protocol.
 constexpr std::uint64_t kCkptMagic = 0x647663434b505431ULL;  // "dvcCKPT1"
-constexpr std::uint32_t kCkptVersion = 2;
-
-std::uint64_t ckpt_checksum(std::span<const std::uint8_t> bytes) {
-  return dvc::wire::checksum64(kCkptMagic, bytes);
-}
-
-using ByteWriter = dvc::wire::ByteWriter;
-using ByteReader = dvc::wire::ByteReader;
-
-ByteReader ckpt_reader(std::span<const std::uint8_t> buf) {
-  return ByteReader{buf, 0, "checkpoint buffer"};
-}
+constexpr std::uint32_t kCkptVersion = 3;
 
 // Depth counter (not a bool) so machinery scopes nest: the round loop is
 // machinery, program callbacks are not, but Ctx::send called from a callback
@@ -880,7 +869,7 @@ std::vector<std::uint8_t> Runtime::checkpoint() const {
   DVC_REQUIRE(!log_.replaying(),
               "checkpoint while an earlier resume is still replaying -- the "
               "prefix under verification is not yet trustworthy");
-  ByteWriter w;
+  wire::ByteWriter w;
   w.u64(kCkptMagic);
   w.u32(kCkptVersion);
   // Graph binding fingerprint: a checkpoint only resumes onto a session for
@@ -899,7 +888,7 @@ std::vector<std::uint8_t> Runtime::checkpoint() const {
   w.u32(static_cast<std::uint32_t>(phase_index_));
   // Halted/live state at the boundary.
   w.u64(halted_.size());
-  for (const std::uint8_t h : halted_) w.u8(h);
+  w.bytes(halted_);
   // The full PhaseLog: entries with inline name + per-round series.
   w.u64(log_.entries_.size());
   for (const PhaseLog::Entry& e : log_.entries_) {
@@ -918,7 +907,7 @@ std::vector<std::uint8_t> Runtime::checkpoint() const {
     w.u32(static_cast<std::uint32_t>(b.size()));
     for (const std::uint64_t x : b) w.u64(x);
   }
-  w.u64(ckpt_checksum(w.buf));
+  w.u64(wire::checksum64(kCkptMagic, w.buf));
   return std::move(w.buf);
 }
 
@@ -930,17 +919,15 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
               "resume buffer is too small to be a checkpoint");
   // Verify the trailing content checksum before trusting a single field.
   const std::span<const std::uint8_t> body = buffer.first(buffer.size() - 8);
-  std::uint64_t want_sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    want_sum |= static_cast<std::uint64_t>(buffer[body.size() + i]) << (8 * i);
-  }
-  if (ckpt_checksum(body) != want_sum) {
+  const std::uint64_t want_sum =
+      wire::ByteReader{buffer.last(8), 0, "checkpoint trailer"}.u64();
+  if (wire::checksum64(kCkptMagic, body) != want_sum) {
     throw corruption_error(
         "checkpoint buffer failed its content checksum -- the bytes were "
         "corrupted between checkpoint() and resume()",
         /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 0, 0);
   }
-  ByteReader r = ckpt_reader(body);
+  wire::ByteReader r{body, 0, "checkpoint buffer"};
   if (r.u64() != kCkptMagic) {
     throw precondition_error("resume: buffer is not a dvc checkpoint");
   }
@@ -961,8 +948,7 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
   r.u32();  // checkpointed phase_index: informational; replay re-runs from 0
   const std::uint64_t hn = r.u64();
   DVC_REQUIRE(hn == halted_.size(), "resume: halted bitmap size mismatch");
-  std::vector<std::uint8_t> halted(halted_.size());
-  for (std::uint8_t& h : halted) h = r.u8();
+  const std::span<const std::uint8_t> halted = r.bytes(halted_.size());
   // Rebuild the checkpointed PhaseLog and arm replay verification: the
   // caller re-runs its pipeline from the top, and every re-recorded phase
   // is matched against this target as it lands (see PhaseLog::replaying).
@@ -1000,7 +986,7 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
   // Monotonic: the restored base can only move this session's stamps
   // forward, never behind cells this session already wrote.
   stamp_base_ = std::max(stamp_base_, stamp_base);
-  halted_ = std::move(halted);
+  halted_.assign(halted.begin(), halted.end());
   live_ = static_cast<V>(std::ranges::count(halted_, std::uint8_t{0}));
   log_.begin_replay(std::move(target));
 }

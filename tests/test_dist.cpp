@@ -17,12 +17,17 @@
 // sanitizers are for.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -182,6 +187,138 @@ TEST(Wire, ChecksumMatchesCheckpointIdiom) {
   EXPECT_NE(wire::checksum64(1, a), wire::checksum64(1, b));
   EXPECT_NE(wire::checksum64(1, a), wire::checksum64(2, a));
   EXPECT_EQ(wire::checksum64(7, a), wire::checksum64(7, a));
+}
+
+/// Re-seals a frame's trailing checksum after an edit, so only a field
+/// check (not the checksum) can reject it.
+void reseal_frame(std::vector<std::uint8_t>& frame) {
+  const std::size_t body = frame.size() - wire::kFrameTrailerBytes;
+  const std::uint64_t sum = wire::checksum64(
+      wire::kFrameMagic, std::span<const std::uint8_t>(frame.data(), body));
+  std::memcpy(frame.data() + body, &sum, sizeof(sum));
+}
+
+TEST(Wire, EverySingleBitFlipIsCorruption) {
+  // An 11-byte payload makes the checksummed body 31 bytes: three whole
+  // words plus a 7-byte tail, so the flips cover the word fold, the tail
+  // fold and the trailer itself.
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const std::vector<std::uint8_t> frame =
+      wire::encode_frame(4, 2, 9, payload);
+  ASSERT_EQ((frame.size() - wire::kFrameTrailerBytes) % 8, 7u);
+  ASSERT_NO_THROW((void)wire::frame_payload(frame));
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    std::vector<std::uint8_t> damaged = frame;
+    damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_THROW((void)wire::frame_payload(damaged), corruption_error)
+        << "flip of bit " << bit % 8 << " in byte " << bit / 8
+        << " was accepted";
+  }
+}
+
+TEST(Wire, ChecksumGoldenValues) {
+  // Pinned outputs of the word-wise fold over bytes 1, 2, ..., n under the
+  // frame seed. Frames and checkpoints both carry this checksum: changing
+  // any value here changes both formats, so it requires bumping both
+  // wire::kFrameVersion and the checkpoint format version.
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {0, 0xa3c0d9b1bd680114ULL}, {1, 0xa38a90f6ebf150e0ULL},
+      {7, 0x462c424b39eb9897ULL}, {8, 0xee635f456806bd06ULL},
+      {9, 0xbccf01d19b82cb79ULL}, {16, 0xf0bbebdadf31dcb5ULL},
+  };
+  for (const auto& [n, want] : golden) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i + 1);
+    }
+    EXPECT_EQ(wire::checksum64(wire::kFrameMagic, bytes), want)
+        << "length " << n;
+  }
+}
+
+TEST(Wire, ChecksumSeparatesTrailingZeroBytes) {
+  const std::vector<std::uint8_t> empty;
+  const std::vector<std::uint8_t> zero = {0};
+  EXPECT_NE(wire::checksum64(1, empty), wire::checksum64(1, zero));
+  const std::vector<std::uint8_t> word = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<std::uint8_t> word_zero = word;
+  word_zero.push_back(0);
+  EXPECT_NE(wire::checksum64(1, word), wire::checksum64(1, word_zero));
+}
+
+TEST(Wire, BoundaryValuesRoundTrip) {
+  const std::vector<std::int64_t> run = {
+      0, -1, 1, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max()};
+  wire::ByteWriter w;
+  w.i64(std::numeric_limits<std::int64_t>::min());
+  w.u64(std::numeric_limits<std::uint64_t>::max());
+  w.i32(-1);
+  w.u16(std::numeric_limits<std::uint16_t>::max());
+  w.u32(0x01020304u);
+  w.i64s(run);
+  // Fixed-width fields are little-endian on the wire.
+  const std::size_t at = 8 + 8 + 4 + 2;
+  EXPECT_EQ(std::vector<std::uint8_t>(w.buf.begin() + at,
+                                      w.buf.begin() + at + 4),
+            (std::vector<std::uint8_t>{4, 3, 2, 1}));
+  ASSERT_EQ(w.buf.size(), at + 4 + run.size() * 8);
+
+  wire::ByteReader r{w.buf, 0, "boundary values"};
+  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(r.u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(r.i32(), -1);
+  EXPECT_EQ(r.u16(), std::numeric_limits<std::uint16_t>::max());
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  std::vector<std::int64_t> got = {42};  // the bulk read appends
+  r.i64s(static_cast<std::uint32_t>(run.size()), got);
+  ASSERT_EQ(got.size(), run.size() + 1);
+  EXPECT_EQ(got.front(), 42);
+  EXPECT_TRUE(std::equal(run.begin(), run.end(), got.begin() + 1));
+  EXPECT_EQ(r.pos, w.buf.size());
+
+  // A bulk read past the end throws before its destination grows.
+  wire::ByteReader short_r{std::span(w.buf).first(at + 4 + 15), at + 4,
+                           "short run"};
+  std::vector<std::int64_t> none;
+  EXPECT_THROW(short_r.i64s(2, none), corruption_error);
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(Wire, U64ReadWithSevenBytesLeftThrows) {
+  const std::vector<std::uint8_t> buf = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  wire::ByteReader r{buf, 0, "seven left"};
+  EXPECT_EQ(r.u16(), 0x0201);
+  EXPECT_THROW((void)r.u64(), corruption_error);
+}
+
+TEST(Wire, VersionOneFrameIsCorruption) {
+  std::vector<std::uint8_t> frame = wire::encode_frame(1, 0, 0, {});
+  frame[4] = 1;  // the byte-at-a-time format's version
+  reseal_frame(frame);
+  EXPECT_THROW((void)wire::frame_payload(frame), corruption_error);
+}
+
+TEST(Wire, OversizedPayloadIsRejectedBeforeEncoding) {
+  // A never-touched anonymous mapping one byte past the cap: the size check
+  // runs before any byte is read, so the test costs no resident memory.
+  const std::size_t size = std::size_t{wire::kFrameMaxPayload} + 1;
+  void* region = ::mmap(nullptr, size, PROT_READ,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  const std::span<const std::uint8_t> payload(
+      static_cast<const std::uint8_t*>(region), size);
+  try {
+    (void)wire::encode_frame(1, 0, 0, payload);
+    ADD_FAILURE() << "an over-cap payload was encoded";
+  } catch (const invariant_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(size)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(wire::kFrameMaxPayload)),
+              std::string::npos)
+        << what;
+  }
+  ::munmap(region, size);
 }
 
 // ---------------------------------------------------------------------------
