@@ -108,98 +108,6 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
   std::vector<std::vector<std::int64_t>> parent_colors_;
 };
 
-// Schedule-driven recoloring shared by the naive and KW reductions: every
-// vertex tracks its same-group neighbors' current colors; in each round the
-// globally-scheduled color class recolors and announces.
-class NaiveReduceProgram : public sim::VertexProgram {
- public:
-  NaiveReduceProgram(const Graph& g, Coloring colors, std::int64_t palette,
-                     std::int64_t target, const std::vector<std::int64_t>* groups)
-      : g_(&g),
-        colors_(std::move(colors)),
-        palette_(palette),
-        target_(target),
-        groups_(groups),
-        port_colors_(static_cast<std::size_t>(g.num_slots()), -1) {}
-
-  std::string name() const override { return "naive-reduce"; }
-  int max_words() const override { return naive_reduce_max_words(); }
-
-  void begin(sim::Ctx& ctx) override {
-    const V v = ctx.vertex();
-    ctx.broadcast({group_at(groups_, v), colors_[static_cast<std::size_t>(v)]});
-  }
-
-  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
-    const V v = ctx.vertex();
-    const std::int64_t mine = group_at(groups_, v);
-    for (const sim::MsgView& msg : inbox) {
-      if (msg.data[0] != mine) continue;
-      port_colors_[static_cast<std::size_t>(g_->slot(v, msg.port))] = msg.data[1];
-    }
-    // Round r handles original color class palette-r (classes above target,
-    // highest first).
-    const std::int64_t handled = palette_ - ctx.round();
-    const std::int64_t own = colors_[static_cast<std::size_t>(v)];
-    if (own == handled) {
-      // Pick the smallest free color below target. Per-shard engine scratch:
-      // no allocation, and no cross-vertex sharing under sharded execution.
-      auto& taken = ctx.scratch();
-      taken.clear();
-      const int deg = g_->degree(v);
-      for (int p = 0; p < deg; ++p) {
-        const std::int64_t c = port_colors_[static_cast<std::size_t>(g_->slot(v, p))];
-        if (c >= 0) taken.push_back(c);
-      }
-      std::sort(taken.begin(), taken.end());
-      std::int64_t pick = 0;
-      for (const std::int64_t c : taken) {
-        if (c == pick) ++pick;
-        if (c > pick) break;
-      }
-      DVC_ENSURE(pick < target_, "target palette too small for degree");
-      colors_[static_cast<std::size_t>(v)] = pick;
-      ctx.broadcast({mine, pick});
-      ctx.halt();
-      return;
-    }
-    if (own > handled) {
-      // Already recolored (impossible) or will never act again.
-      ctx.halt();
-      return;
-    }
-    if (handled <= target_) {
-      ctx.halt();  // reduction finished
-    }
-  }
-
-  Coloring take_colors() { return std::move(colors_); }
-
-  bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    w.i64(colors_[static_cast<std::size_t>(v)]);
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      w.i64(port_colors_[static_cast<std::size_t>(g_->slot(v, p))]);
-    }
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    colors_[static_cast<std::size_t>(v)] = r.i64();
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      port_colors_[static_cast<std::size_t>(g_->slot(v, p))] = r.i64();
-    }
-  }
-
- private:
-  const Graph* g_;
-  Coloring colors_;
-  std::int64_t palette_;
-  std::int64_t target_;
-  const std::vector<std::int64_t>* groups_;
-  std::vector<std::int64_t> port_colors_;
-};
-
 // Kuhn-Wattenhofer: phases of D+1 rounds, each phase halves the palette by
 // reducing color buckets of size 2(D+1) to D+1 in parallel.
 class KwReduceProgram : public sim::VertexProgram {
@@ -347,21 +255,6 @@ ReduceResult greedy_by_orientation(sim::Runtime& rt, const Orientation& sigma,
       "greedy-by-orientation");
   out.colors = program.take_colors();
   out.palette = palette;
-  return out;
-}
-
-ReduceResult reduce_colors_naive(sim::Runtime& rt, const Coloring& initial,
-                                 std::int64_t initial_palette, std::int64_t target,
-                                 const std::vector<std::int64_t>* groups) {
-  DVC_REQUIRE(target >= 1 && target <= initial_palette, "bad reduce target");
-  NaiveReduceProgram program(rt.graph(), initial, initial_palette, target, groups);
-  ReduceResult out;
-  out.stats = rt.run_phase(
-      program,
-      static_cast<int>(initial_palette - target) + sim::kRoundCapSlack,
-      "naive-reduce");
-  out.colors = program.take_colors();
-  out.palette = target;
   return out;
 }
 

@@ -5,10 +5,6 @@
 //    all its parents and picks the smallest palette color unused by them.
 //    Legal within groups; takes length(sigma) + 2 rounds.
 //
-//  * reduce_colors_naive(): folklore -- from a legal [M)-coloring to a legal
-//    [target)-coloring by recoloring one top color class per round
-//    (M - target rounds).
-//
 //  * kw_reduce(): Kuhn-Wattenhofer [18] parallel reduction -- pairs palette
 //    buckets of size 2(D+1) and reduces each pair to D+1 colors in parallel,
 //    halving the palette every D+1 rounds; total O(D log(M/D)) rounds.
@@ -26,9 +22,8 @@ namespace dvc {
 
 /// CONGEST contracts. greedy-by-orientation is round-keyed: round-1
 /// messages announce the sender's group (one word), later messages carry
-/// {group, color} -- two words. The reductions broadcast {group, color}.
+/// {group, color} -- two words. kw-reduce broadcasts {group, color}.
 constexpr int greedy_by_orientation_max_words() { return 2; }
-constexpr int naive_reduce_max_words() { return 2; }
 constexpr int kw_reduce_max_words() { return 2; }
 
 struct ReduceResult {
@@ -43,12 +38,6 @@ struct ReduceResult {
 ReduceResult greedy_by_orientation(sim::Runtime& rt, const Orientation& sigma,
                                    std::int64_t palette,
                                    const std::vector<std::int64_t>* groups = nullptr);
-
-/// One-class-per-round reduction of a legal same-group coloring in [0, M)
-/// to [0, target). Requires target > max same-group degree.
-ReduceResult reduce_colors_naive(sim::Runtime& rt, const Coloring& initial,
-                                 std::int64_t initial_palette, std::int64_t target,
-                                 const std::vector<std::int64_t>* groups = nullptr);
 
 /// Kuhn-Wattenhofer bucket reduction of a legal same-group coloring in
 /// [0, M) to [0, degree_bound + 1). degree_bound must be at least the max

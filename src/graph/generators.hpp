@@ -30,9 +30,7 @@ namespace dvc {
 Graph path_graph(V n);
 
 /// Cycle on n >= 3 vertices, vertex v adjacent to (v+-1) mod n. Arboricity 2
-/// (exactly 2 for n >= 3 since m = n). The consecutive-id layout doubles as
-/// the "oriented ring" needed by Cole-Vishkin: the successor of v is
-/// (v+1) mod n.
+/// (exactly 2 for n >= 3 since m = n).
 Graph cycle_graph(V n);
 
 /// Complete graph K_n. Arboricity ceil(n/2).

@@ -262,8 +262,16 @@ ColoringService::ColoringService(ServiceConfig config)
       queue_(config_.queue_capacity),
       paused_(config_.start_paused) {
   workers_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  // A failed spawn (std::system_error) must join the workers already
+  // running before workers_ is destroyed, or the joinable std::threads
+  // call std::terminate.
+  try {
+    for (int i = 0; i < config_.workers; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    shutdown();
+    throw;
   }
 }
 
@@ -308,60 +316,9 @@ void ColoringService::forget_queued_locked(std::uint64_t digest) {
 }
 
 JobTicket ColoringService::submit(JobSpec spec) {
-  validate_spec(spec);
-  Job job;
-  JobTicket ticket;
-  const char* rejection = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    DVC_REQUIRE(accepting_, "service is shut down");
-    if (config_.shed_on_saturation) {
-      rejection = admission_reject_locked(spec, 0);
-    }
-    if (rejection != nullptr) {
-      // Shed: reserve the id (the ticket stays claimable like any other)
-      // but skip the queue-side bookkeeping -- the job never queues.
-      job.id = next_id_++;
-      job.spec = std::move(spec);
-      ticket = JobTicket{job.id};
-      ++submitted_;
-    } else {
-      ticket = admit_locked(spec, job);
-    }
-  }
-  if (rejection != nullptr) {
-    JobResult shed;
-    shed.id = ticket.id;
-    shed.status = JobStatus::kRejected;
-    shed.error = rejection;
-    shed.graph_digest = job.spec.graph.digest;
-    shed.preset = job.spec.preset;
-    shed.priority = job.spec.priority;
-    deliver(std::move(shed));
-    return ticket;
-  }
-  const int lane = static_cast<int>(job.spec.priority);
-  const std::uint64_t id = ticket.id;
-  const Priority priority = job.spec.priority;
-  const std::uint64_t digest = job.spec.graph.digest;
-  const Preset preset = job.spec.preset;
-  if (!queue_.push(std::move(job), lane)) {
-    // Shutdown raced the enqueue: fail the job structurally so the ticket
-    // stays claimable and drain() still converges.
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      forget_queued_locked(digest);
-    }
-    JobResult failed;
-    failed.id = id;
-    failed.status = JobStatus::kFailed;
-    failed.error = "service shut down before the job was queued";
-    failed.graph_digest = digest;
-    failed.preset = preset;
-    failed.priority = priority;
-    deliver(std::move(failed));
-  }
-  return ticket;
+  std::vector<JobSpec> one;
+  one.push_back(std::move(spec));
+  return submit_batch(std::move(one)).front();
 }
 
 std::optional<JobTicket> ColoringService::try_submit(JobSpec spec) {
@@ -401,9 +358,15 @@ std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs)
   std::vector<Job> jobs;
   jobs.reserve(specs.size());
   std::vector<JobResult> rejected;
-  // (id, digest) per admitted job in queue order, for shutdown-race rollback.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> admitted_ids;
-  admitted_ids.reserve(specs.size());
+  // Each admitted job in queue order, for the shutdown-race rollback.
+  struct Admitted {
+    std::uint64_t id;
+    std::uint64_t digest;
+    Preset preset;
+    Priority priority;
+  };
+  std::vector<Admitted> admitted;
+  admitted.reserve(specs.size());
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     DVC_REQUIRE(accepting_, "service is shut down");
@@ -427,7 +390,8 @@ std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs)
       }
       Job job;
       tickets.push_back(admit_locked(spec, job));
-      admitted_ids.emplace_back(job.id, job.spec.graph.digest);
+      admitted.push_back({job.id, job.spec.graph.digest, job.spec.preset,
+                          job.spec.priority});
       jobs.push_back(std::move(job));
     }
   }
@@ -437,23 +401,26 @@ std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs)
   const std::size_t pushed = queue_.push_bulk(
       std::move(jobs),
       [](const Job& j) { return static_cast<int>(j.spec.priority); });
-  // Jobs enqueue in admitted_ids order, so exactly the tail beyond `pushed`
+  // Jobs enqueue in `admitted` order, so exactly the tail beyond `pushed`
   // never reached the queue (possible only on a shutdown race). Fail each
   // structurally so every ticket stays claimable and drain() converges.
-  if (pushed < admitted_ids.size()) {
+  if (pushed < admitted.size()) {
     {
       // Roll back the digest-class occupancy admit_locked recorded (the
       // cancel token is erased by deliver below).
       std::lock_guard<std::mutex> lock(state_mutex_);
-      for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
-        forget_queued_locked(admitted_ids[i].second);
+      for (std::size_t i = pushed; i < admitted.size(); ++i) {
+        forget_queued_locked(admitted[i].digest);
       }
     }
-    for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
+    for (std::size_t i = pushed; i < admitted.size(); ++i) {
       JobResult failed;
-      failed.id = admitted_ids[i].first;
+      failed.id = admitted[i].id;
       failed.status = JobStatus::kFailed;
       failed.error = "service shut down before the job was queued";
+      failed.graph_digest = admitted[i].digest;
+      failed.preset = admitted[i].preset;
+      failed.priority = admitted[i].priority;
       deliver(std::move(failed));
     }
   }
@@ -757,7 +724,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
     // runtime suite proves shared-vs-fresh identity), which is what makes
     // pool reuse invisible to callers.
     entry.rt->reset_log();
-    if (job.resume_ckpt && config_.retry.resume_from_checkpoint) {
+    if (job.resume_ckpt) {
       // Restore the phase-boundary state of the failed attempt and arm
       // replay verification: the re-run below re-executes the pipeline
       // from the top, and every phase up to the checkpoint is verified
@@ -838,7 +805,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
         // log holds only COMPLETED phases.) Best-effort: if the snapshot
         // itself fails -- say, under allocation-failure injection -- the
         // retry simply re-runs from scratch.
-        if (!job.resume_ckpt && config_.retry.resume_from_checkpoint) {
+        if (!job.resume_ckpt) {
           try {
             job.resume_ckpt =
                 std::make_shared<const std::vector<std::uint8_t>>(

@@ -155,7 +155,9 @@ struct ServiceConfig {
   /// std::bad_alloc). Structural failures (precondition/invariant/bandwidth
   /// errors, watchdog trips, cancellation, deadlines) are never retried:
   /// they are deterministic properties of the job, so re-running cannot
-  /// change the outcome.
+  /// change the outcome. A retry resumes from the checkpoint taken at the
+  /// failed run's last completed phase boundary; the checkpoint replay
+  /// machinery (sim/runtime.hpp) verifies it bit-identical to a fresh run.
   struct RetryPolicy {
     /// Total execution attempts per job (first run included). 1 = the
     /// legacy behaviour: any failure is final. Must be >= 1.
@@ -178,11 +180,6 @@ struct ServiceConfig {
     /// (sim::watchdog_error -- not retried, the job would just hang again).
     /// 0 disables the watchdog.
     int watchdog_idle_rounds = 0;
-    /// Resume retries from the checkpoint captured at the failed run's last
-    /// completed phase boundary instead of re-running from scratch. The
-    /// resumed run is verified bit-identical to a fresh one by the
-    /// checkpoint replay machinery (see sim/runtime.hpp).
-    bool resume_from_checkpoint = true;
   };
   RetryPolicy retry;
 };
@@ -547,8 +544,8 @@ class ColoringService {
     /// (default epoch = no wait).
     std::chrono::steady_clock::time_point not_before{};
     /// Phase-boundary checkpoint captured when the first transient failure
-    /// struck, for RetryPolicy::resume_from_checkpoint retries. Shared so
-    /// requeueing copies cheaply.
+    /// struck; every retry resumes from it. Shared so requeueing copies
+    /// cheaply.
     std::shared_ptr<const std::vector<std::uint8_t>> resume_ckpt;
   };
 

@@ -176,42 +176,53 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   // single-threaded -- the property the fork-based transport needs.
   threads_.reserve(
       inline_shards ? 0 : static_cast<std::size_t>(num_shards_ - 1));
-  for (int shard = 1; !inline_shards && shard < num_shards_; ++shard) {
-    g_threads_spawned.fetch_add(1, std::memory_order_relaxed);
-    threads_.emplace_back([this, shard] {
-      MachineryScope machinery;
-      std::uint64_t seen = 0;
-      for (;;) {
-        Job job;
-        VertexProgram* program;
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          start_cv_.wait(lock,
-                         [&] { return stopping_ || generation_ != seen; });
-          if (stopping_) return;
-          seen = generation_;
-          job = job_;
-          program = program_;
-        }
-        if (job == Job::kInit) {
-          init_shard(shard);
-        } else {
-          run_shard_phase(shard, *program, job == Job::kBegin);
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (--pending_ == 0) done_cv_.notify_one();
-        }
-      }
-    });
-  }
+  // A failed spawn (std::system_error) or first-touch pass unwinds through
+  // here: the threads already running must be joined before threads_ is
+  // destroyed, or the joinable std::threads call std::terminate.
+  try {
+    for (int shard = 1; !inline_shards && shard < num_shards_; ++shard) {
+      threads_.emplace_back([this, shard] { pool_loop(shard); });
+      g_threads_spawned.fetch_add(1, std::memory_order_relaxed);
+    }
 
-  // First-touch pass: every shard faults in its own arena slices before any
-  // phase runs (see Job::kInit).
-  dispatch(Job::kInit);
+    // First-touch pass: every shard faults in its own arena slices before
+    // any phase runs (see Job::kInit).
+    dispatch(Job::kInit);
+  } catch (...) {
+    stop_pool();
+    throw;
+  }
 }
 
-Runtime::~Runtime() {
+Runtime::~Runtime() { stop_pool(); }
+
+void Runtime::pool_loop(int shard) {
+  MachineryScope machinery;
+  std::uint64_t seen = 0;
+  for (;;) {
+    Job job;
+    VertexProgram* program;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      start_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+      if (stopping_) return;
+      seen = generation_;
+      job = job_;
+      program = program_;
+    }
+    if (job == Job::kInit) {
+      init_shard(shard);
+    } else {
+      run_shard_phase(shard, *program, job == Job::kBegin);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--pending_ == 0) done_cv_.notify_one();
+    }
+  }
+}
+
+void Runtime::stop_pool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;

@@ -632,6 +632,11 @@ class Runtime {
   /// Dispatches one job (init/begin/step sweep) across the parked pool (or
   /// runs it inline when single-sharded).
   void dispatch(Job job);
+  /// Body of pool thread `shard`: parks until dispatch() bumps the
+  /// generation, runs the shard's share of the job, returns on stopping_.
+  void pool_loop(int shard);
+  /// Wakes the parked pool with stopping_ set and joins every thread.
+  void stop_pool();
   /// Everything of run_phase after the label/index bookkeeping; split out so
   /// run_phase can wrap it and annotate escaping invariant_errors with the
   /// phase label.
@@ -795,13 +800,6 @@ class ScopedFaultPlan {
     if (active_) {
       previous_ = rt_->fault_plan();
       rt_->set_fault_plan(*plan);
-    }
-  }
-  ScopedFaultPlan(Runtime& rt, FaultPlan plan)
-      : rt_(&rt), active_(plan.armed()) {
-    if (active_) {
-      previous_ = rt_->fault_plan();
-      rt_->set_fault_plan(std::move(plan));
     }
   }
   ~ScopedFaultPlan() {

@@ -1,14 +1,42 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/arbdefective.hpp"
 #include "graph/generators.hpp"
-#include "graph/subgraph.hpp"
 #include "graph/arboricity.hpp"
 
 namespace dvc {
 namespace {
+
+// One induced subgraph per color class, in ascending color order.
+std::vector<Graph> color_class_subgraphs(const Graph& g, const Coloring& c) {
+  std::map<std::int64_t, std::vector<V>> classes;
+  for (V v = 0; v < g.num_vertices(); ++v) {
+    classes[c[static_cast<std::size_t>(v)]].push_back(v);
+  }
+  std::vector<V> local(static_cast<std::size_t>(g.num_vertices()));
+  for (const auto& [color, members] : classes) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      local[static_cast<std::size_t>(members[i])] = static_cast<V>(i);
+    }
+  }
+  std::vector<Graph> out;
+  for (const auto& [color, members] : classes) {
+    EdgeList edges;
+    for (const V v : members) {
+      for (const V u : g.neighbors(v)) {
+        if (u > v && c[static_cast<std::size_t>(u)] == color) {
+          edges.emplace_back(local[static_cast<std::size_t>(v)],
+                             local[static_cast<std::size_t>(u)]);
+        }
+      }
+    }
+    out.push_back(Graph::from_edges(static_cast<V>(members.size()), edges));
+  }
+  return out;
+}
 
 TEST(ArbdefectiveColoring, Corollary36Bound) {
   const int a = 8;
@@ -38,9 +66,9 @@ TEST(ArbdefectiveColoring, ClassArboricityCertifiedByFlow) {
   const int t = 3, k = 3;
   const ArbdefectiveColoringResult res = arbdefective_coloring(rt, a, t, k);
   const auto classes = color_class_subgraphs(g, res.colors);
-  for (const auto& cls : classes) {
-    if (cls.graph.num_edges() == 0) continue;
-    const auto [lo, hi] = arboricity_bounds(cls.graph);
+  for (const Graph& cls : classes) {
+    if (cls.num_edges() == 0) continue;
+    const auto [lo, hi] = arboricity_bounds(cls);
     EXPECT_LE(lo, res.arbdefect_bound);
   }
 }

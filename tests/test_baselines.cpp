@@ -2,12 +2,9 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
-#include "baselines/cole_vishkin.hpp"
 #include "baselines/greedy.hpp"
 #include "baselines/luby.hpp"
 #include "baselines/rand_coloring.hpp"
-#include "common/math.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 
@@ -51,27 +48,6 @@ TEST(RandColoring, LegalDeltaPlusOne) {
     EXPECT_LT(palette_span(res.colors), g.max_degree() + 2);
     EXPECT_LE(res.stats.rounds, 12 * std::log2(1024.0) + 16);
   }
-}
-
-TEST(ColeVishkin, ThreeColorsInLogStarRounds) {
-  for (const V n : {10, 1000, 100000}) {
-    Graph ring = cycle_graph(n);
-    sim::Runtime rt(ring);
-    const RingColoringResult res = cole_vishkin_ring(rt);
-    EXPECT_TRUE(is_legal_coloring(ring, res.colors)) << n;
-    EXPECT_LT(palette_span(res.colors), 4) << n;
-    // log* n + O(1) rounds.
-    EXPECT_LE(res.stats.rounds, log_star(static_cast<std::uint64_t>(n)) + 12) << n;
-  }
-}
-
-TEST(ColeVishkin, RejectsNonRings) {
-  const Graph path = path_graph(10);
-  sim::Runtime path_rt(path);
-  EXPECT_THROW(cole_vishkin_ring(path_rt), precondition_error);
-  const Graph k5 = complete_graph(5);
-  sim::Runtime k5_rt(k5);
-  EXPECT_THROW(cole_vishkin_ring(k5_rt), precondition_error);
 }
 
 TEST(Greedy, ByDegeneracyMatchesDegeneracyBound) {

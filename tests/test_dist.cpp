@@ -693,7 +693,6 @@ TEST(DistService, SigkilledWorkerIsHealedByRetryCheckpointBitIdentically) {
   config.default_shards = 2;
   config.retry.max_attempts = 2;
   config.retry.backoff_base_ms = 0.0;
-  config.retry.resume_from_checkpoint = true;
   ColoringService svc(config);
 
   JobSpec spec = dist_spec(svc, g, /*workers=*/2, Backend::kFork);

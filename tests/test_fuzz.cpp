@@ -66,7 +66,6 @@ std::int64_t contract_for(std::string_view phase) {
   if (phase == "kuhn-defective" || phase == "linial" || phase == "arb-recolor")
     return recolor_max_words();
   if (phase == "kw-reduce") return kw_reduce_max_words();
-  if (phase == "naive-reduce") return naive_reduce_max_words();
   if (phase == "greedy-by-orientation")
     return greedy_by_orientation_max_words();
   if (phase == "simple-arbdefective") return simple_arbdefective_max_words();

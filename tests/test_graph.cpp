@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "graph/graph.hpp"
-#include "graph/subgraph.hpp"
 
 namespace dvc {
 namespace {
@@ -106,28 +105,6 @@ TEST(Graph, EdgesRoundTrip) {
 TEST(Graph, AverageDegree) {
   Graph g = Graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_DOUBLE_EQ(g.average_degree(), 1.5);
-}
-
-TEST(Subgraph, InducedKeepsInternalEdgesOnly) {
-  Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
-  const std::vector<V> verts{0, 1, 2};
-  Induced sub = induced_subgraph(g, verts);
-  EXPECT_EQ(sub.graph.num_vertices(), 3);
-  EXPECT_EQ(sub.graph.num_edges(), 2);  // 0-1, 1-2 (edge 4-0 leaves the set)
-  EXPECT_EQ(sub.to_parent, verts);
-}
-
-TEST(Subgraph, ColorClassSubgraphsPartitionVertices) {
-  Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  Coloring c{0, 1, 0, 1, 0, 1};
-  const auto classes = color_class_subgraphs(g, c);
-  ASSERT_EQ(classes.size(), 2u);
-  std::size_t total = 0;
-  for (const auto& cls : classes) total += cls.to_parent.size();
-  EXPECT_EQ(total, 6u);
-  // A legal 2-coloring of a path: classes are independent sets.
-  EXPECT_EQ(classes[0].graph.num_edges(), 0);
-  EXPECT_EQ(classes[1].graph.num_edges(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@
 // header for the helpers below.
 #pragma once
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstddef>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -44,6 +50,34 @@ inline dvc::sim::FaultPlan port_scan_oracle_plan() {
                             /*phase=*/std::numeric_limits<int>::max(),
                             /*round=*/0, /*shard=*/-1, /*salt=*/-1});
   return plan;
+}
+
+/// True under AddressSanitizer or ThreadSanitizer. Both reserve terabytes
+/// of shadow address space, so an RLIMIT_AS cap cannot be applied.
+constexpr bool kShadowSanitizer =
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    true;
+#else
+    false;
+#endif
+
+/// Caps the calling process's address space at its current size plus room
+/// for about two default thread stacks, so that a loop spawning more
+/// std::threads than that fails part-way with std::system_error. Call it
+/// only in a forked child (e.g. inside EXPECT_EXIT).
+inline void cap_address_space_near_two_thread_stacks() {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  std::size_t stack = 0;
+  pthread_attr_getstacksize(&attr, &stack);
+  pthread_attr_destroy(&attr);
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  rlimit lim{};
+  getrlimit(RLIMIT_AS, &lim);
+  lim.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+                 2 * stack + stack / 2;
+  setrlimit(RLIMIT_AS, &lim);
 }
 
 }  // namespace dvc_test

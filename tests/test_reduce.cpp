@@ -40,19 +40,6 @@ TEST(GreedyByOrientation, ThrowsWhenPaletteTooSmall) {
   EXPECT_THROW(greedy_by_orientation(rt, o, 4), invariant_error);
 }
 
-TEST(NaiveReduce, ShrinksPaletteToDeltaPlusOne) {
-  Graph g = random_near_regular(128, 5, 1);
-  sim::Runtime rt(g);
-  const DefectiveResult linial = linial_coloring(rt, g.max_degree());
-  const std::int64_t target = g.max_degree() + 1;
-  const ReduceResult res =
-      reduce_colors_naive(rt, linial.colors, linial.palette, target);
-  EXPECT_TRUE(is_legal_coloring(g, res.colors));
-  EXPECT_LT(palette_span(res.colors), target + 1);
-  // Rounds ~ palette - target.
-  EXPECT_LE(res.stats.rounds, linial.palette - target + 2);
-}
-
 TEST(KwReduce, ShrinksPaletteToDeltaPlusOne) {
   Graph g = random_near_regular(256, 7, 2);
   sim::Runtime rt(g);
@@ -67,12 +54,11 @@ TEST(KwReduce, FasterThanNaiveOnBigPalettes) {
   Graph g = random_near_regular(512, 8, 3);
   sim::Runtime rt(g);
   const DefectiveResult linial = linial_coloring(rt, g.max_degree());
-  const ReduceResult naive =
-      reduce_colors_naive(rt, linial.colors, linial.palette, g.max_degree() + 1);
   const ReduceResult kw =
       kw_reduce(rt, linial.colors, linial.palette, g.max_degree());
   EXPECT_TRUE(is_legal_coloring(g, kw.colors));
-  EXPECT_LT(kw.stats.rounds, naive.stats.rounds);
+  // The naive schedule recolors one class per round: palette - (Delta + 1).
+  EXPECT_LT(kw.stats.rounds, linial.palette - (g.max_degree() + 1));
 }
 
 TEST(KwReduce, NoopWhenAlreadySmall) {
@@ -98,6 +84,22 @@ TEST(KwReduce, GroupsUseDisjointLogic) {
   const ReduceResult res = kw_reduce(rt, init, 8, 3, &groups);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));  // cliques are group-local
   EXPECT_LT(palette_span(res.colors), 5);
+
+  // Two K5s in separate groups, plus edges from vertex 9 to all of the
+  // first K5. Vertex 9 recolors first and fits in 5 colors only if it
+  // ignores its five cross-group neighbors (colors 0..4).
+  EdgeList k5s = complete_graph(5).edges();
+  for (const auto& [u, v] : complete_graph(5).edges()) k5s.emplace_back(u + 5, v + 5);
+  EdgeList crossed = k5s;
+  for (V u = 0; u < 5; ++u) crossed.emplace_back(u, 9);
+  Graph g2 = Graph::from_edges(10, crossed);
+  sim::Runtime rt2(g2);
+  std::vector<std::int64_t> groups2{0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
+  Coloring init2(10);
+  for (V v = 0; v < 10; ++v) init2[static_cast<std::size_t>(v)] = v;
+  const ReduceResult res2 = kw_reduce(rt2, init2, 10, 4, &groups2);
+  EXPECT_TRUE(is_legal_coloring(Graph::from_edges(10, k5s), res2.colors));
+  EXPECT_LT(palette_span(res2.colors), 6);
 }
 
 TEST(LegalSmallDegree, DeltaPlusOneEndToEnd) {

@@ -114,20 +114,6 @@ TEST(Regression, KwReducePhaseBoundaryMessagesCarryNewNumbering) {
   EXPECT_LT(palette_span(res.colors), g.max_degree() + 2);
 }
 
-TEST(Regression, NaiveReduceWithGroups) {
-  // Two cliques in separate groups reduce in parallel.
-  EdgeList edges = complete_graph(5).edges();
-  for (const auto& [u, v] : complete_graph(5).edges()) edges.emplace_back(u + 5, v + 5);
-  Graph g = Graph::from_edges(10, edges);
-  sim::Runtime rt(g);
-  std::vector<std::int64_t> groups{0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
-  Coloring init(10);
-  for (V v = 0; v < 10; ++v) init[static_cast<std::size_t>(v)] = v;
-  const ReduceResult res = reduce_colors_naive(rt, init, 10, 5, &groups);
-  EXPECT_TRUE(is_legal_coloring(g, res.colors));
-  EXPECT_LT(palette_span(res.colors), 6);
-}
-
 // ---------- palette-shape properties --------------------------------------
 
 TEST(Shape, Theorem45ColorRatioShrinksWithF) {

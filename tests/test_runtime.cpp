@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/check.hpp"
@@ -111,6 +112,26 @@ TEST(Runtime, PolylogPresetSpawnsNoThreadsAfterConstructionAndRerunsCleanly) {
   EXPECT_EQ(sim::Runtime::lifetime_threads_spawned(), spawned);
 
   EXPECT_TRUE(dvc_test::bit_identical(first, second));
+}
+
+TEST(RuntimeDeathTest, FailedPoolSpawnThrowsInsteadOfTerminating) {
+  if (dvc_test::kShadowSanitizer) {
+    GTEST_SKIP() << "ASan/TSan shadow memory defeats an address-space cap";
+  }
+  // The shard pool's third or so thread fails to spawn; the constructor
+  // must join the ones already running and rethrow, not std::terminate.
+  const Graph g = path_graph(1024);
+  EXPECT_EXIT(
+      {
+        dvc_test::cap_address_space_near_two_thread_stacks();
+        try {
+          sim::Runtime rt(g, 16);
+        } catch (const std::system_error&) {
+          _exit(0);
+        }
+        _exit(3);  // every thread spawned: the cap did not bite
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Runtime, CaughtProgramErrorDoesNotPoisonTheNextPhase) {

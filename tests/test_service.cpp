@@ -16,6 +16,7 @@
 #include <chrono>
 #include <future>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -429,6 +430,27 @@ TEST(Service, ShutdownIsGracefulAndIdempotent) {
   EXPECT_THROW(svc.submit(late), precondition_error);
   EXPECT_THROW(svc.try_submit(late), precondition_error);
   EXPECT_THROW(svc.submit_batch({late}), precondition_error);
+}
+
+TEST(ServiceDeathTest, FailedWorkerSpawnThrowsInsteadOfTerminating) {
+  if (dvc_test::kShadowSanitizer) {
+    GTEST_SKIP() << "ASan/TSan shadow memory defeats an address-space cap";
+  }
+  // The worker pool's third or so thread fails to spawn; the constructor
+  // must join the workers already running and rethrow, not std::terminate.
+  ServiceConfig config;
+  config.workers = 16;
+  EXPECT_EXIT(
+      {
+        dvc_test::cap_address_space_near_two_thread_stacks();
+        try {
+          ColoringService svc(config);
+        } catch (const std::system_error&) {
+          _exit(0);
+        }
+        _exit(3);  // every worker spawned: the cap did not bite
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Service, EveryEntryPointRejectsAnInvalidSpecAndAdmitsNothing) {
