@@ -64,11 +64,11 @@ struct Knobs {
   /// counters); the budget only adds enforcement.
   int congest_words = 0;
   /// Deterministic fault injection for the pipeline (chaos testing, see
-  /// sim/fault.hpp): non-null installs the plan for the duration of the
-  /// call via ScopedFaultPlan. DIRECT synchronous calls only -- the pointer
-  /// must outlive the call, so jobs submitted to the service use
-  /// service::JobSpec::fault_plan (held by value) instead.
-  const sim::FaultPlan* fault_plan = nullptr;
+  /// sim/fault.hpp): an armed plan is installed for the duration of the
+  /// call via ScopedFaultPlan; the default plan is unarmed and installs
+  /// nothing. The service installs each job's plan with FaultPlan::salt set
+  /// to the attempt index, so a retry draws fresh fault decisions.
+  sim::FaultPlan fault_plan;
 };
 
 std::string preset_name(Preset p);

@@ -35,7 +35,6 @@ struct RuntimeAccess {
   static Arena& out_arena(R& rt) { return rt.arenas_[1 - rt.in_idx_]; }
   static int round(R& rt) { return rt.round_; }
   static int phase_cur(R& rt) { return rt.phase_cur_; }
-  static std::int64_t num_slots(R& rt) { return rt.slots_; }
   static const sim::RunStats& stats(R& rt) { return rt.stats_; }
   static std::int32_t out_stamp(R& rt) { return rt.stamp_base_ + rt.round_; }
   static std::vector<std::uint8_t>& halted(R& rt) { return rt.halted_; }
@@ -517,7 +516,7 @@ class DistExecutor final : public sim::PhaseExecutor {
       sl.vtx_hi = RuntimeAccess::shard(rt, sl.shard_hi - 1).last;
       slot_lo[static_cast<std::size_t>(w)] = sl.slot_lo;
     }
-    slot_lo[static_cast<std::size_t>(workers)] = RuntimeAccess::num_slots(rt);
+    slot_lo[static_cast<std::size_t>(workers)] = rt.graph().num_slots();
 
     links_.clear();
     pids_.assign(static_cast<std::size_t>(workers), -1);
@@ -590,15 +589,27 @@ class DistExecutor final : public sim::PhaseExecutor {
         for (;;) {
           std::vector<std::uint8_t> frame_in = recv_from(w);
           const wire::FrameHeader h = wire::decode_frame_header(frame_in);
-          const auto payload = wire::frame_payload(frame_in);
           if (h.type == static_cast<std::uint8_t>(FrameType::kMsgs)) {
-            ByteReader r{payload, 0, "messages frame"};
-            const auto dest = static_cast<int>(r.u32());
-            DVC_ENSURE(dest >= 0 && dest < worker_count(),
-                       "messages frame names an unknown destination worker");
-            relays.emplace_back(dest, std::move(frame_in));
+            // Relayed unchanged, so only the destination (the payload's
+            // first u32, read within the declared payload) is read here; the
+            // destination's serve() checks the frame checksum. A damaged
+            // destination field names another worker, whose check fails,
+            // or none at all.
+            const auto body = std::span<const std::uint8_t>(frame_in).first(
+                std::min(frame_in.size(),
+                         wire::kFrameHeaderBytes + h.payload_len));
+            const std::uint32_t dest =
+                ByteReader{body, wire::kFrameHeaderBytes, "messages frame"}
+                    .u32();
+            if (dest >= static_cast<std::uint32_t>(worker_count())) {
+              throw corruption_error(
+                  "messages frame names an unknown destination worker", "",
+                  h.phase, h.round, 0, dest);
+            }
+            relays.emplace_back(static_cast<int>(dest), std::move(frame_in));
             continue;
           }
+          const auto payload = wire::frame_payload(frame_in);
           if (h.type == static_cast<std::uint8_t>(FrameType::kError)) {
             rethrow_error_payload(payload, w);
           }

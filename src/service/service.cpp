@@ -35,9 +35,6 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 void validate_spec(const JobSpec& spec) {
   DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
   DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-              "Knobs::fault_plan is a borrowed pointer for direct calls; "
-              "service jobs carry the plan by value in JobSpec::fault_plan");
   DVC_REQUIRE(spec.dist.workers >= 0,
               "JobSpec::dist.workers must be >= 0 (0 = in-process)");
   DVC_REQUIRE(spec.dist.kill_attempt >= 0,
@@ -663,7 +660,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
   // bypasses the cache in both directions: a chaos job must actually run
   // (and possibly fault), and a run that faulted-and-recovered is verified
   // bit-identical but stays out of the fault-free cache population.
-  const bool plan_armed = spec.fault_plan.armed();
+  const bool plan_armed = spec.knobs.fault_plan.armed();
   // Multi-process execution (see dist/dist.hpp): the job's session is an
   // inline-shards one (pooled under its own key) carrying a DistSession, so
   // every dist-capable phase runs across spec.dist.workers OS processes.
@@ -754,11 +751,10 @@ std::optional<JobResult> ColoringService::execute(Job job) {
                                          config_.retry.watchdog_idle_rounds);
       // Chaos injection: the job's plan, salted with the attempt index so a
       // retry draws fresh fault decisions instead of replaying the fault
-      // that killed it. Scoped: a pooled session never inherits a plan.
-      sim::FaultPlan plan = spec.fault_plan;
-      plan.salt = job.attempt;
-      const sim::ScopedFaultPlan fault_guard(*entry.rt,
-                                             plan_armed ? &plan : nullptr);
+      // that killed it. color_graph installs it scoped to the call, so a
+      // pooled session never inherits a plan.
+      Knobs knobs = spec.knobs;
+      knobs.fault_plan.salt = job.attempt;
       // Distributed execution: install the transport for the span of this
       // run. The scheduled worker kill arms only on its designated attempt,
       // so the retry of a killed job runs clean and recovery is observable.
@@ -773,8 +769,8 @@ std::optional<JobResult> ColoringService::execute(Job job) {
         }
         dist_session.emplace(*entry.rt, dcfg);
       }
-      res.result = color_graph(*entry.rt, spec.arboricity_bound, spec.preset,
-                               spec.knobs);
+      res.result =
+          color_graph(*entry.rt, spec.arboricity_bound, spec.preset, knobs);
       if (dist_session) {
         const dist::PhaseWireMetrics totals = dist_session->totals();
         res.dist_workers = dist_session->effective_workers();

@@ -187,7 +187,10 @@ struct ServiceConfig {
 /// One unit of work: color `graph` with `preset` under `knobs`.
 /// knobs.shards selects the session shard count (0 = ServiceConfig
 /// default); knobs.congest_words applies per job, scoped to
-/// the job's session for exactly the duration of the run.
+/// the job's session for exactly the duration of the run. An armed
+/// knobs.fault_plan is installed for each attempt with FaultPlan::salt set
+/// to the attempt index, and bypasses the result cache in both directions
+/// (a faulted run is not the cache's bit-identity contract).
 struct JobSpec {
   GraphRef graph;
   int arboricity_bound = 1;
@@ -200,15 +203,6 @@ struct JobSpec {
   /// boundaries) completes with JobStatus::kExpired instead of running to
   /// the end.
   double deadline_ms = 0.0;
-  /// Deterministic fault injection for this job's runs (chaos testing, see
-  /// sim/fault.hpp). Held BY VALUE -- service jobs outlive the submitting
-  /// frame, so the Knobs::fault_plan pointer is rejected here. The plan is
-  /// installed scoped to each attempt with FaultPlan::salt set to the
-  /// attempt index, so retries of the same job draw fresh fault decisions.
-  /// An armed plan bypasses the result cache in both directions (a faulted
-  /// run is not the cache's bit-identity contract).
-  sim::FaultPlan fault_plan;
-
   /// Multi-process execution of this job's phases (see dist/dist.hpp).
   /// workers == 0 (the default) runs in-process on the pooled threaded
   /// session. workers > 0 runs each attempt on an inline-shards session

@@ -120,8 +120,7 @@ class watchdog_error : public invariant_error {
 
 /// Seeded, deterministic fault schedule. Install on a session with
 /// Runtime::set_fault_plan / ScopedFaultPlan, or per-run via
-/// Knobs::fault_plan (direct synchronous calls) / JobSpec::fault_plan (the
-/// service, which owns salting the plan per retry attempt).
+/// Knobs::fault_plan (the service salts its copy per retry attempt).
 struct FaultPlan {
   std::uint64_t seed = 0;
   /// Attempt separator: mixed into every probabilistic decision. The

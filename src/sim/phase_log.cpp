@@ -1,6 +1,6 @@
 #include "sim/phase_log.hpp"
 
-#include "common/check.hpp"
+#include "common/wire.hpp"
 
 namespace dvc::sim {
 
@@ -107,114 +107,6 @@ void PhaseLog::clear() {
   active_.clear();
   bandwidth_.clear();
   depth_ = 0;
-  // An unfinished checkpoint replay does not survive a reset: the caller is
-  // abandoning the run the replay was verifying.
-  replay_.reset();
-  replay_cursor_ = 0;
-}
-
-void PhaseLog::begin_replay(PhaseLog target) {
-  DVC_REQUIRE(entries_.empty(),
-              "checkpoint replay requires an empty log (reset_log first)");
-  replay_cursor_ = 0;
-  if (target.empty()) {
-    replay_.reset();
-    return;
-  }
-  replay_ = std::make_unique<PhaseLog>(std::move(target));
-}
-
-void PhaseLog::advance_replay() {
-  if (++replay_cursor_ >= replay_->entries_.size()) {
-    // The checkpointed prefix has been fully re-verified; the rest of the
-    // run is new ground.
-    replay_.reset();
-    replay_cursor_ = 0;
-  }
-}
-
-namespace {
-[[noreturn]] void replay_diverged(std::size_t index, std::string_view got_name,
-                                  const std::string& what) {
-  throw invariant_error(
-      "checkpoint replay diverged at log entry " + std::to_string(index) +
-      " ('" + std::string(got_name) + "'): " + what +
-      " -- the resumed run is not bit-identical to the checkpointed run "
-      "(different knobs, graph, or nondeterminism)");
-}
-
-template <typename T>
-void replay_check_series(std::size_t index, std::string_view got_name,
-                         const char* series, std::span<const T> want,
-                         const std::vector<T>& got) {
-  if (want.size() != got.size()) {
-    replay_diverged(index, got_name,
-                    std::string(series) + " series length " +
-                        std::to_string(got.size()) + " != checkpointed " +
-                        std::to_string(want.size()));
-  }
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (want[i] != got[i]) {
-      replay_diverged(index, got_name,
-                      std::string(series) + " series diverges at step " +
-                          std::to_string(i));
-    }
-  }
-}
-}  // namespace
-
-void PhaseLog::verify_replay_leaf(std::string_view name,
-                                  const RunStats& stats) {
-  const PhaseLog& t = *replay_;
-  const Entry& want = t.entries_[replay_cursor_];
-  const std::size_t i = replay_cursor_;
-  if (t.name(want) != name) {
-    replay_diverged(i, name,
-                    "expected phase '" + std::string(t.name(want)) + "'");
-  }
-  if (want.span) replay_diverged(i, name, "expected an aggregate span here");
-  if (want.depth != depth_) {
-    replay_diverged(i, name,
-                    "nesting depth " + std::to_string(depth_) +
-                        " != checkpointed " + std::to_string(want.depth));
-  }
-  if (want.rounds != stats.rounds || want.messages != stats.messages ||
-      want.words != stats.words || want.work_items != stats.work_items ||
-      want.max_msg_words != stats.max_msg_words) {
-    replay_diverged(
-        i, name,
-        "counters (rounds/messages/words/work_items/max_msg_words) differ: "
-        "got " + std::to_string(stats.rounds) + "/" +
-            std::to_string(stats.messages) + "/" + std::to_string(stats.words) +
-            "/" + std::to_string(stats.work_items) + "/" +
-            std::to_string(stats.max_msg_words) + ", checkpoint has " +
-            std::to_string(want.rounds) + "/" + std::to_string(want.messages) +
-            "/" + std::to_string(want.words) + "/" +
-            std::to_string(want.work_items) + "/" +
-            std::to_string(want.max_msg_words));
-  }
-  replay_check_series<std::int32_t>(i, name, "active_per_round",
-                                    t.active(want), stats.active_per_round);
-  replay_check_series<std::uint64_t>(i, name, "words_per_round",
-                                     t.bandwidth(want), stats.words_per_round);
-  advance_replay();
-}
-
-void PhaseLog::verify_replay_span(std::string_view name) {
-  const PhaseLog& t = *replay_;
-  const Entry& want = t.entries_[replay_cursor_];
-  const std::size_t i = replay_cursor_;
-  if (t.name(want) != name) {
-    replay_diverged(i, name,
-                    "expected phase '" + std::string(t.name(want)) + "'");
-  }
-  if (!want.span) replay_diverged(i, name, "expected a leaf phase here");
-  if (want.depth != depth_) {
-    replay_diverged(i, name,
-                    "nesting depth " + std::to_string(depth_) +
-                        " != checkpointed " + std::to_string(want.depth));
-  }
-  advance_replay();
 }
 
 std::uint32_t PhaseLog::intern(std::string_view name) {
@@ -224,7 +116,6 @@ std::uint32_t PhaseLog::intern(std::string_view name) {
 }
 
 std::size_t PhaseLog::open_span(std::string_view name) {
-  if (replay_) verify_replay_span(name);
   Entry e;
   e.name_off = intern(name);
   e.name_len = static_cast<std::uint32_t>(name.size());
@@ -262,7 +153,6 @@ void PhaseLog::close_span(std::size_t idx) {
 }
 
 void PhaseLog::record(std::string_view name, const RunStats& stats) {
-  if (replay_) verify_replay_leaf(name, stats);
   Entry e;
   e.name_off = intern(name);
   e.name_len = static_cast<std::uint32_t>(name.size());
@@ -285,6 +175,61 @@ void PhaseLog::record(std::string_view name, const RunStats& stats) {
   bandwidth_.insert(bandwidth_.end(), stats.words_per_round.begin(),
                     stats.words_per_round.end());
   entries_.push_back(e);
+}
+
+void PhaseLog::save(wire::ByteWriter& w) const {
+  w.u64(entries_.size());
+  for (const Entry& e : entries_) {
+    w.str(name(e));
+    w.i32(e.depth);
+    w.u8(e.span ? 1 : 0);
+    w.i32(e.rounds);
+    w.u64(e.messages);
+    w.u64(e.words);
+    w.u64(e.work_items);
+    w.u32(e.max_msg_words);
+    const auto a = active(e);
+    w.u32(static_cast<std::uint32_t>(a.size()));
+    for (const std::int32_t x : a) w.i32(x);
+    const auto b = bandwidth(e);
+    w.u32(static_cast<std::uint32_t>(b.size()));
+    for (const std::uint64_t x : b) w.u64(x);
+  }
+}
+
+PhaseLog PhaseLog::load(wire::ByteReader& r) {
+  PhaseLog log;
+  const std::uint64_t entries = r.u64();
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    const std::string name = r.str();
+    Entry e;
+    e.name_off = log.intern(name);
+    e.name_len = static_cast<std::uint32_t>(name.size());
+    e.depth = r.i32();
+    e.span = r.u8() != 0;
+    e.rounds = r.i32();
+    e.messages = r.u64();
+    e.words = r.u64();
+    e.work_items = r.u64();
+    e.max_msg_words = r.u32();
+    // Offsets as record() assigns them (0 for an empty series), so a loaded
+    // log compares equal to the one that was saved.
+    e.active_len = r.u32();
+    e.active_off = e.active_len == 0
+                       ? 0
+                       : static_cast<std::uint32_t>(log.active_.size());
+    for (std::uint32_t j = 0; j < e.active_len; ++j) {
+      log.active_.push_back(r.i32());
+    }
+    e.bw_len = r.u32();
+    e.bw_off =
+        e.bw_len == 0 ? 0 : static_cast<std::uint32_t>(log.bandwidth_.size());
+    for (std::uint32_t j = 0; j < e.bw_len; ++j) {
+      log.bandwidth_.push_back(r.u64());
+    }
+    log.entries_.push_back(e);
+  }
+  return log;
 }
 
 }  // namespace dvc::sim

@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace dvc::wire {
+struct ByteReader;
+struct ByteWriter;
+}  // namespace dvc::wire
 
 namespace dvc::sim {
 
@@ -84,29 +88,6 @@ struct RunStats {
 /// of entries with strictly greater depth.
 class PhaseLog {
  public:
-  PhaseLog() = default;
-  /// Copies log CONTENT only: replay-verification state (see replaying())
-  /// is session-internal and never travels with a copy -- result
-  /// snapshots, slices and cache entries are plain logs.
-  PhaseLog(const PhaseLog& other)
-      : entries_(other.entries_),
-        names_(other.names_),
-        active_(other.active_),
-        bandwidth_(other.bandwidth_),
-        depth_(other.depth_) {}
-  PhaseLog& operator=(const PhaseLog& other) {
-    entries_ = other.entries_;
-    names_ = other.names_;
-    active_ = other.active_;
-    bandwidth_ = other.bandwidth_;
-    depth_ = other.depth_;
-    replay_.reset();
-    replay_cursor_ = 0;
-    return *this;
-  }
-  PhaseLog(PhaseLog&&) = default;
-  PhaseLog& operator=(PhaseLog&&) = default;
-
   struct Entry {
     std::uint32_t name_off = 0;
     std::uint32_t name_len = 0;
@@ -189,50 +170,22 @@ class PhaseLog {
   /// Appends a leaf entry at the current depth.
   void record(std::string_view name, const RunStats& stats);
 
-  /// Replay verification (checkpoint resume, see Runtime::resume): the log
-  /// starts EMPTY and re-fills normally as phases re-execute, but every
-  /// appended entry is additionally matched against the restored target log
-  /// at a cursor -- any divergence (name, counters, or per-round series)
-  /// throws invariant_error, so a resumed run that would not be bit-
-  /// identical to the original fails loudly instead of silently. The
-  /// restored entries are held aside (never visible through size()/
-  /// operator[]), so drivers that slice the log from a recorded mark keep
-  /// working. Replay ends when the cursor exhausts the target.
-  bool replaying() const { return replay_ != nullptr; }
+  /// Encodes the log, entry by entry with its name and per-round series
+  /// inline, for Runtime::checkpoint; load() is the inverse (bounds-checked
+  /// reads: a short buffer throws corruption_error).
+  void save(wire::ByteWriter& w) const;
+  static PhaseLog load(wire::ByteReader& r);
 
-  /// Semantic comparison (names + counters + series via the public
-  /// accessors): entries_/names_/active_/bandwidth_/depth_, ignoring any
-  /// replay-verification state. Written out manually because the replay
-  /// members make the defaulted memberwise comparison both ill-formed
-  /// (unique_ptr) and wrong (replay state is not log content).
-  friend bool operator==(const PhaseLog& a, const PhaseLog& b) {
-    return a.entries_ == b.entries_ && a.names_ == b.names_ &&
-           a.active_ == b.active_ && a.bandwidth_ == b.bandwidth_ &&
-           a.depth_ == b.depth_;
-  }
+  friend bool operator==(const PhaseLog&, const PhaseLog&) = default;
 
  private:
-  friend class Runtime;  // checkpoint serialization + replay installation
-
   std::uint32_t intern(std::string_view name);
-  /// Installs `target` as the replay-verification target (requires empty()).
-  void begin_replay(PhaseLog target);
-  /// Match an incoming leaf/span against the replay target at the cursor
-  /// BEFORE it is appended; throws invariant_error on divergence. Spans are
-  /// verified on name/depth/shape only -- their counters are a pure fold of
-  /// their (verified) leaves.
-  void verify_replay_leaf(std::string_view name, const RunStats& stats);
-  void verify_replay_span(std::string_view name);
-  void advance_replay();
 
   std::vector<Entry> entries_;
   std::vector<char> names_;
   std::vector<std::int32_t> active_;
   std::vector<std::uint64_t> bandwidth_;
   std::int32_t depth_ = 0;
-  /// Checkpoint-replay target and cursor (null/0 when not replaying).
-  std::unique_ptr<PhaseLog> replay_;
-  std::size_t replay_cursor_ = 0;
 };
 
 }  // namespace dvc::sim

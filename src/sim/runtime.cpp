@@ -35,12 +35,12 @@ constexpr const char* kOneMessagePerEdge =
 constexpr std::uint64_t kLaneSeed = 0x64766c616e65ULL;  // "dvlane"
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
-// magic + version header, graph fingerprint, boundary state, the serialized
-// PhaseLog, and a trailing wire::checksum64. The encode/decode/checksum
-// idioms live in common/wire.hpp, shared with the distributed transport's
-// frame protocol.
+// magic + version header, graph fingerprint, CONGEST budget, the serialized
+// PhaseLog (PhaseLog::save), and a trailing wire::checksum64. The encode/
+// decode/checksum idioms live in common/wire.hpp, shared with the
+// distributed transport's frame protocol.
 constexpr std::uint64_t kCkptMagic = 0x647663434b505431ULL;  // "dvcCKPT1"
-constexpr std::uint32_t kCkptVersion = 3;
+constexpr std::uint32_t kCkptVersion = 4;
 
 // Depth counter (not a bool) so machinery scopes nest: the round loop is
 // machinery, program callbacks are not, but Ctx::send called from a callback
@@ -120,21 +120,14 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   shards_.resize(static_cast<std::size_t>(num_shards_));
 
   // All slot- and vertex-sized state is allocated here, once per session;
-  // run_phase only resets it. The slot- and vertex-indexed arrays are
-  // allocated WITHOUT initialization: the kInit job dispatched below has
-  // each shard default its own slice, so the backing pages are first
-  // touched by the thread that will read and write them (NUMA first-touch
-  // placement). Vectors below that are filled exclusively by their owning
-  // shard (live, grouped, speakers, words) get the same property for free:
-  // reserve() maps pages without faulting them in.
+  // run_phase only resets it. Epoch -1 and the default SenderRecord stamps
+  // match no round.
   const auto slots = static_cast<std::size_t>(g.num_slots());
-  slots_ = g.num_slots();
   for (Arena& arena : arenas_) {
-    arena.epoch = std::make_unique_for_overwrite<std::int32_t[]>(slots);
-    arena.off = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
-    arena.len = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
-    arena.record = std::make_unique_for_overwrite<SenderRecord[]>(
-        static_cast<std::size_t>(n));
+    arena.epoch.assign(slots, -1);
+    arena.off.assign(slots, 0);
+    arena.len.assign(slots, 0);
+    arena.record.assign(static_cast<std::size_t>(n), SenderRecord{});
     arena.words.resize(static_cast<std::size_t>(num_shards_));
     arena.speakers.resize(static_cast<std::size_t>(num_shards_));
   }
@@ -176,18 +169,14 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   // single-threaded -- the property the fork-based transport needs.
   threads_.reserve(
       inline_shards ? 0 : static_cast<std::size_t>(num_shards_ - 1));
-  // A failed spawn (std::system_error) or first-touch pass unwinds through
-  // here: the threads already running must be joined before threads_ is
-  // destroyed, or the joinable std::threads call std::terminate.
+  // A failed spawn (std::system_error) unwinds through here: the threads
+  // already running must be joined before threads_ is destroyed, or the
+  // joinable std::threads call std::terminate.
   try {
     for (int shard = 1; !inline_shards && shard < num_shards_; ++shard) {
       threads_.emplace_back([this, shard] { pool_loop(shard); });
       g_threads_spawned.fetch_add(1, std::memory_order_relaxed);
     }
-
-    // First-touch pass: every shard faults in its own arena slices before
-    // any phase runs (see Job::kInit).
-    dispatch(Job::kInit);
   } catch (...) {
     stop_pool();
     throw;
@@ -210,11 +199,7 @@ void Runtime::pool_loop(int shard) {
       job = job_;
       program = program_;
     }
-    if (job == Job::kInit) {
-      init_shard(shard);
-    } else {
-      run_shard_phase(shard, *program, job == Job::kBegin);
-    }
+    run_shard_phase(shard, *program, job == Job::kBegin);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--pending_ == 0) done_cv_.notify_one();
@@ -487,40 +472,15 @@ void Runtime::merge_shards() {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void Runtime::init_shard(int shard) {
-  const Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  for (Arena& arena : arenas_) {
-    std::fill(arena.epoch.get() + sh.slot_lo, arena.epoch.get() + sh.slot_hi,
-              std::int32_t{-1});
-    std::fill(arena.off.get() + sh.slot_lo, arena.off.get() + sh.slot_hi,
-              std::uint32_t{0});
-    std::fill(arena.len.get() + sh.slot_lo, arena.len.get() + sh.slot_hi,
-              std::uint32_t{0});
-    std::fill(arena.record.get() + sh.first, arena.record.get() + sh.last,
-              SenderRecord{});
-  }
-}
-
 void Runtime::dispatch(Job job) {
-  const auto run_mine = [&] {
-    if (job == Job::kInit) {
-      init_shard(0);
-    } else {
-      run_shard_phase(0, *program_, job == Job::kBegin);
-    }
-  };
+  const bool is_begin = job == Job::kBegin;
   if (threads_.empty()) {
     // Single-sharded, or a multi-shard inline session (inline_shards):
     // sweep every shard sequentially on this thread. Shard sweeps are
     // independent by the race-freedom contract, so serial ascending order
     // is bit-identical to the pool's concurrent execution.
-    run_mine();
-    for (int shard = 1; shard < num_shards_; ++shard) {
-      if (job == Job::kInit) {
-        init_shard(shard);
-      } else {
-        run_shard_phase(shard, *program_, job == Job::kBegin);
-      }
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      run_shard_phase(shard, *program_, is_begin);
     }
     return;
   }
@@ -531,7 +491,7 @@ void Runtime::dispatch(Job job) {
     ++generation_;
   }
   start_cv_.notify_all();
-  run_mine();
+  run_shard_phase(0, *program_, is_begin);
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
 }
@@ -552,7 +512,7 @@ const RunStats& Runtime::run_phase(VertexProgram& program, int max_rounds,
   phase_label_.assign(label);
   phase_cur_ = phase_index_++;
   try {
-    return run_phase_body(program, max_rounds, label);
+    run_phase_body(program, max_rounds, label);
   } catch (const bandwidth_error& e) {
     throw bandwidth_error("in phase '" + phase_label_ + "' (phase " +
                               std::to_string(phase_cur_) + "): " + e.what(),
@@ -567,10 +527,15 @@ const RunStats& Runtime::run_phase(VertexProgram& program, int max_rounds,
   // Everything else -- transient faults (which carry their own phase
   // fields), bad_alloc, preconditions, and non-std interrupt payloads --
   // propagates untouched.
+
+  // Outside the try: a replay divergence is reported against the log
+  // entry, not wrapped in the phase context.
+  if (!replay_target_.empty()) check_replay();
+  return stats_;
 }
 
-const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
-                                        std::string_view label) {
+void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
+                             std::string_view label) {
   const V n = g_->num_vertices();
   // Per-phase reset without freeing: every container below keeps its
   // capacity from earlier phases of this session. Epoch arenas are not
@@ -578,14 +543,11 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   // wrote, so stale cells can never match (O(n) phase start, not O(slots)).
   if (stamp_base_ >
       std::numeric_limits<std::int32_t>::max() - std::max(max_rounds, 0) - 2) {
+    // The epochs and the broadcast records, which share the session-round
+    // numbering, wrap together.
     for (Arena& arena : arenas_) {
-      std::fill_n(arena.epoch.get(), static_cast<std::size_t>(slots_), -1);
-    }
-    // The broadcast records share the session-round numbering and must
-    // wrap with it.
-    for (Arena& arena : arenas_) {
-      std::fill_n(arena.record.get(), static_cast<std::size_t>(n),
-                  SenderRecord{});
+      std::ranges::fill(arena.epoch, -1);
+      std::ranges::fill(arena.record, SenderRecord{});
     }
     stamp_base_ = 0;
   }
@@ -723,7 +685,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     exec_guard.disarm();
   }
   log_.record(label, stats_);
-  return stats_;
 }
 
 const RunStats& Runtime::run_phase(VertexProgram& program, int max_rounds) {
@@ -808,7 +769,7 @@ void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
                                          /*shard=*/-1);
   if (!drop && !corrupt) return;
   std::vector<std::int64_t> fresh;  // fault path only; allocation is fine
-  for (std::int64_t s = 0; s < slots_; ++s) {
+  for (std::int64_t s = 0; s < g_->num_slots(); ++s) {
     if (out.epoch[s] == stamp) fresh.push_back(s);
   }
   if (fresh.empty()) return;
@@ -854,7 +815,7 @@ void Runtime::verify_delivery_checksum() {
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
   LaneTotals seen;
-  for (std::int64_t s = 0; s < slots_; ++s) {
+  for (std::int64_t s = 0; s < g_->num_slots(); ++s) {
     if (in.epoch[s] == want) seen.add(s, lane_hash_slot(in, s));
   }
   if (seen != sent) {
@@ -877,47 +838,22 @@ void Runtime::verify_delivery_checksum() {
 // Phase-boundary checkpoint/resume
 
 std::vector<std::uint8_t> Runtime::checkpoint() const {
-  DVC_REQUIRE(!log_.replaying(),
+  DVC_REQUIRE(replay_target_.empty(),
               "checkpoint while an earlier resume is still replaying -- the "
               "prefix under verification is not yet trustworthy");
   wire::ByteWriter w;
+  // The fixed header (40 bytes) plus a trailer; the reserve also keeps
+  // GCC 12's -Wstringop-overflow from misreading the first append.
+  w.buf.reserve(64);
   w.u64(kCkptMagic);
   w.u32(kCkptVersion);
   // Graph binding fingerprint: a checkpoint only resumes onto a session for
   // the same graph (digest + shape double-check).
   w.u64(g_->digest());
   w.i64(static_cast<std::int64_t>(g_->num_vertices()));
-  w.i64(slots_);
-  // Session configuration at the boundary.
+  w.i64(g_->num_slots());
   w.i32(congest_words_);
-  // Epoch-stamp base: at a phase boundary every arena cell is stale BY
-  // CONSTRUCTION relative to this base (the stamp guard advanced it past
-  // everything the last phase wrote), so the base alone captures the epoch
-  // state; per-slot stamps and per-phase vertex scratch are canonically
-  // empty at a boundary and need no bytes.
-  w.i32(stamp_base_);
-  w.u32(static_cast<std::uint32_t>(phase_index_));
-  // Halted/live state at the boundary.
-  w.u64(halted_.size());
-  w.bytes(halted_);
-  // The full PhaseLog: entries with inline name + per-round series.
-  w.u64(log_.entries_.size());
-  for (const PhaseLog::Entry& e : log_.entries_) {
-    w.str(log_.name(e));
-    w.i32(e.depth);
-    w.u8(e.span ? 1 : 0);
-    w.i32(e.rounds);
-    w.u64(e.messages);
-    w.u64(e.words);
-    w.u64(e.work_items);
-    w.u32(e.max_msg_words);
-    const auto a = log_.active(e);
-    w.u32(static_cast<std::uint32_t>(a.size()));
-    for (const std::int32_t x : a) w.i32(x);
-    const auto b = log_.bandwidth(e);
-    w.u32(static_cast<std::uint32_t>(b.size()));
-    for (const std::uint64_t x : b) w.u64(x);
-  }
+  log_.save(w);
   w.u64(wire::checksum64(kCkptMagic, w.buf));
   return std::move(w.buf);
 }
@@ -951,61 +887,58 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
               "mismatch)");
   DVC_REQUIRE(r.i64() == static_cast<std::int64_t>(g_->num_vertices()),
               "resume: vertex count mismatch");
-  DVC_REQUIRE(r.i64() == slots_, "resume: slot count mismatch");
-  // Everything below is parsed into locals and committed only after the
-  // last check: a rejected buffer leaves the session as it was.
+  DVC_REQUIRE(r.i64() == g_->num_slots(), "resume: slot count mismatch");
+  // Parsed into locals and committed only after the last check: a rejected
+  // buffer leaves the session as it was.
   const int congest_words = r.i32();
-  const std::int32_t stamp_base = r.i32();
-  r.u32();  // checkpointed phase_index: informational; replay re-runs from 0
-  const std::uint64_t hn = r.u64();
-  DVC_REQUIRE(hn == halted_.size(), "resume: halted bitmap size mismatch");
-  const std::span<const std::uint8_t> halted = r.bytes(halted_.size());
-  // Rebuild the checkpointed PhaseLog and arm replay verification: the
-  // caller re-runs its pipeline from the top, and every re-recorded phase
-  // is matched against this target as it lands (see PhaseLog::replaying).
-  const std::uint64_t entries = r.u64();
-  PhaseLog target;
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const std::string name = r.str();
-    PhaseLog::Entry e;
-    e.name_off = target.intern(name);
-    e.name_len = static_cast<std::uint32_t>(name.size());
-    e.depth = r.i32();
-    e.span = r.u8() != 0;
-    e.rounds = r.i32();
-    e.messages = r.u64();
-    e.words = r.u64();
-    e.work_items = r.u64();
-    e.max_msg_words = r.u32();
-    const std::uint32_t alen = r.u32();
-    e.active_off =
-        alen == 0 ? 0 : static_cast<std::uint32_t>(target.active_.size());
-    e.active_len = alen;
-    for (std::uint32_t j = 0; j < alen; ++j) target.active_.push_back(r.i32());
-    const std::uint32_t blen = r.u32();
-    e.bw_off =
-        blen == 0 ? 0 : static_cast<std::uint32_t>(target.bandwidth_.size());
-    e.bw_len = blen;
-    for (std::uint32_t j = 0; j < blen; ++j) {
-      target.bandwidth_.push_back(r.u64());
-    }
-    target.entries_.push_back(e);
-  }
+  PhaseLog target = PhaseLog::load(r);
   DVC_REQUIRE(r.pos == body.size(),
               "resume: trailing bytes after the checkpoint payload");
   congest_words_ = congest_words;
-  // Monotonic: the restored base can only move this session's stamps
-  // forward, never behind cells this session already wrote.
-  stamp_base_ = std::max(stamp_base_, stamp_base);
-  halted_.assign(halted.begin(), halted.end());
-  live_ = static_cast<V>(std::ranges::count(halted_, std::uint8_t{0}));
-  log_.begin_replay(std::move(target));
+  replay_target_ = std::move(target);
+  replay_checked_ = 0;
+}
+
+void Runtime::check_replay() {
+  const std::size_t end = std::min(log_.size(), replay_target_.size());
+  for (; replay_checked_ < end; ++replay_checked_) {
+    const std::size_t i = replay_checked_;
+    const PhaseLog::Entry& got = log_[i];
+    const PhaseLog::Entry& want = replay_target_[i];
+    std::string what;
+    if (log_.name(got) != replay_target_.name(want)) {
+      what = "expected phase '" + std::string(replay_target_.name(want)) + "'";
+    } else if (got.span != want.span) {
+      what = want.span ? "expected an aggregate span here"
+                       : "expected a leaf phase here";
+    } else if (got.depth != want.depth) {
+      what = "nesting depth " + std::to_string(got.depth) +
+             " != checkpointed " + std::to_string(want.depth);
+    } else if (!got.span && !(log_.stats(i) == replay_target_.stats(i))) {
+      // A span's counters are a fold of its (verified) leaves, and an open
+      // span's are not final yet: spans are matched on shape only.
+      what = "counters or per-round series differ from the checkpoint";
+    }
+    if (!what.empty()) {
+      throw invariant_error(
+          "checkpoint replay diverged at log entry " + std::to_string(i) +
+          " ('" + std::string(log_.name(got)) + "'): " + what +
+          " -- the resumed run is not bit-identical to the checkpointed run "
+          "(different knobs, graph, or nondeterminism)");
+    }
+  }
+  // The checkpointed prefix is fully re-verified; the rest of the run is
+  // new ground.
+  if (replay_checked_ == replay_target_.size()) {
+    replay_target_ = PhaseLog{};
+    replay_checked_ = 0;
+  }
 }
 
 Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
   MemoryBreakdown mb;
-  const auto slots = static_cast<std::uint64_t>(slots_);
-  // Two arenas of slot-indexed epoch/off/len (raw arrays: exact).
+  const auto slots = static_cast<std::uint64_t>(g_->num_slots());
+  // Two arenas of slot-indexed epoch/off/len.
   mb.arena_bytes =
       2 * slots * (sizeof(std::int32_t) + 2 * sizeof(std::uint32_t));
   for (const Arena& arena : arenas_) {

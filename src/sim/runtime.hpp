@@ -82,7 +82,6 @@
 #include <exception>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -341,9 +340,12 @@ class Runtime {
   /// across pipeline repetitions, e.g. batched runs). Also restarts the
   /// phase counter, so fault-plan phase indices and phase-label context
   /// describe positions in the CURRENT pipeline -- a warm pooled session
-  /// behaves exactly like a fresh one (the bit-identity contract).
+  /// behaves exactly like a fresh one (the bit-identity contract). An
+  /// unfinished checkpoint replay is dropped with the run it verified.
   void reset_log() {
     log_.clear();
+    replay_target_ = PhaseLog{};
+    replay_checked_ = 0;
     phase_index_ = 0;
     phase_cur_ = 0;
     phase_label_.clear();
@@ -431,9 +433,10 @@ class Runtime {
   int phases_run() const { return phase_index_; }
 
   /// Serializes the session's phase-boundary state -- graph binding
-  /// fingerprint, CONGEST budget, halted/live state, epoch
-  /// stamp base, and the full PhaseLog -- into a flat byte buffer with a
-  /// trailing content checksum. Only meaningful AT a phase boundary (which
+  /// fingerprint, CONGEST budget and the full PhaseLog -- into a flat byte
+  /// buffer with a trailing content checksum. Nothing else is needed: every
+  /// phase starts from the same reset state, and a resumed session re-runs
+  /// its pipeline from the top. Only meaningful AT a phase boundary (which
   /// is the only place callers can run: run_phase is synchronous), e.g.
   /// from the interrupt hook or after catching a phase error. Requires
   /// that the session is not itself mid-replay of an earlier resume.
@@ -441,10 +444,11 @@ class Runtime {
 
   /// Restores a checkpoint()'d buffer into this session and arms replay
   /// verification: the phases already recorded in the checkpoint are
-  /// re-executed by the caller (resume restores boundary state, then the
-  /// caller re-runs its pipeline from the top) and every re-recorded phase
-  /// is verified bit-identical -- name, counters and per-round series --
-  /// against the checkpoint as it lands, throwing invariant_error on the
+  /// re-executed by the caller (resume restores the CONGEST budget, then the
+  /// caller re-runs its pipeline from the top), and after each run_phase
+  /// every entry the log gained is verified bit-identical -- name, depth,
+  /// span flag, and for leaves counters and per-round series -- against the
+  /// checkpointed log at the same index, throwing invariant_error on the
   /// first divergence. The session must be freshly constructed or
   /// reset_log()'d for the same graph (digest-checked). Throws
   /// precondition_error on a foreign/incompatible buffer and
@@ -500,13 +504,8 @@ class Runtime {
   /// bitmap, epoch stamps).
   friend struct dvc::dist::RuntimeAccess;
 
-  /// What a dispatched sweep runs on each shard. kInit is issued once, from
-  /// the constructor: every shard default-initializes ITS OWN slice of the
-  /// slot- and vertex-indexed arrays, so on NUMA machines the backing pages
-  /// are first touched -- hence placed -- by the thread that will use them.
-  /// (The arrays are allocated with make_unique_for_overwrite precisely so
-  /// the allocating main thread does not fault the pages in first.)
-  enum class Job { kInit, kBegin, kStep };
+  /// What a dispatched sweep runs on each shard.
+  enum class Job { kBegin, kStep };
 
   /// A per-shard container on cache lines of its own: shards append to
   /// these on every send, so two shards' vector headers must never share a
@@ -536,15 +535,13 @@ class Runtime {
   /// race-free; `off/len` locate a slot's payload, and a record's off/len a
   /// broadcast's, inside the sending shard's buffer.
   struct Arena {
-    /// Slot-indexed arrays (12 bytes per slot): raw first-touch-initialized
-    /// buffers, not vectors, so page placement follows the kInit job (see
-    /// Job) instead of the constructing thread.
-    std::unique_ptr<std::int32_t[]> epoch;
-    std::unique_ptr<std::uint32_t[]> off;
-    std::unique_ptr<std::uint32_t[]> len;
-    /// Broadcast lane: one record per vertex (n entries, first-touch),
-    /// written only by the sender's own shard.
-    std::unique_ptr<SenderRecord[]> record;
+    /// Slot-indexed arrays (12 bytes per slot).
+    std::vector<std::int32_t> epoch;
+    std::vector<std::uint32_t> off;
+    std::vector<std::uint32_t> len;
+    /// Broadcast lane: one record per vertex (n entries), written only by
+    /// the sender's own shard.
+    std::vector<SenderRecord> record;
     std::vector<Padded<std::vector<std::int64_t>>> words;  // one per shard
     /// The one record of who spoke: per sending shard, the vertices that
     /// spoke this round, in send order. Grouped delivery, the dist relay and
@@ -606,9 +603,6 @@ class Runtime {
         std::upper_bound(bounds_.begin() + 1, bounds_.end() - 1, v) -
         bounds_.begin() - 1);
   }
-  /// First-touch initialization of the shard's slices of the slot-indexed
-  /// arena arrays and vertex-indexed delivery metadata (Job::kInit).
-  void init_shard(int shard);
   void do_send(int shard, V from, int port, std::span<const std::int64_t> payload);
   void do_broadcast(int shard, V from, std::span<const std::int64_t> payload);
   /// Throws the bandwidth_error for a send of `words` words on (from, port)
@@ -629,8 +623,8 @@ class Runtime {
   /// Folds per-shard counters into stats_/live_ (serial, canonical order)
   /// and rethrows the first shard error.
   void merge_shards();
-  /// Dispatches one job (init/begin/step sweep) across the parked pool (or
-  /// runs it inline when single-sharded).
+  /// Dispatches one job (begin/step sweep) across the parked pool (or runs
+  /// it inline when single-sharded).
   void dispatch(Job job);
   /// Body of pool thread `shard`: parks until dispatch() bumps the
   /// generation, runs the shard's share of the job, returns on stopping_.
@@ -640,8 +634,12 @@ class Runtime {
   /// Everything of run_phase after the label/index bookkeeping; split out so
   /// run_phase can wrap it and annotate escaping invariant_errors with the
   /// phase label.
-  const RunStats& run_phase_body(VertexProgram& program, int max_rounds,
-                                 std::string_view label);
+  void run_phase_body(VertexProgram& program, int max_rounds,
+                      std::string_view label);
+  /// Checks the log entries recorded since the last check against
+  /// replay_target_ at the same index (see resume) and drops the target
+  /// once all of it is verified. Throws invariant_error on a mismatch.
+  void check_replay();
   /// Checksum-lane totals of one round's messages: their count and XOR
   /// folds of their slot ids and payload hashes (order-independent, hence
   /// shard-count invariant).
@@ -670,9 +668,6 @@ class Runtime {
   const Graph* g_;
   int num_shards_ = 1;
   std::vector<V> bounds_;  // shard_bounds(): num_shards_ + 1 entries
-  /// Cached g_->num_slots(): sizes the raw arena arrays (which, unlike
-  /// vectors, do not carry their own length).
-  std::int64_t slots_ = 0;
   std::vector<Shard> shards_;
   Arena arenas_[2];
   int in_idx_ = 0;  // arenas_[in_idx_] feeds this round's inboxes
@@ -690,9 +685,15 @@ class Runtime {
   /// Session-round base of the current phase: epoch stamps are
   /// stamp_base_ + round_. Advanced past every stamp the finished phase
   /// wrote; wraps (with a full epoch reset) long before int32 overflow.
+  /// Only monotonic within the session, so checkpoints do not carry it.
   std::int32_t stamp_base_ = 0;
   RunStats stats_;
   PhaseLog log_;
+  /// Checkpoint replay (see resume): the checkpointed log the re-run must
+  /// reproduce, and how many of its entries are verified so far. Empty
+  /// when not replaying.
+  PhaseLog replay_target_;
+  std::size_t replay_checked_ = 0;
   std::function<void(int)> observer_;
   std::function<void()> interrupt_;
   /// Fault-injection state (see sim/fault.hpp). phase_cur_ is the index of
@@ -727,7 +728,7 @@ class Runtime {
   std::condition_variable start_cv_, done_cv_;
   std::uint64_t generation_ = 0;
   int pending_ = 0;
-  Job job_ = Job::kInit;
+  Job job_ = Job::kBegin;
   bool stopping_ = false;
   VertexProgram* program_ = nullptr;
   std::vector<std::thread> threads_;
@@ -792,14 +793,14 @@ class ScopedCongestWords {
 /// Scoped install of a session's fault plan, restoring the previous plan on
 /// destruction (including unwinding out of an injected fault) -- so a
 /// pooled session handed to the next job can never inherit the previous
-/// job's fault schedule. A null/unarmed plan makes the guard a no-op.
+/// job's fault schedule. An unarmed plan makes the guard a no-op.
 class ScopedFaultPlan {
  public:
-  ScopedFaultPlan(Runtime& rt, const FaultPlan* plan)
-      : rt_(&rt), active_(plan != nullptr && plan->armed()) {
+  ScopedFaultPlan(Runtime& rt, const FaultPlan& plan)
+      : rt_(&rt), active_(plan.armed()) {
     if (active_) {
       previous_ = rt_->fault_plan();
-      rt_->set_fault_plan(*plan);
+      rt_->set_fault_plan(plan);
     }
   }
   ~ScopedFaultPlan() {

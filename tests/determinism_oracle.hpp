@@ -234,9 +234,8 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
     }
   };
 
-  const sim::FaultPlan port_scan = port_scan_oracle_plan();
   dvc::Knobs armed = knobs;
-  armed.fault_plan = &port_scan;
+  armed.fault_plan = port_scan_oracle_plan();
 
   sim::Runtime ref(in.g, 1);
   sim::Runtime threaded[] = {sim::Runtime(in.g, 2), sim::Runtime(in.g, 3),

@@ -255,8 +255,8 @@ TEST(Fault, SaltSeparatesRetryAttempts) {
 }
 
 TEST(Fault, DirectKnobsFaultPlanInstallsForTheCall) {
-  // The Knobs::fault_plan borrowed-pointer path (direct synchronous calls):
-  // an output-invisible plan (stalls only) must color bit-identically.
+  // The Knobs::fault_plan path (direct synchronous calls): an
+  // output-invisible plan (stalls only) must color bit-identically.
   const Graph g = planted_arboricity(200, 3, 43);
   Knobs knobs;
   knobs.shards = 1;
@@ -268,7 +268,7 @@ TEST(Fault, DirectKnobsFaultPlanInstallsForTheCall) {
   plan.stall_rate = 0.05;
   plan.stall_us = 1;
   Knobs chaos = knobs;
-  chaos.fault_plan = &plan;
+  chaos.fault_plan = plan;
   const LegalColoringResult stalled =
       color_graph(g, 3, Preset::NearLinearColors, chaos);
   EXPECT_TRUE(dvc_test::bit_identical(plain, stalled))
@@ -347,13 +347,15 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     sim::Runtime fresh(g, 2);
     EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
   }
-  {  // Another format version: the version field (after the 8-byte magic)
-    // is patched, so only the version check can reject the buffer.
+  // Another format version, the previous one or the next: the version field
+  // (after the 8-byte magic) is patched, so only the version check can
+  // reject the buffer.
+  const std::uint32_t version = wire::ByteReader{ckpt, 8, "checkpoint"}.u32();
+  for (const std::uint32_t patched : {version - 1, version + 1}) {
+    SCOPED_TRACE(patched);
     std::vector<std::uint8_t> other = ckpt;
-    wire::ByteReader r{other, 8, "checkpoint"};
-    const std::uint32_t version = r.u32();
     for (int i = 0; i < 4; ++i) {
-      other[8 + i] = static_cast<std::uint8_t>((version + 1) >> (8 * i));
+      other[8 + i] = static_cast<std::uint8_t>(patched >> (8 * i));
     }
     reseal(other);
     sim::Runtime fresh(g, 2);
@@ -400,6 +402,45 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
           << e.what();
     }
   }
+  // The replay error names the first divergent log entry and what differs.
+  const auto expect_diverged = [](const invariant_error& e,
+                                  const std::string& what) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("checkpoint replay diverged at log entry 0", 0), 0u)
+        << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  };
+  {  // Same phase label, different counters: FloodAll(3) replayed against
+    // the FloodAll(4) checkpoint.
+    sim::Runtime fresh(g, 2);
+    fresh.resume(ckpt);
+    FloodAll shorter(3);
+    try {
+      fresh.run_phase(shorter, 32);
+      FAIL() << "a replay with different counters was not detected";
+    } catch (const invariant_error& e) {
+      expect_diverged(e, "counters or per-round series differ");
+    }
+  }
+  {  // A different span name around the same leaf.
+    sim::Runtime spanned(g, 2);
+    {
+      const sim::PhaseSpan span(spanned, "outer");
+      FloodAll same(4);
+      spanned.run_phase(same, 32);
+    }
+    const std::vector<std::uint8_t> span_ckpt = spanned.checkpoint();
+    sim::Runtime fresh(g, 2);
+    fresh.resume(span_ckpt);
+    try {
+      const sim::PhaseSpan span(fresh, "other");
+      FloodAll same(4);
+      fresh.run_phase(same, 32);
+      FAIL() << "a replay under a different span was not detected";
+    } catch (const invariant_error& e) {
+      expect_diverged(e, "expected phase 'outer'");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -423,8 +464,8 @@ TEST(ServiceChaos, RetryHealsTransientFaultBitIdentically) {
   spec.graph = ref;
   spec.arboricity_bound = 4;
   spec.preset = Preset::NearLinearColors;
-  spec.fault_plan.seed = 42;
-  spec.fault_plan.scheduled.push_back(
+  spec.knobs.fault_plan.seed = 42;
+  spec.knobs.fault_plan.scheduled.push_back(
       {sim::FaultKind::kShardFailure, /*phase=*/1, /*round=*/0, /*shard=*/-1,
        /*salt=*/0});  // kills attempt 0 only; the retry runs clean
 
@@ -454,8 +495,8 @@ TEST(ServiceChaos, ExhaustedRetriesFailWithStructuredContext) {
   spec.graph = ref;
   spec.arboricity_bound = 3;
   spec.preset = Preset::LinearColors;
-  spec.fault_plan.seed = 61;
-  spec.fault_plan.scheduled.push_back(
+  spec.knobs.fault_plan.seed = 61;
+  spec.knobs.fault_plan.scheduled.push_back(
       {sim::FaultKind::kShardFailure, /*phase=*/0, /*round=*/0, /*shard=*/-1,
        /*salt=*/-1});  // fires on EVERY attempt
 
@@ -483,8 +524,8 @@ TEST(ServiceChaos, QuarantineBreakerStopsBurningRetries) {
   doomed.graph = ref;
   doomed.arboricity_bound = 3;
   doomed.preset = Preset::NearLinearColors;
-  doomed.fault_plan.seed = 71;
-  doomed.fault_plan.scheduled.push_back(
+  doomed.knobs.fault_plan.seed = 71;
+  doomed.knobs.fault_plan.scheduled.push_back(
       {sim::FaultKind::kShardFailure, /*phase=*/0, /*round=*/0, /*shard=*/-1,
        /*salt=*/-1});
 
@@ -537,14 +578,14 @@ TEST(ServiceChaos, ConcurrentFaultStormHealsBitIdentically) {
     spec.arboricity_bound = 4;
     spec.preset = presets[(j / 2) % 2];
     if (j % 2 == 0) {
-      spec.fault_plan.seed = 1 + static_cast<std::uint64_t>(j);
-      spec.fault_plan.scheduled.push_back(
+      spec.knobs.fault_plan.seed = 1 + static_cast<std::uint64_t>(j);
+      spec.knobs.fault_plan.scheduled.push_back(
           {sim::FaultKind::kShardFailure, /*phase=*/1, /*round=*/0,
            /*shard=*/-1, /*salt=*/0});
-      spec.fault_plan.drop_rate = 0.001;
-      spec.fault_plan.corrupt_rate = 0.001;
-      spec.fault_plan.stall_rate = 0.01;
-      spec.fault_plan.stall_us = 50;
+      spec.knobs.fault_plan.drop_rate = 0.001;
+      spec.knobs.fault_plan.corrupt_rate = 0.001;
+      spec.knobs.fault_plan.stall_rate = 0.01;
+      spec.knobs.fault_plan.stall_us = 50;
     }
     tickets.push_back(svc.submit(std::move(spec)));
   }
@@ -591,8 +632,8 @@ TEST(ServiceChaos, CancelDuringFaultRetryBackoffIsTerminal) {
   spec.graph = ref;
   spec.arboricity_bound = 3;
   spec.preset = Preset::NearLinearColors;
-  spec.fault_plan.seed = 79;
-  spec.fault_plan.scheduled.push_back(
+  spec.knobs.fault_plan.seed = 79;
+  spec.knobs.fault_plan.scheduled.push_back(
       {sim::FaultKind::kShardFailure, /*phase=*/1, /*round=*/0, /*shard=*/-1,
        /*salt=*/0});  // attempt 0 dies; the retry waits out ~150ms of backoff
 
@@ -648,9 +689,9 @@ TEST(ServiceChaos, ArmedPlanBypassesResultCacheBothWays) {
 
   // Same spec + an armed (but output-invisible) plan: must RUN, not hit.
   JobSpec chaotic = clean;
-  chaotic.fault_plan.seed = 97;
-  chaotic.fault_plan.stall_rate = 0.05;
-  chaotic.fault_plan.stall_us = 1;
+  chaotic.knobs.fault_plan.seed = 97;
+  chaotic.knobs.fault_plan.stall_rate = 0.05;
+  chaotic.knobs.fault_plan.stall_us = 1;
   const JobResult stormed = svc.wait(svc.submit(chaotic));
   ASSERT_TRUE(stormed.ok) << stormed.error;
   EXPECT_FALSE(stormed.cache_hit) << "armed plan must bypass the cache";

@@ -464,20 +464,15 @@ TEST(Service, EveryEntryPointRejectsAnInvalidSpecAndAdmitsNothing) {
   JobSpec good;
   good.graph = svc.intern(planted_arboricity(150, 3, 59));
   good.arboricity_bound = 3;
-  // Knobs::fault_plan is a borrowed pointer for direct calls; a job outlives
-  // the submitting frame, so the service must refuse it up front.
-  const sim::FaultPlan plan;
-  std::vector<std::pair<const char*, JobSpec>> invalid(5, {"", good});
+  std::vector<std::pair<const char*, JobSpec>> invalid(4, {"", good});
   invalid[0].first = "null graph";
   invalid[0].second.graph = GraphRef{};
   invalid[1].first = "negative deadline";
   invalid[1].second.deadline_ms = -1.0;
-  invalid[2].first = "borrowed Knobs::fault_plan";
-  invalid[2].second.knobs.fault_plan = &plan;
-  invalid[3].first = "negative dist.workers";
-  invalid[3].second.dist.workers = -1;
-  invalid[4].first = "negative dist.kill_attempt";
-  invalid[4].second.dist.kill_attempt = -1;
+  invalid[2].first = "negative dist.workers";
+  invalid[2].second.dist.workers = -1;
+  invalid[3].first = "negative dist.kill_attempt";
+  invalid[3].second.dist.kill_attempt = -1;
   for (const auto& [field, bad] : invalid) {
     SCOPED_TRACE(field);
     EXPECT_THROW(svc.submit(bad), precondition_error);
