@@ -343,10 +343,11 @@ struct WorkerCore {
         stats.buf));
 
     if (corrupt_countdown >= 0 && corrupt_countdown-- == 0) {
-      // Injected wire damage: flip the first payload byte of the stats
-      // frame AFTER encoding, so the frame checksum no longer matches and
-      // the coordinator's validation must catch it.
-      out.back()[wire::kFrameHeaderBytes] ^= 0xff;
+      // Injected wire damage: flip bit 0 of the stats frame's type byte
+      // (after the u32 magic and the u8 version) AFTER encoding, so kStats
+      // reads as kMsgs. Only the frame checksum, which covers the header
+      // too, tells this frame from a relay.
+      out.back()[5] ^= 0x01;
     }
     return out;
   }
@@ -589,27 +590,15 @@ class DistExecutor final : public sim::PhaseExecutor {
         for (;;) {
           std::vector<std::uint8_t> frame_in = recv_from(w);
           const wire::FrameHeader h = wire::decode_frame_header(frame_in);
+          const auto payload = wire::frame_payload(frame_in);
           if (h.type == static_cast<std::uint8_t>(FrameType::kMsgs)) {
-            // Relayed unchanged, so only the destination (the payload's
-            // first u32, read within the declared payload) is read here; the
-            // destination's serve() checks the frame checksum. A damaged
-            // destination field names another worker, whose check fails,
-            // or none at all.
-            const auto body = std::span<const std::uint8_t>(frame_in).first(
-                std::min(frame_in.size(),
-                         wire::kFrameHeaderBytes + h.payload_len));
-            const std::uint32_t dest =
-                ByteReader{body, wire::kFrameHeaderBytes, "messages frame"}
-                    .u32();
-            if (dest >= static_cast<std::uint32_t>(worker_count())) {
-              throw corruption_error(
-                  "messages frame names an unknown destination worker", "",
-                  h.phase, h.round, 0, dest);
-            }
-            relays.emplace_back(static_cast<int>(dest), std::move(frame_in));
+            ByteReader r{payload, 0, "messages frame"};
+            const auto dest = static_cast<int>(r.u32());
+            DVC_ENSURE(dest >= 0 && dest < worker_count(),
+                       "messages frame names an unknown destination worker");
+            relays.emplace_back(dest, std::move(frame_in));
             continue;
           }
-          const auto payload = wire::frame_payload(frame_in);
           if (h.type == static_cast<std::uint8_t>(FrameType::kError)) {
             rethrow_error_payload(payload, w);
           }

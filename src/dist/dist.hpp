@@ -58,9 +58,10 @@ struct DistConfig {
   /// worker process mid-round. Loopback: the worker's channel goes dead.
   int kill_at_sweep = -1;
   int kill_worker = 0;
-  /// Flip one payload byte of `corrupt_worker`'s stats frame on distributed
-  /// sweep #corrupt_at_sweep (-1 = never): the coordinator's frame checksum
-  /// validation must raise corruption_error.
+  /// Flip bit 0 of the type byte of `corrupt_worker`'s stats frame on
+  /// distributed sweep #corrupt_at_sweep (-1 = never), which makes it read
+  /// as a messages frame: the coordinator's frame checksum validation must
+  /// raise corruption_error before it acts on the type.
   int corrupt_at_sweep = -1;
   int corrupt_worker = 0;
 };

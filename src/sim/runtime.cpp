@@ -530,7 +530,7 @@ const RunStats& Runtime::run_phase(VertexProgram& program, int max_rounds,
 
   // Outside the try: a replay divergence is reported against the log
   // entry, not wrapped in the phase context.
-  if (!replay_target_.empty()) check_replay();
+  check_replay();
   return stats_;
 }
 
@@ -900,6 +900,7 @@ void Runtime::resume(std::span<const std::uint8_t> buffer) {
 }
 
 void Runtime::check_replay() {
+  if (replay_target_.empty()) return;
   const std::size_t end = std::min(log_.size(), replay_target_.size());
   for (; replay_checked_ < end; ++replay_checked_) {
     const std::size_t i = replay_checked_;

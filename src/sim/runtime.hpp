@@ -445,15 +445,21 @@ class Runtime {
   /// Restores a checkpoint()'d buffer into this session and arms replay
   /// verification: the phases already recorded in the checkpoint are
   /// re-executed by the caller (resume restores the CONGEST budget, then the
-  /// caller re-runs its pipeline from the top), and after each run_phase
-  /// every entry the log gained is verified bit-identical -- name, depth,
-  /// span flag, and for leaves counters and per-round series -- against the
-  /// checkpointed log at the same index, throwing invariant_error on the
-  /// first divergence. The session must be freshly constructed or
-  /// reset_log()'d for the same graph (digest-checked). Throws
-  /// precondition_error on a foreign/incompatible buffer and
-  /// corruption_error on a checksum mismatch.
+  /// caller re-runs its pipeline from the top), and as each span opens and
+  /// after each run_phase every entry the log gained is verified
+  /// bit-identical -- name, depth, span flag, and for leaves counters and
+  /// per-round series -- against the checkpointed log at the same index,
+  /// throwing invariant_error on the first divergence. The session must be
+  /// freshly constructed or reset_log()'d for the same graph
+  /// (digest-checked). Throws precondition_error on a foreign/incompatible
+  /// buffer and corruption_error on a checksum mismatch.
   void resume(std::span<const std::uint8_t> buffer);
+  /// Checks the log entries recorded since the last check against the
+  /// checkpoint being replayed (see resume) and drops the target once all
+  /// of it is verified; a no-op when not replaying. run_phase calls it after
+  /// each leaf and PhaseSpan as each span opens. Throws invariant_error on
+  /// a mismatch.
+  void check_replay();
 
   /// Worker threads owned by this session (== shards() - 1; spawned once at
   /// construction, parked between phases).
@@ -636,10 +642,6 @@ class Runtime {
   /// phase label.
   void run_phase_body(VertexProgram& program, int max_rounds,
                       std::string_view label);
-  /// Checks the log entries recorded since the last check against
-  /// replay_target_ at the same index (see resume) and drops the target
-  /// once all of it is verified. Throws invariant_error on a mismatch.
-  void check_replay();
   /// Checksum-lane totals of one round's messages: their count and XOR
   /// folds of their slot ids and payload hashes (order-independent, hence
   /// shard-count invariant).
@@ -738,8 +740,10 @@ class Runtime {
 /// so the PhaseLog shows them as one named subtree.
 class PhaseSpan {
  public:
-  PhaseSpan(Runtime& rt, std::string_view name)
-      : log_(&rt.log()), idx_(log_->open_span(name)) {}
+  /// Delegating, so a span that fails the replay check is still closed.
+  PhaseSpan(Runtime& rt, std::string_view name) : PhaseSpan(rt.log(), name) {
+    rt.check_replay();
+  }
   PhaseSpan(PhaseLog& log, std::string_view name)
       : log_(&log), idx_(log.open_span(name)) {}
   ~PhaseSpan() { log_->close_span(idx_); }

@@ -422,7 +422,8 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
       expect_diverged(e, "counters or per-round series differ");
     }
   }
-  {  // A different span name around the same leaf.
+  {  // A different span name around the same leaf: caught as the span
+    // opens, before the leaf runs.
     sim::Runtime spanned(g, 2);
     {
       const sim::PhaseSpan span(spanned, "outer");
@@ -434,11 +435,28 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     fresh.resume(span_ckpt);
     try {
       const sim::PhaseSpan span(fresh, "other");
-      FloodAll same(4);
-      fresh.run_phase(same, 32);
       FAIL() << "a replay under a different span was not detected";
     } catch (const invariant_error& e) {
       expect_diverged(e, "expected phase 'outer'");
+    }
+  }
+  {  // A checkpointed log that ends on a span with no leaf after it (a
+    // driver on an empty input): the replay still verifies it, as the span
+    // opens, and then lets the session checkpoint again.
+    sim::Runtime spanned(g, 2);
+    { const sim::PhaseSpan span(spanned, "empty"); }
+    const std::vector<std::uint8_t> span_ckpt = spanned.checkpoint();
+    sim::Runtime same(g, 2);
+    same.resume(span_ckpt);
+    { const sim::PhaseSpan span(same, "empty"); }
+    EXPECT_EQ(same.checkpoint(), span_ckpt);
+    sim::Runtime other(g, 2);
+    other.resume(span_ckpt);
+    try {
+      const sim::PhaseSpan span(other, "full");
+      FAIL() << "a replay under a different empty span was not detected";
+    } catch (const invariant_error& e) {
+      expect_diverged(e, "expected phase 'empty'");
     }
   }
 }

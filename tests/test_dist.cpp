@@ -495,16 +495,24 @@ TEST(DistFailure, LoopbackKillRaisesTheSameTaxonomy) {
 }
 
 TEST(DistFailure, CorruptedStatsFrameIsDetectedByTheChecksum) {
-  const Graph g = planted_arboricity(140, 3, 7);
+  // The injected damage flips the stats frame's type byte, so it reads as a
+  // messages frame whose destination (its first payload u32, the low word
+  // of the first shard's message count) is worker 0: worker 1's shard holds
+  // only isolated vertices, which send nothing. A coordinator that trusted
+  // the type byte before the checksum would relay the frame and then wait
+  // for a stats frame worker 1 already sent.
+  const Graph g =
+      Graph::from_edges(240, planted_arboricity(60, 3, 7).edges());
   Knobs knobs;
   knobs.congest_words = kCongestWordsPaperPath;
   for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
     SCOPED_TRACE(dist::backend_name(backend));
-    sim::Runtime rt(g, 4, /*inline_shards=*/true);
+    sim::Runtime rt(g, 2, /*inline_shards=*/true);
+    ASSERT_GE(rt.shard_bounds()[1], 60);  // shard 1 is all isolated vertices
     DistConfig cfg;
     cfg.workers = 2;
     cfg.backend = backend;
-    cfg.corrupt_at_sweep = 2;  // flip a payload byte AFTER frame encoding
+    cfg.corrupt_at_sweep = 2;  // flip the type byte AFTER frame encoding
     cfg.corrupt_worker = 1;
     DistSession session(rt, cfg);
     EXPECT_THROW((void)color_graph(rt, 3, Preset::PolylogTime, knobs),
