@@ -152,7 +152,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::uint8_t kFrameVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it
@@ -166,27 +166,47 @@ struct FrameHeader {
   std::uint32_t payload_len = 0;
 };
 
+/// An oversized frame is a sender bug, rejected before its payload is read.
+inline void check_frame_payload(std::size_t len) {
+  DVC_ENSURE(len <= kFrameMaxPayload,
+             "encode_frame: payload of " + std::to_string(len) +
+                 " bytes exceeds the frame cap of " +
+                 std::to_string(kFrameMaxPayload));
+}
+
+/// A writer whose buffer starts with the header hole seal_frame fills.
+inline ByteWriter open_frame() {
+  return {std::vector<std::uint8_t>(kFrameHeaderBytes)};
+}
+
+/// Seals an open_frame() buffer (the header hole, then the payload) in
+/// place: writes the header over the hole and appends the checksum, so the
+/// payload is never copied again.
+inline std::vector<std::uint8_t> seal_frame(
+    std::uint8_t type, std::int32_t phase, std::int32_t round,
+    std::vector<std::uint8_t>&& buf) {
+  DVC_ENSURE(buf.size() >= kFrameHeaderBytes, "seal_frame: no header hole");
+  const std::size_t len = buf.size() - kFrameHeaderBytes;
+  check_frame_payload(len);
+  // Five u32 words; the second packs version, type and the reserved u16.
+  const std::uint32_t head[5] = {
+      kFrameMagic, kFrameVersion | std::uint32_t{type} << 8,
+      static_cast<std::uint32_t>(phase), static_cast<std::uint32_t>(round),
+      static_cast<std::uint32_t>(len)};
+  std::memcpy(buf.data(), head, kFrameHeaderBytes);
+  ByteWriter w{std::move(buf)};
+  w.u64(checksum64(kFrameMagic, w.buf));
+  return std::move(w.buf);
+}
+
 /// Encode a complete frame: header, payload, trailing checksum.
 inline std::vector<std::uint8_t> encode_frame(
     std::uint8_t type, std::int32_t phase, std::int32_t round,
     std::span<const std::uint8_t> payload) {
-  if (payload.size() > kFrameMaxPayload) {
-    throw invariant_error(
-        "encode_frame: payload of " + std::to_string(payload.size()) +
-        " bytes exceeds the frame cap of " + std::to_string(kFrameMaxPayload));
-  }
-  ByteWriter w;
-  w.buf.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
-  w.u32(kFrameMagic);
-  w.u8(kFrameVersion);
-  w.u8(type);
-  w.u16(0);
-  w.i32(phase);
-  w.i32(round);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  check_frame_payload(payload.size());
+  ByteWriter w = open_frame();
   w.bytes(payload);
-  w.u64(checksum64(kFrameMagic, w.buf));
-  return std::move(w.buf);
+  return seal_frame(type, phase, round, std::move(w.buf));
 }
 
 /// Decode and validate the fixed 20-byte header (magic, version, sane

@@ -28,7 +28,6 @@ struct RuntimeAccess {
   using Shard = sim::Runtime::Shard;
   using Arena = sim::Runtime::Arena;
 
-  static int num_shards(R& rt) { return rt.num_shards_; }
   static Shard& shard(R& rt, int i) {
     return rt.shards_[static_cast<std::size_t>(i)];
   }
@@ -38,6 +37,8 @@ struct RuntimeAccess {
   static const sim::RunStats& stats(R& rt) { return rt.stats_; }
   static std::int32_t out_stamp(R& rt) { return rt.stamp_base_ + rt.round_; }
   static std::vector<std::uint8_t>& halted(R& rt) { return rt.halted_; }
+  static int shard_of(R& rt, V v) { return rt.shard_of(v); }
+  static std::uint64_t& spoken_ports(R& rt) { return rt.spoken_ports_; }
 
   static void run_shard(R& rt, int shard, sim::VertexProgram& program,
                         bool is_begin) {
@@ -80,13 +81,14 @@ constexpr std::uint8_t kErrBandwidth = 2;
 constexpr std::uint8_t kErrTransient = 3;
 constexpr std::uint8_t kErrCorruption = 4;
 constexpr std::uint8_t kErrBadAlloc = 5;
+constexpr std::int32_t kBroadcastPort = -1;  // see handle_sweep
 
 /// Encodes the exception a worker sweep raised into a kError frame whose
 /// payload is: u8 kind, str what, then kind-specific fields (bandwidth:
 /// vertex, port, round, words, cap, from_contract; corruption: phase_label,
 /// phase, round, expected, observed).
 std::vector<std::uint8_t> encode_error_frame() {
-  ByteWriter w;
+  ByteWriter w = wire::open_frame();
   try {
     throw;
   } catch (const sim::bandwidth_error& e) {
@@ -122,8 +124,8 @@ std::vector<std::uint8_t> encode_error_frame() {
     w.u8(kErrInvariant);
     w.str("non-standard exception in a worker sweep");
   }
-  return wire::encode_frame(static_cast<std::uint8_t>(FrameType::kError), -1,
-                            -1, w.buf);
+  return wire::seal_frame(static_cast<std::uint8_t>(FrameType::kError), -1, -1,
+                          std::move(w.buf));
 }
 
 /// Inverse of encode_error_frame's payload: rethrows the worker's exception
@@ -166,11 +168,10 @@ std::vector<std::uint8_t> encode_error_frame() {
   }
 }
 
-/// Shard-slice bookkeeping of one worker: contiguous shard, slot and vertex
+/// Shard-slice bookkeeping of one worker: contiguous shard and vertex
 /// ranges (contiguous because shards are vertex-contiguous).
 struct WorkerSlice {
   int shard_lo = 0, shard_hi = 0;
-  std::int64_t slot_lo = 0, slot_hi = 0;
   V vtx_lo = 0, vtx_hi = 0;
 };
 
@@ -184,55 +185,69 @@ struct WorkerCore {
   sim::VertexProgram* program = nullptr;
   int worker = 0;
   WorkerSlice slice;
-  /// slot_lo per worker (size workers + 1, last = num_slots): routing table
-  /// mapping a relayed slot to the worker owning it.
-  std::vector<std::int64_t> worker_slot_lo;
+  /// vtx_lo per worker (size workers + 1, last = n): routing table mapping
+  /// a neighbor to the worker owning it.
+  std::vector<V> worker_vtx_lo;
   bool owns_runtime_state = false;
   /// Sweeps until the armed fault fires (-1 = disarmed), decremented at
   /// sweep entry; 0 means "this sweep".
   int kill_countdown = -1;
   int corrupt_countdown = -1;
 
-  int dest_worker_of(std::int64_t slot) const {
-    const auto it = std::upper_bound(worker_slot_lo.begin() + 1,
-                                     worker_slot_lo.end() - 1, slot);
-    return static_cast<int>(it - worker_slot_lo.begin()) - 1;
+  int dest_worker_of(V v) const {
+    const auto it = std::upper_bound(worker_vtx_lo.begin() + 1,
+                                     worker_vtx_lo.end() - 1, v);
+    return static_cast<int>(it - worker_vtx_lo.begin()) - 1;
   }
 
-  /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
-  /// the slot for next round's delivery and appends the payload words to
-  /// the SENDER shard's flat buffer (offsets are recomputed locally -- the
-  /// sender's offsets are meaningless in this process's buffers). FIFO
-  /// transport order guarantees every round-r message lands before the
-  /// round-r+1 sweep that consumes it.
+  /// Applies a relayed kMsgs payload into the post-sweep out arena as the
+  /// sender's own sweep would have: a broadcast stamps the sender's record,
+  /// a port message its receiver slot, and the sender joins its shard's
+  /// speaker list if its record was not stamped this round (on the shared
+  /// loopback session it was). Payload words go to the SENDER shard's flat
+  /// buffer at local offsets. FIFO transport order lands every round-r
+  /// message before the round-r+1 sweep that consumes it.
   void apply_msgs(std::span<const std::uint8_t> payload) {
     ByteReader r{payload, 0, "messages frame"};
     const auto dest = static_cast<int>(r.u32());
     DVC_ENSURE(dest == worker, "messages frame routed to the wrong worker");
-    const std::uint32_t n = r.u32();
+    const Graph& g = rt->graph();
     auto& arena = RuntimeAccess::out_arena(*rt);
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t slot = r.u32();
-      const auto sender_shard = static_cast<std::size_t>(r.u32());
+    while (r.pos < payload.size()) {
+      const V sender = r.i32();
+      const std::int32_t port = r.i32();
       const std::uint32_t len = r.u32();
-      DVC_ENSURE(slot >= slice.slot_lo && slot < slice.slot_hi,
-                 "relayed message slot outside this worker's range");
-      DVC_ENSURE(sender_shard <
-                     static_cast<std::size_t>(RuntimeAccess::num_shards(*rt)),
-                 "relayed message names an unknown sender shard");
-      auto& words = arena.words[sender_shard];
+      DVC_ENSURE(sender >= 0 && sender < g.num_vertices() &&
+                     port >= kBroadcastPort && port < g.degree(sender),
+                 "relayed message names an unknown sender or port");
+      const auto shard =
+          static_cast<std::size_t>(RuntimeAccess::shard_of(*rt, sender));
+      auto& words = arena.words[shard];
       DVC_ENSURE(words.size() + len <= 0xffffffffu,
                  "a shard's per-round payload exceeds the 32-bit arena "
                  "offsets");
-      const auto s = static_cast<std::size_t>(slot);
-      arena.epoch[s] = stamp;
-      arena.off[s] = static_cast<std::uint32_t>(words.size());
-      arena.len[s] = static_cast<std::uint32_t>(len);
+      const auto off = static_cast<std::uint32_t>(words.size());
       r.i64s(len, words);
+      auto& rec = arena.record[static_cast<std::size_t>(sender)];
+      if (rec.bcast_stamp != stamp && rec.port_stamp != stamp) {
+        arena.speakers[shard].push_back(sender);
+      }
+      if (port == kBroadcastPort) {
+        rec.bcast_stamp = stamp;
+        rec.off = off;
+        rec.len = len;
+        continue;
+      }
+      const V to = g.neighbors(sender)[port];
+      DVC_ENSURE(to >= slice.vtx_lo && to < slice.vtx_hi,
+                 "relayed message addressed to another worker's vertex");
+      const std::int64_t slot = g.mirror_slot(g.slot(sender, port));
+      rec.port_stamp = stamp;
+      arena.epoch[slot] = stamp;
+      arena.off[slot] = off;
+      arena.len[slot] = len;
     }
-    DVC_ENSURE(r.pos == payload.size(),
-               "messages frame has trailing bytes past its entries");
   }
 
   /// Runs one sweep over the worker's shards and returns the response
@@ -246,6 +261,7 @@ struct WorkerCore {
     if (owns_runtime_state && !is_begin) {
       RuntimeAccess::advance_round(*rt, h.round);
     }
+    RuntimeAccess::spoken_ports(*rt) = r.u64();
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       RuntimeAccess::run_shard(*rt, s, *program, is_begin);
     }
@@ -262,69 +278,68 @@ struct WorkerCore {
     }
 
     std::vector<std::vector<std::uint8_t>> out;
-    const int phase = h.phase;
-    const int round = h.round;
-    // Cross-worker messages, grouped by destination worker: the fresh
-    // cells each of this worker's speakers wrote on the two tails of its
-    // sorted adjacency row that lie outside [vtx_lo, vtx_hi). Entry layout:
-    //   u32 dest_worker, u32 n_entries,
-    //   n x { u32 slot, u32 sender_shard, u32 len, len x i64 words }
-    static_assert(dvc::detail::kMaxSlots <= 0xffffffff,
-                  "relay entries carry the receiver slot as u32");
-    const int workers = static_cast<int>(worker_slot_lo.size()) - 1;
+    // Cross-worker messages, one frame per destination worker, written
+    // straight into its buffer: u32 dest_worker, then entries to the end,
+    // each { u32 sender, u32 port, u32 len, len x i64 words }. A broadcast
+    // (port kBroadcastPort) ships once to each other worker its sorted row
+    // reaches; a port sender ships each cell it wrote on a cut edge.
+    const int workers = static_cast<int>(worker_vtx_lo.size()) - 1;
     std::vector<ByteWriter> per_dest(static_cast<std::size_t>(workers));
-    std::vector<std::uint32_t> counts(static_cast<std::size_t>(workers), 0);
+    const auto entry = [&](int d, V u, std::int32_t port,
+                           std::span<const std::int64_t> payload) {
+      ByteWriter& w = per_dest[static_cast<std::size_t>(d)];
+      if (w.buf.empty()) {
+        w = wire::open_frame();
+        w.u32(static_cast<std::uint32_t>(d));
+      }
+      w.i32(u);
+      w.i32(port);
+      w.u32(static_cast<std::uint32_t>(payload.size()));
+      w.i64s(payload);
+    };
     const Graph& g = rt->graph();
     auto& arena = RuntimeAccess::out_arena(*rt);
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       const auto& words = arena.words[static_cast<std::size_t>(s)];
-      const auto relay = [&](std::int64_t slot) {
-        if (arena.epoch[slot] != stamp) return;
-        const int dest = dest_worker_of(slot);
-        ByteWriter& w = per_dest[static_cast<std::size_t>(dest)];
-        if (counts[static_cast<std::size_t>(dest)] == 0) {
-          w.u32(static_cast<std::uint32_t>(dest));
-          w.u32(0);  // entry count, patched below
-        }
-        ++counts[static_cast<std::size_t>(dest)];
-        const auto si = static_cast<std::size_t>(slot);
-        const std::uint32_t len = arena.len[si];
-        w.u32(static_cast<std::uint32_t>(slot));
-        w.u32(static_cast<std::uint32_t>(s));
-        w.u32(len);
-        w.i64s({words.data() + arena.off[si], len});
-      };
       for (const V u : arena.speakers[static_cast<std::size_t>(s)]) {
         const auto row = g.neighbors(u);
-        const std::int64_t base = g.slot(u, 0);
-        const auto lo = std::lower_bound(row.begin(), row.end(), slice.vtx_lo);
-        const auto hi = std::lower_bound(lo, row.end(), slice.vtx_hi);
-        for (std::int64_t p = 0; p < lo - row.begin(); ++p) {
-          relay(g.mirror_slot(base + p));
+        const auto& rec = arena.record[static_cast<std::size_t>(u)];
+        if (rec.bcast_stamp == stamp) {
+          const std::span<const std::int64_t> bcast(words.data() + rec.off,
+                                                    rec.len);
+          for (auto it = row.begin(); it != row.end();) {
+            const int d = dest_worker_of(*it);
+            if (d != worker) entry(d, u, kBroadcastPort, bcast);
+            const V next = worker_vtx_lo[static_cast<std::size_t>(d) + 1];
+            it = std::lower_bound(it, row.end(), next);
+          }
+          continue;
         }
-        for (std::int64_t p = hi - row.begin(); p < std::ssize(row); ++p) {
-          relay(g.mirror_slot(base + p));
+        const std::int64_t base = g.slot(u, 0);
+        for (std::int64_t p = 0; p < std::ssize(row); ++p) {
+          if (row[p] >= slice.vtx_lo && row[p] < slice.vtx_hi) continue;
+          const std::int64_t slot = g.mirror_slot(base + p);
+          if (arena.epoch[slot] != stamp) continue;
+          entry(dest_worker_of(row[p]), u, static_cast<std::int32_t>(p),
+                {words.data() + arena.off[slot], arena.len[slot]});
         }
       }
     }
-    for (int d = 0; d < workers; ++d) {
-      const std::uint32_t n = counts[static_cast<std::size_t>(d)];
-      if (n == 0) continue;
-      ByteWriter& w = per_dest[static_cast<std::size_t>(d)];
-      // Patch the entry count (little-endian u32 at offset 4).
-      std::memcpy(w.buf.data() + 4, &n, sizeof(n));
-      out.push_back(wire::encode_frame(
-          static_cast<std::uint8_t>(FrameType::kMsgs), phase, round, w.buf));
+    for (ByteWriter& w : per_dest) {
+      if (w.buf.empty()) continue;
+      out.push_back(
+          wire::seal_frame(static_cast<std::uint8_t>(FrameType::kMsgs),
+                           h.phase, h.round, std::move(w.buf)));
     }
 
     // Per-shard sweep counters, ascending shard order:
     //   { u64 messages, u64 words, u64 work_items, u32 max_msg_words,
-    //     i32 newly_halted } per owned shard.
+    //     i32 newly_halted, u64 spoken_ports } per owned shard.
     // Read-and-reset: on the shared loopback session the coordinator
     // re-assigns these from the frame, so the reset keeps fork and loopback
     // on one code path instead of two counter disciplines.
-    ByteWriter stats;
+    ByteWriter stats = wire::open_frame();
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       auto& sh = RuntimeAccess::shard(*rt, s);
       stats.u64(sh.messages);
@@ -332,15 +347,16 @@ struct WorkerCore {
       stats.u64(sh.work_items);
       stats.u32(sh.max_msg_words);
       stats.i32(sh.newly_halted);
+      stats.u64(sh.spoken_ports);
       sh.messages = 0;
       sh.words = 0;
       sh.work_items = 0;
       sh.max_msg_words = 0;
       sh.newly_halted = 0;
+      sh.spoken_ports = 0;
     }
-    out.push_back(wire::encode_frame(
-        static_cast<std::uint8_t>(FrameType::kStats), phase, round,
-        stats.buf));
+    out.push_back(wire::seal_frame(static_cast<std::uint8_t>(FrameType::kStats),
+                                   h.phase, h.round, std::move(stats.buf)));
 
     if (corrupt_countdown >= 0 && corrupt_countdown-- == 0) {
       // Injected wire damage: flip bit 0 of the stats frame's type byte
@@ -355,12 +371,12 @@ struct WorkerCore {
   /// kFinish -> kState: every owned vertex's program state, in ascending
   /// vertex order, via the program's save hook.
   std::vector<std::uint8_t> handle_finish(const wire::FrameHeader& h) {
-    ByteWriter w;
+    ByteWriter w = wire::open_frame();
     for (V v = slice.vtx_lo; v < slice.vtx_hi; ++v) {
       program->save_vertex_state(v, w);
     }
-    return wire::encode_frame(static_cast<std::uint8_t>(FrameType::kState),
-                              h.phase, h.round, w.buf);
+    return wire::seal_frame(static_cast<std::uint8_t>(FrameType::kState),
+                            h.phase, h.round, std::move(w.buf));
   }
 
   /// Validates and runs one coordinator frame, handing each reply frame to
@@ -456,7 +472,6 @@ class LoopbackTransport final : public Transport {
     return frame;
   }
 
-  bool alive() const override { return !dead_; }
   void shutdown() override {
     dead_ = true;
     outbox_.clear();
@@ -504,62 +519,68 @@ class DistExecutor final : public sim::PhaseExecutor {
 
     // Contiguous shard partition: worker w owns shards
     // [w*S/W, (w+1)*S/W) -- every worker non-empty because W <= S.
-    const int S = RuntimeAccess::num_shards(rt);
+    const int S = rt.shards();
     slices_.assign(static_cast<std::size_t>(workers), WorkerSlice{});
-    std::vector<std::int64_t> slot_lo(static_cast<std::size_t>(workers) + 1);
+    std::vector<V> vtx_lo(static_cast<std::size_t>(workers) + 1);
     for (int w = 0; w < workers; ++w) {
       WorkerSlice& sl = slices_[static_cast<std::size_t>(w)];
       sl.shard_lo = static_cast<int>(std::int64_t{w} * S / workers);
       sl.shard_hi = static_cast<int>((std::int64_t{w} + 1) * S / workers);
-      sl.slot_lo = RuntimeAccess::shard(rt, sl.shard_lo).slot_lo;
-      sl.slot_hi = RuntimeAccess::shard(rt, sl.shard_hi - 1).slot_hi;
       sl.vtx_lo = RuntimeAccess::shard(rt, sl.shard_lo).first;
       sl.vtx_hi = RuntimeAccess::shard(rt, sl.shard_hi - 1).last;
-      slot_lo[static_cast<std::size_t>(w)] = sl.slot_lo;
+      vtx_lo[static_cast<std::size_t>(w)] = sl.vtx_lo;
     }
-    slot_lo[static_cast<std::size_t>(workers)] = rt.graph().num_slots();
+    vtx_lo[static_cast<std::size_t>(workers)] = rt.graph().num_vertices();
 
     links_.clear();
     pids_.assign(static_cast<std::size_t>(workers), -1);
-    for (int w = 0; w < workers; ++w) {
-      WorkerCore core;
-      core.rt = &rt;
-      core.program = &program;
-      core.worker = w;
-      core.slice = slices_[static_cast<std::size_t>(w)];
-      core.worker_slot_lo = slot_lo;
-      if (cfg_.kill_at_sweep >= 0 && w == cfg_.kill_worker) {
-        core.kill_countdown = cfg_.kill_at_sweep - sweeps_done_;
-        if (core.kill_countdown < 0) core.kill_countdown = -1;  // already past
+    // A failed socketpair or fork leaves before run_phase_body's unwind
+    // guard exists: reap the workers already forked here.
+    try {
+      for (int w = 0; w < workers; ++w) {
+        WorkerCore core;
+        core.rt = &rt;
+        core.program = &program;
+        core.worker = w;
+        core.slice = slices_[static_cast<std::size_t>(w)];
+        core.worker_vtx_lo = vtx_lo;
+        if (cfg_.kill_at_sweep >= 0 && w == cfg_.kill_worker) {
+          core.kill_countdown = cfg_.kill_at_sweep - sweeps_done_;
+          if (core.kill_countdown < 0) core.kill_countdown = -1;  // past
+        }
+        if (cfg_.corrupt_at_sweep >= 0 && w == cfg_.corrupt_worker) {
+          core.corrupt_countdown = cfg_.corrupt_at_sweep - sweeps_done_;
+          if (core.corrupt_countdown < 0) core.corrupt_countdown = -1;
+        }
+        if (cfg_.backend == Backend::kLoopback) {
+          core.owns_runtime_state = false;
+          links_.push_back(std::make_unique<LoopbackTransport>(core));
+          continue;
+        }
+        core.owns_runtime_state = true;
+        int fds[2];
+        DVC_REQUIRE(
+            ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
+            std::string("socketpair failed: ") + std::strerror(errno));
+        const pid_t pid = ::fork();
+        DVC_REQUIRE(pid >= 0,
+                    std::string("fork failed: ") + std::strerror(errno));
+        if (pid == 0) {
+          // Worker process: inherits the canonical phase-start state
+          // copy-on-write. Drop every coordinator-side fd -- ours and the
+          // earlier workers' -- so the coordinator sees clean EOFs, then
+          // serve until the phase ends or the channel drops.
+          ::close(fds[0]);
+          for (auto& link : links_) link->shutdown();
+          child_serve(core, fds[1]);  // never returns
+        }
+        ::close(fds[1]);
+        pids_[static_cast<std::size_t>(w)] = pid;
+        links_.push_back(std::make_unique<SocketTransport>(fds[0], w));
       }
-      if (cfg_.corrupt_at_sweep >= 0 && w == cfg_.corrupt_worker) {
-        core.corrupt_countdown = cfg_.corrupt_at_sweep - sweeps_done_;
-        if (core.corrupt_countdown < 0) core.corrupt_countdown = -1;
-      }
-      if (cfg_.backend == Backend::kLoopback) {
-        core.owns_runtime_state = false;
-        links_.push_back(std::make_unique<LoopbackTransport>(std::move(core)));
-        continue;
-      }
-      core.owns_runtime_state = true;
-      int fds[2];
-      DVC_REQUIRE(
-          ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
-          std::string("socketpair failed: ") + std::strerror(errno));
-      const pid_t pid = ::fork();
-      DVC_REQUIRE(pid >= 0, std::string("fork failed: ") + std::strerror(errno));
-      if (pid == 0) {
-        // Worker process. Inherits the session at its canonical phase-start
-        // state (copy-on-write). Drop every coordinator-side fd -- ours and
-        // the previously forked workers' -- so the coordinator observes
-        // clean EOFs, then serve until the phase ends or the channel drops.
-        ::close(fds[0]);
-        for (auto& link : links_) link->shutdown();
-        child_serve(core, fds[1]);  // never returns
-      }
-      ::close(fds[1]);
-      pids_[static_cast<std::size_t>(w)] = pid;
-      links_.push_back(std::make_unique<SocketTransport>(fds[0], w));
+    } catch (...) {
+      teardown(/*kill=*/true);
+      throw;
     }
     active_ = true;
     return true;
@@ -572,11 +593,13 @@ class DistExecutor final : public sim::PhaseExecutor {
     PhaseWireMetrics& m = metrics_.back();
     ++m.round_trips;
     try {
-      ByteWriter sweep;
+      // u8 is_begin, u64 spoken_ports_: the merged grouped-delivery gate.
+      ByteWriter sweep = wire::open_frame();
       sweep.u8(is_begin ? 1 : 0);
+      sweep.u64(RuntimeAccess::spoken_ports(rt));
       const auto frame =
-          wire::encode_frame(static_cast<std::uint8_t>(FrameType::kSweep),
-                             phase, round, sweep.buf);
+          wire::seal_frame(static_cast<std::uint8_t>(FrameType::kSweep),
+                           phase, round, std::move(sweep.buf));
       for (int w = 0; w < worker_count(); ++w) send_to(w, frame);
 
       // Drain every worker in order: relay-buffer its kMsgs, land its
@@ -668,7 +691,7 @@ class DistExecutor final : public sim::PhaseExecutor {
   }
 
   int effective_workers(sim::Runtime& rt) const {
-    return std::min(cfg_.workers, RuntimeAccess::num_shards(rt));
+    return std::min(cfg_.workers, rt.shards());
   }
 
  private:
@@ -703,6 +726,7 @@ class DistExecutor final : public sim::PhaseExecutor {
       sh.work_items = r.u64();
       sh.max_msg_words = r.u32();
       sh.newly_halted = r.i32();
+      sh.spoken_ports = r.u64();
     }
     DVC_ENSURE(r.pos == payload.size(),
                "stats frame size disagrees with worker " + std::to_string(w) +

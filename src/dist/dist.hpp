@@ -5,12 +5,13 @@
 // Every subsequent run_phase whose program opts in (VertexProgram::
 // dist_capable) is executed by worker processes -- each owning a contiguous
 // slice of the session's shard partition -- coordinated over a framed wire
-// protocol (common/wire.hpp + dist/transport.hpp). The coordinator's own
-// merge/stats/PhaseLog machinery runs unchanged on counters the workers
-// report, so colors, RunStats and the PhaseLog are bit-identical to an
-// in-process run at every shard and worker count; what changes is only
-// WHERE sweeps execute and the session's wire metrics, reported separately
-// (PhaseWireMetrics) precisely so the PhaseLog stays comparable.
+// protocol (common/wire.hpp + dist/transport.hpp), which carries a
+// broadcast once per remote worker its row reaches: the receiver stamps the
+// sender's broadcast-lane record. The coordinator's merge/stats/PhaseLog
+// machinery runs unchanged on counters the workers report, so colors,
+// RunStats and the PhaseLog are bit-identical to an in-process run at every
+// shard and worker count; only WHERE sweeps execute changes, and the wire
+// metrics (PhaseWireMetrics) are reported apart from the PhaseLog.
 //
 // Backends:
 //   * kFork     -- real OS processes: a socketpair per worker, fork() per
@@ -70,10 +71,10 @@ struct DistConfig {
 /// alongside what the simulation itself declared. `wire_bytes` counts every
 /// frame byte the coordinator sent or received (loopback and fork encode
 /// identical frames); declared_words/declared_messages are the phase's
-/// RunStats totals -- the CONGEST-model cost the paper reasons about. The
-/// ratio of measured bytes to declared words is the transport's framing
-/// overhead, reported as dist.bytes_per_declared_word by the
-/// dist-fork-planted benchmark workload.
+/// RunStats totals -- the CONGEST-model cost the paper reasons about. Their
+/// ratio is dist.bytes_per_declared_word in the dist-fork-planted benchmark
+/// workload; it can fall below 8 because a broadcast's `deg` declared
+/// messages cross the wire once per remote worker.
 struct PhaseWireMetrics {
   std::string label;
   int phase = -1;

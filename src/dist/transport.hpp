@@ -59,7 +59,6 @@ class Transport {
   /// Blocks for the peer's next frame and returns it whole. The caller
   /// validates content via wire::frame_payload.
   virtual std::vector<std::uint8_t> recv() = 0;
-  virtual bool alive() const = 0;
   /// Releases the channel (close the fd / drop queues). Idempotent; never
   /// throws.
   virtual void shutdown() = 0;
@@ -77,7 +76,6 @@ class SocketTransport final : public Transport {
 
   void send(std::span<const std::uint8_t> frame) override;
   std::vector<std::uint8_t> recv() override;
-  bool alive() const override { return fd_ >= 0; }
   void shutdown() override;
 
  private:

@@ -279,8 +279,8 @@ void Runtime::do_broadcast(int shard, V from,
   const int deg = g_->degree(from);
   if (deg == 0) return;
   if (!lane_) {
-    // Armed and distributed phases: one slot cell per port, so injected
-    // faults and the wire relay see every message where they look for it.
+    // Armed phases: one slot cell per port, so injected faults see every
+    // message where they look for it.
     for (int p = 0; p < deg; ++p) do_send(shard, from, p, payload);
     return;
   }
@@ -588,20 +588,17 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
         std::min<std::int64_t>(msg_word_cap_, phase_contract_words_);
   }
 
-  // Offer the phase to the installed transport executor, AFTER the
-  // per-phase reset above (a forked worker inherits exactly this canonical
-  // phase-start state, including lane_ = false: remote workers relay slot
-  // cells only, so a distributed phase keeps the per-slot path and port-scan
-  // delivery). Fault-armed phases are never offered -- the injection hooks
-  // run inside shard sweeps, which a remote worker executes out of the
-  // coordinator's sight -- and keep the per-slot path too: injected drops
-  // and corruptions pick their victims per canonical slot and rewind slot
-  // epochs, which the lane and the speaker index would not re-read.
-  lane_ = false;
+  // Offer the phase to the installed transport executor AFTER the reset
+  // above and with lane_ set, so a forked worker inherits exactly this
+  // canonical phase-start state. Fault-armed phases are never offered (the
+  // injection hooks run inside shard sweeps, out of the coordinator's sight
+  // in a remote worker) and keep the per-slot path: injected drops and
+  // corruptions pick victims per canonical slot and rewind slot epochs,
+  // which the lane and the speaker index would not re-read.
+  lane_ = !fault_armed_;
   PhaseExecutor* exec = phase_executor_;
   const bool dist = exec != nullptr && !fault_armed_ &&
                     exec->begin_phase(*this, program);
-  lane_ = !dist && !fault_armed_;
   // Unwind guard: a distributed phase that throws anywhere below must tear
   // its workers down (end_phase(success=false)) before the exception leaves
   // run_phase_body, or killed/abandoned worker processes would leak past

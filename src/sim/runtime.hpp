@@ -677,8 +677,7 @@ class Runtime {
   V live_ = 0;
   int round_ = 0;
   /// Whether this phase uses the broadcast lane and grouped delivery:
-  /// derived per phase as !dist && !fault_armed_, and false while the phase
-  /// executor forks so distributed workers inherit the per-slot path.
+  /// !fault_armed_, set at phase start before the phase executor forks.
   bool lane_ = false;
   /// Summed degree of the previous round's speakers (all shards): the
   /// walk cost of grouped delivery, and its message count when every
