@@ -33,22 +33,21 @@ class invariant_error : public std::logic_error {
 };
 
 /// Marker base for errors caused by injected or environmental faults (a
-/// failed shard thread, a corrupted or dropped message, an allocation
-/// failure) rather than logic violations. Unlike invariant_error these are
-/// retry-safe: the computation that raised one is expected to succeed if
-/// re-run on a fresh session, so the service layer classifies subclasses --
-/// together with std::bad_alloc -- as transient and eligible for its
-/// RetryPolicy. Derives from std::runtime_error, NOT std::logic_error: a
-/// fault is an event, not a bug.
+/// failed shard thread, a damaged wire frame, an allocation failure) rather
+/// than logic violations. Unlike invariant_error these are retry-safe: the
+/// computation that raised one is expected to succeed if re-run on a fresh
+/// session, so the service layer classifies subclasses -- together with
+/// std::bad_alloc -- as transient and eligible for its RetryPolicy. Derives
+/// from std::runtime_error, NOT std::logic_error: a fault is an event, not
+/// a bug.
 class transient_error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Raised when a checksum-guarded byte stream does not match its bytes: the
-/// per-round XOR checksum lane detecting a dropped/flipped message at a
-/// delivery boundary, a checkpoint buffer whose trailing checksum disagrees,
-/// or a truncated/corrupted wire frame. Lives here (not sim/) so the shared
+/// Raised when a checksum-guarded byte stream does not match its bytes: a
+/// checkpoint buffer whose trailing checksum disagrees, or a truncated or
+/// corrupted wire frame. Lives here (not sim/) so the shared
 /// serialization layer (common/wire.hpp) and the transport can throw it
 /// without depending on the simulator; sim re-exports it as
 /// dvc::sim::corruption_error.
@@ -66,7 +65,9 @@ class corruption_error : public transient_error {
 
   std::string phase_label;
   int phase;  ///< 0-based phase index (-1 outside any phase, e.g. a buffer)
-  int round;  ///< delivery round the mismatch was detected at
+  int round;  ///< round of the damaged frame (-1 outside any round)
+  /// What the check expected and saw (a frame checksum mismatch reports
+  /// the computed and the stored checksum; 0 when not applicable).
   std::uint64_t expected_messages;
   std::uint64_t observed_messages;
 };

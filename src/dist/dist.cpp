@@ -203,9 +203,11 @@ struct WorkerCore {
   /// Applies a relayed kMsgs payload into the post-sweep out arena as the
   /// sender's own sweep would have: a broadcast stamps the sender's record,
   /// a port message its receiver slot, and the sender joins its shard's
-  /// speaker list if its record was not stamped this round (on the shared
-  /// loopback session it was). Payload words go to the SENDER shard's flat
-  /// buffer at local offsets. FIFO transport order lands every round-r
+  /// speaker list if its record was not stamped this round. Payload words
+  /// go to the SENDER shard's flat buffer at local offsets. On the shared
+  /// loopback session the sender's sweep already wrote every relayed
+  /// message, so a message whose record (broadcast) or slot (port send) is
+  /// already stamped is skipped. FIFO transport order lands every round-r
   /// message before the round-r+1 sweep that consumes it.
   void apply_msgs(std::span<const std::uint8_t> payload) {
     ByteReader r{payload, 0, "messages frame"};
@@ -221,28 +223,36 @@ struct WorkerCore {
       DVC_ENSURE(sender >= 0 && sender < g.num_vertices() &&
                      port >= kBroadcastPort && port < g.degree(sender),
                  "relayed message names an unknown sender or port");
+      const bool bcast = port == kBroadcastPort;
+      std::int64_t slot = -1;
+      if (!bcast) {
+        const V to = g.neighbors(sender)[port];
+        DVC_ENSURE(to >= slice.vtx_lo && to < slice.vtx_hi,
+                   "relayed message addressed to another worker's vertex");
+        slot = g.mirror_slot(g.slot(sender, port));
+      }
       const auto shard =
           static_cast<std::size_t>(RuntimeAccess::shard_of(*rt, sender));
+      auto& rec = arena.record[static_cast<std::size_t>(sender)];
+      if (rec.bcast_stamp != stamp && rec.port_stamp != stamp) {
+        arena.speakers[shard].push_back(sender);
+      }
+      if (bcast ? rec.bcast_stamp == stamp : arena.epoch[slot] == stamp) {
+        r.bytes(std::size_t{len} * sizeof(std::int64_t));
+        continue;
+      }
       auto& words = arena.words[shard];
       DVC_ENSURE(words.size() + len <= 0xffffffffu,
                  "a shard's per-round payload exceeds the 32-bit arena "
                  "offsets");
       const auto off = static_cast<std::uint32_t>(words.size());
       r.i64s(len, words);
-      auto& rec = arena.record[static_cast<std::size_t>(sender)];
-      if (rec.bcast_stamp != stamp && rec.port_stamp != stamp) {
-        arena.speakers[shard].push_back(sender);
-      }
-      if (port == kBroadcastPort) {
+      if (bcast) {
         rec.bcast_stamp = stamp;
         rec.off = off;
         rec.len = len;
         continue;
       }
-      const V to = g.neighbors(sender)[port];
-      DVC_ENSURE(to >= slice.vtx_lo && to < slice.vtx_hi,
-                 "relayed message addressed to another worker's vertex");
-      const std::int64_t slot = g.mirror_slot(g.slot(sender, port));
       rec.port_stamp = stamp;
       arena.epoch[slot] = stamp;
       arena.off[slot] = off;
@@ -563,8 +573,14 @@ class DistExecutor final : public sim::PhaseExecutor {
             ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
             std::string("socketpair failed: ") + std::strerror(errno));
         const pid_t pid = ::fork();
+        const int fork_errno = errno;
+        if (pid < 0) {
+          // Neither end has an owner yet: close both before throwing.
+          ::close(fds[0]);
+          ::close(fds[1]);
+        }
         DVC_REQUIRE(pid >= 0,
-                    std::string("fork failed: ") + std::strerror(errno));
+                    std::string("fork failed: ") + std::strerror(fork_errno));
         if (pid == 0) {
           // Worker process: inherits the canonical phase-start state
           // copy-on-write. Drop every coordinator-side fd -- ours and the

@@ -1,13 +1,11 @@
 // Deterministic fault injection for the simulation runtime.
 //
 // A FaultPlan is a pure value describing WHICH faults to inject WHERE; the
-// Runtime consults it at fixed points of run_phase (shard sweep entry and
-// the delivery boundary between rounds). Every decision is a pure
-// hash of (seed, salt, kind, phase, round, shard) through the same splitmix
-// combiner the graph digest uses, so a plan replayed against the same
-// session reproduces the same faults bit-identically -- at any shard count
-// for the message-level kinds, which are keyed on the phase/round alone and
-// pick victims by canonical slot id.
+// Runtime consults it at one fixed point of run_phase: the entry of every
+// shard sweep. Every decision is a pure hash of (seed, salt, kind, phase,
+// round, shard) through the same splitmix combiner the graph digest uses,
+// so a plan replayed against the same session reproduces the same faults
+// bit-identically.
 //
 // The `salt` field separates retry attempts: the service re-runs a failed
 // job with salt = attempt number, so a probabilistic fault that killed
@@ -18,22 +16,16 @@
 //
 // Fault taxonomy (see DESIGN.md, "Fault model & recovery"):
 //   * kShardFailure -- a shard thread dies at sweep entry (fault_error).
-//   * kMessageDrop  -- one freshly-sent mailbox slot is unstamped at the
-//                      delivery boundary, as if the word never arrived.
-//   * kMessageCorrupt -- one payload word of a freshly-sent slot is
-//                      bit-flipped at the delivery boundary.
-//     Both are detected by the per-round XOR checksum lane, which runs in
-//     every phase under an armed plan: it folds the fresh cells of the
-//     vertices that spoke before anything is injected, re-folds every fresh
-//     cell of the arena at the delivery boundary, and raises
-//     corruption_error on a mismatch BEFORE any step() observes the damaged
-//     round.
 //   * kAllocFailure -- std::bad_alloc at sweep entry (the standard library
 //                      type, so injected and genuine exhaustion share a
 //                      recovery path).
 //   * kStall        -- the shard sleeps before sweeping. Never an error:
 //                      stalls must be output-invisible, and the chaos tests
 //                      assert exactly that.
+// Messages are not damaged in-process: in the paper's model a message sent
+// in round r arrives intact in round r+1, and the only bytes that cross a
+// process boundary -- the dist wire -- carry a frame checksum and their own
+// injected damage (dist::DistConfig::corrupt_at_sweep).
 #pragma once
 
 #include <cstdint>
@@ -45,19 +37,17 @@
 
 namespace dvc::sim {
 
+/// The values are mixed into FaultPlan::decision_hash, so they are pinned:
+/// renumbering a kind would move every rate-based fault of that kind.
 enum class FaultKind : std::uint8_t {
   kShardFailure = 0,
-  kMessageDrop,
-  kMessageCorrupt,
-  kAllocFailure,
-  kStall,
+  kAllocFailure = 3,
+  kStall = 4,
 };
 
 inline const char* fault_kind_name(FaultKind k) {
   switch (k) {
     case FaultKind::kShardFailure: return "shard_failure";
-    case FaultKind::kMessageDrop: return "message_drop";
-    case FaultKind::kMessageCorrupt: return "message_corrupt";
     case FaultKind::kAllocFailure: return "alloc_failure";
     case FaultKind::kStall: return "stall";
   }
@@ -86,14 +76,10 @@ class fault_error : public transient_error {
   int shard;                ///< the failed shard
 };
 
-/// Raised when the per-round XOR checksum lane detects that the messages
-/// delivered at a round boundary do not match the messages the senders
-/// recorded -- i.e. a drop or corruption (injected or environmental)
-/// happened in the mailbox between send and delivery. Also raised by
-/// Runtime::resume on a checkpoint buffer whose trailing checksum does not
-/// match its bytes, and by the wire layer on a damaged frame. The class
-/// itself lives in common/check.hpp (the serialization layer throws it);
-/// re-exported here so sim-side callers keep their historical spelling.
+/// Raised by Runtime::resume on a checkpoint buffer whose trailing checksum
+/// does not match its bytes, and by the wire layer on a damaged frame. The
+/// class itself lives in common/check.hpp (the serialization layer throws
+/// it); re-exported here so sim-side callers keep their historical spelling.
 using dvc::corruption_error;
 
 /// Raised by the runtime watchdog (Runtime::set_watchdog_idle_rounds): the
@@ -133,26 +119,18 @@ struct FaultPlan {
   double alloc_failure_rate = 0.0;
   /// Per-(phase, round, shard) probability the sweep stalls stall_us first.
   double stall_rate = 0.0;
-  /// Per-(phase, delivery round) probability that one freshly-sent message
-  /// is dropped at the boundary. Keyed on the round alone (not the shard)
-  /// and applied to a canonically-chosen slot, so the same plan injects the
-  /// same drop at any shard count.
-  double drop_rate = 0.0;
-  /// Per-(phase, delivery round) probability that one payload word of a
-  /// freshly-sent message is bit-flipped at the boundary.
-  double corrupt_rate = 0.0;
 
   /// Stall duration for kStall faults, microseconds.
   int stall_us = 200;
 
-  /// Exactly-scheduled fault: fires when (phase, round) match -- and, for
-  /// the shard-keyed kinds, the shard -- regardless of the rates. salt = -1
+  /// Exactly-scheduled fault: fires when (phase, round, shard) match,
+  /// regardless of the rates. salt = -1
   /// fires on every retry attempt; salt >= 0 only on that attempt.
   struct Scheduled {
     FaultKind kind = FaultKind::kShardFailure;
     int phase = 0;
     int round = 0;
-    int shard = -1;  ///< -1 matches any shard (message kinds ignore it)
+    int shard = -1;  ///< -1 matches any shard
     int salt = -1;
   };
   std::vector<Scheduled> scheduled;
@@ -160,11 +138,11 @@ struct FaultPlan {
   /// True when this plan can inject anything (rates or schedule non-empty).
   bool armed() const {
     return shard_failure_rate > 0 || alloc_failure_rate > 0 || stall_rate > 0 ||
-           drop_rate > 0 || corrupt_rate > 0 || !scheduled.empty();
+           !scheduled.empty();
   }
 
   /// Deterministic decision hash for (kind, phase, round, shard) under this
-  /// plan's seed and salt. Also the victim-selection hash for message kinds.
+  /// plan's seed and salt.
   std::uint64_t decision_hash(FaultKind kind, int phase, int round,
                               int shard) const {
     using detail::digest_mix;
@@ -177,8 +155,7 @@ struct FaultPlan {
     return h;
   }
 
-  /// Whether a fault of `kind` fires at (phase, round, shard). Message-level
-  /// kinds pass shard = -1.
+  /// Whether a fault of `kind` fires at (phase, round, shard).
   bool fires(FaultKind kind, int phase, int round, int shard) const {
     for (const Scheduled& s : scheduled) {
       if (s.kind == kind && s.phase == phase && s.round == round &&
@@ -189,9 +166,7 @@ struct FaultPlan {
     }
     const double rate = kind == FaultKind::kShardFailure ? shard_failure_rate
                         : kind == FaultKind::kAllocFailure ? alloc_failure_rate
-                        : kind == FaultKind::kStall        ? stall_rate
-                        : kind == FaultKind::kMessageDrop  ? drop_rate
-                                                           : corrupt_rate;
+                                                           : stall_rate;
     if (rate <= 0) return false;
     // Top 53 bits -> uniform double in [0, 1).
     const double u =

@@ -1,7 +1,6 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <limits>
 #include <ranges>
@@ -26,13 +25,6 @@ constexpr std::uint64_t kGroupedDeliveryFactor = 12;
 
 constexpr const char* kOneMessagePerEdge =
     "at most one message per edge-direction per round (LOCAL model)";
-
-/// Seed of the per-round XOR checksum lane (see Runtime::LaneTotals):
-/// slot identities and payload words are folded through digest_mix under
-/// this seed, once from the speakers' fresh slots before faults are
-/// injected and once from every fresh slot of the arena at the delivery
-/// boundary.
-constexpr std::uint64_t kLaneSeed = 0x64766c616e65ULL;  // "dvlane"
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
 // magic + version header, graph fingerprint, CONGEST budget, the serialized
@@ -278,12 +270,6 @@ void Runtime::do_broadcast(int shard, V from,
                            std::span<const std::int64_t> payload) {
   const int deg = g_->degree(from);
   if (deg == 0) return;
-  if (!lane_) {
-    // Armed phases: one slot cell per port, so injected faults see every
-    // message where they look for it.
-    for (int p = 0; p < deg; ++p) do_send(shard, from, p, payload);
-    return;
-  }
   MachineryScope machinery;
   if (static_cast<std::int64_t>(payload.size()) > msg_word_cap_) {
     throw_width(from, 0, payload.size());
@@ -372,8 +358,7 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
-  const bool grouped =
-      lane_ && spoken_ports_ * kGroupedDeliveryFactor <= sh.live_ports;
+  const bool grouped = spoken_ports_ * kGroupedDeliveryFactor <= sh.live_ports;
   if (grouped) gather_grouped(shard, in, want);
 
   Inbox& inbox = sh.inbox;
@@ -386,18 +371,18 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
   };
   // Appends what neighbor u (on port p, receiver slot s) sent last round:
   // its broadcast from the lane, else a per-port message from the slot
-  // arena. Without the lane every message is a slot cell.
-  const auto take = [&](int p, V u, std::size_t s) {
-    if (lane_) {
-      const SenderRecord& rec = in.record[static_cast<std::size_t>(u)];
-      if (rec.bcast_stamp == want) {
-        inbox.msgs_.push_back(MsgView{
-            p, std::span<const std::int64_t>(words_of(u) + rec.off, rec.len)});
-        return;
-      }
-      if (rec.port_stamp != want) return;
+  // arena. Runs once per scanned port. Left to itself GCC 12.2 emits it out
+  // of line, and that call per port made the rmat16-polylog-s1 benchmark's
+  // coloring 14% slower (median of 10 runs, 4-vCPU Xeon).
+  const auto take = [&](int p, V u, std::size_t s)
+                        __attribute__((always_inline)) {
+    const SenderRecord& rec = in.record[static_cast<std::size_t>(u)];
+    if (rec.bcast_stamp == want) {
+      inbox.msgs_.push_back(MsgView{
+          p, std::span<const std::int64_t>(words_of(u) + rec.off, rec.len)});
+      return;
     }
-    if (in.epoch[s] != want) return;
+    if (rec.port_stamp != want || in.epoch[s] != want) return;
     inbox.msgs_.push_back(MsgView{
         p, std::span<const std::int64_t>(words_of(u) + in.off[s], in.len[s])});
   };
@@ -563,7 +548,6 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   live_ = n;
   round_ = 0;
   idle_rounds_ = 0;
-  lane_expected_.reset();
   stats_.rounds = 0;
   stats_.messages = 0;
   stats_.words = 0;
@@ -589,13 +573,10 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   }
 
   // Offer the phase to the installed transport executor AFTER the reset
-  // above and with lane_ set, so a forked worker inherits exactly this
-  // canonical phase-start state. Fault-armed phases are never offered (the
-  // injection hooks run inside shard sweeps, out of the coordinator's sight
-  // in a remote worker) and keep the per-slot path: injected drops and
-  // corruptions pick victims per canonical slot and rewind slot epochs,
-  // which the lane and the speaker index would not re-read.
-  lane_ = !fault_armed_;
+  // above, so a forked worker inherits exactly this canonical phase-start
+  // state. Fault-armed phases are never offered: shard faults fire inside
+  // the sweep, and a remote worker would hand a fault_error back only as a
+  // plain transient_error, losing the kind, phase and shard it carries.
   PhaseExecutor* exec = phase_executor_;
   const bool dist = exec != nullptr && !fault_armed_ &&
                     exec->begin_phase(*this, program);
@@ -622,7 +603,6 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   }
   merge_shards();
   stats_.words_per_round.push_back(stats_.words - words_before);
-  if (fault_armed_) snapshot_send_lane_and_inject(round_ + 1);
 
   while (live_ > 0) {
     DVC_ENSURE(round_ < max_rounds,
@@ -634,9 +614,6 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     stats_.active_per_round.push_back(live_);
     in_idx_ = 1 - in_idx_;
     arenas_[1 - in_idx_].clear_round();
-    // Delivery-boundary integrity check: what this round is about to
-    // deliver must match what last round's senders recorded in the lane.
-    if (lane_expected_) verify_delivery_checksum();
     words_before = stats_.words;
     msgs_before = stats_.messages;
     const V live_before = live_;
@@ -647,7 +624,6 @@ void Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     }
     merge_shards();
     stats_.words_per_round.push_back(stats_.words - words_before);
-    if (fault_armed_) snapshot_send_lane_and_inject(round_ + 1);
     if (watchdog_idle_rounds_ > 0) {
       // Progress = somebody halted or somebody spoke. A phase that does
       // neither for the configured stretch is burning rounds toward the
@@ -713,121 +689,6 @@ void Runtime::inject_shard_faults(int shard, int round) {
             " of phase '" + phase_label_ + "' (phase " +
             std::to_string(phase_cur_) + ")",
         FaultKind::kShardFailure, phase_label_, phase_cur_, round, shard);
-  }
-}
-
-void Runtime::LaneTotals::add(std::int64_t slot, std::uint64_t slot_hash) {
-  ++count;
-  xor_slots ^= detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(slot));
-  xor_words ^= slot_hash;
-}
-
-std::uint64_t Runtime::lane_hash_slot(const Arena& a, std::int64_t s) const {
-  // Order-dependent fold of the payload, bound to its slot: XORed over all
-  // fresh slots, any dropped slot or flipped payload bit changes the total.
-  const auto si = static_cast<std::size_t>(s);
-  const std::size_t sender =
-      num_shards_ == 1
-          ? 0
-          : static_cast<std::size_t>(
-                shard_of(g_->slot_owner(g_->mirror_slot(s))));
-  const std::int64_t* words = a.words[sender].data() + a.off[si];
-  std::uint64_t h = kLaneSeed;
-  for (std::uint32_t k = 0; k < a.len[si]; ++k) {
-    h = detail::digest_mix(h, std::bit_cast<std::uint64_t>(words[k]));
-  }
-  return detail::digest_mix(h, static_cast<std::uint64_t>(s));
-}
-
-void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
-  Arena& out = arenas_[1 - in_idx_];
-  const std::int32_t stamp = stamp_base_ + round_;
-  // The send side of the checksum lane, taken before anything is injected:
-  // every fresh cell of every vertex that spoke. Delivery re-folds the
-  // arena itself, so a message missing from either side trips the lane.
-  LaneTotals sent;
-  for (const auto& speakers : out.speakers) {
-    for (const V u : speakers) {
-      const std::int64_t base = g_->slot(u, 0);
-      for (int p = 0; p < g_->degree(u); ++p) {
-        const std::int64_t s = g_->mirror_slot(base + p);
-        if (out.epoch[s] == stamp) sent.add(s, lane_hash_slot(out, s));
-      }
-    }
-  }
-  lane_expected_ = sent;
-  // Message-level faults are keyed on (phase, delivery round) alone and
-  // pick their victim by canonical slot id, so the same plan injects the
-  // same fault at any shard count.
-  const bool drop = fault_plan_.fires(FaultKind::kMessageDrop, phase_cur_,
-                                      delivery_round, /*shard=*/-1);
-  const bool corrupt = fault_plan_.fires(FaultKind::kMessageCorrupt,
-                                         phase_cur_, delivery_round,
-                                         /*shard=*/-1);
-  if (!drop && !corrupt) return;
-  std::vector<std::int64_t> fresh;  // fault path only; allocation is fine
-  for (std::int64_t s = 0; s < g_->num_slots(); ++s) {
-    if (out.epoch[s] == stamp) fresh.push_back(s);
-  }
-  if (fresh.empty()) return;
-  std::size_t dropped = fresh.size();  // sentinel: nothing dropped
-  if (drop) {
-    const std::uint64_t h = fault_plan_.decision_hash(
-        FaultKind::kMessageDrop, phase_cur_, delivery_round, /*shard=*/-2);
-    dropped = static_cast<std::size_t>(h % fresh.size());
-    // Rewinding the epoch un-sends the message: the delivery sweep wants
-    // exactly `stamp`, and `stamp - 1` can never be a live stamp for this
-    // arena (its previous stamps are at least 2 behind).
-    out.epoch[fresh[dropped]] = stamp - 1;
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (corrupt) {
-    const std::uint64_t h = fault_plan_.decision_hash(
-        FaultKind::kMessageCorrupt, phase_cur_, delivery_round, /*shard=*/-2);
-    for (std::size_t k = 0; k < fresh.size(); ++k) {
-      const std::size_t idx = static_cast<std::size_t>((h + k) % fresh.size());
-      if (idx == dropped) continue;  // corrupting a dropped slot is invisible
-      const std::int64_t s = fresh[idx];
-      const auto si = static_cast<std::size_t>(s);
-      if (out.len[si] == 0) continue;  // zero-word message: no bit to flip
-      const std::size_t sender =
-          num_shards_ == 1
-              ? 0
-              : static_cast<std::size_t>(
-                    shard_of(g_->slot_owner(g_->mirror_slot(s))));
-      const std::size_t word =
-          static_cast<std::size_t>((h >> 17) % out.len[si]);
-      // XOR with a nonzero mask: the payload word provably changes.
-      out.words[sender][out.off[si] + word] ^=
-          static_cast<std::int64_t>(h | 1);
-      faults_injected_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-  }
-}
-
-void Runtime::verify_delivery_checksum() {
-  const LaneTotals sent = *lane_expected_;
-  lane_expected_.reset();
-  const Arena& in = arenas_[in_idx_];
-  const std::int32_t want = stamp_base_ + round_ - 1;
-  LaneTotals seen;
-  for (std::int64_t s = 0; s < g_->num_slots(); ++s) {
-    if (in.epoch[s] == want) seen.add(s, lane_hash_slot(in, s));
-  }
-  if (seen != sent) {
-    std::string what =
-        "message checksum lane mismatch at the delivery boundary of round " +
-        std::to_string(round_) + " in phase '" + phase_label_ + "' (phase " +
-        std::to_string(phase_cur_) + "): senders recorded " +
-        std::to_string(sent.count) + " messages, delivery observes " +
-        std::to_string(seen.count);
-    what += seen.count == sent.count
-                ? " with a payload/slot hash mismatch -- a message was "
-                  "corrupted in the mailbox"
-                : " -- a message was dropped in the mailbox";
-    throw corruption_error(what, phase_label_, phase_cur_, round_, sent.count,
-                           seen.count);
   }
 }
 

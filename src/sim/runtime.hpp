@@ -83,7 +83,6 @@
 #include <functional>
 #include <initializer_list>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -373,20 +372,14 @@ class Runtime {
   bool has_interrupt() const { return static_cast<bool>(interrupt_); }
 
   /// Installs a deterministic fault schedule for subsequent run_phase calls
-  /// (see sim/fault.hpp). Faults reproduce bit-identically: every decision
-  /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
-  /// message-level kinds (drops, corruptions) pick victims by canonical
-  /// slot id so the same plan injects the same fault at any shard count.
-  /// While ANY plan is armed (FaultPlan::armed()) the checksum lane checks
-  /// every delivery boundary, and the broadcast lane and grouped delivery
-  /// are disabled: an armed plan also routes broadcasts per slot, one cell
-  /// per port, and every round delivers by port scan (delivery must
-  /// re-read the epoch stamps the injector rewinds). Outputs
-  /// are unchanged, per the delivery-mode bit-identity contract -- which is
-  /// why an armed plan that can never fire serves the test suite as the
-  /// port-scan oracle of both the lane and grouped delivery. Pass a
-  /// default-constructed plan to clear; sessions handed across jobs must
-  /// clear it (see ScopedFaultPlan).
+  /// (see sim/fault.hpp). Faults fire at shard-sweep entry and reproduce
+  /// bit-identically: every decision is a pure hash of (seed, salt, kind,
+  /// phase, round, shard). An armed plan (FaultPlan::armed()) changes
+  /// nothing else about a phase -- sends, delivery and outputs are those of
+  /// an unarmed run -- except that the phase is never offered to the phase
+  /// executor (see run_phase_body). Pass a default-constructed plan to
+  /// clear; sessions handed across jobs must clear it (see
+  /// ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
     fault_plan_ = std::move(plan);
     fault_armed_ = fault_plan_.armed();
@@ -550,8 +543,8 @@ class Runtime {
     std::vector<SenderRecord> record;
     std::vector<Padded<std::vector<std::int64_t>>> words;  // one per shard
     /// The one record of who spoke: per sending shard, the vertices that
-    /// spoke this round, in send order. Grouped delivery, the dist relay and
-    /// the checksum lane's send side all walk it. A vertex enters once per
+    /// spoke this round, in send order. Grouped delivery and the dist relay
+    /// both walk it. A vertex enters once per
     /// round (on its broadcast or its first port send), so reserving each
     /// list to its shard's vertex count keeps appends allocation-free.
     /// Cleared per round; capacity persists.
@@ -642,30 +635,9 @@ class Runtime {
   /// phase label.
   void run_phase_body(VertexProgram& program, int max_rounds,
                       std::string_view label);
-  /// Checksum-lane totals of one round's messages: their count and XOR
-  /// folds of their slot ids and payload hashes (order-independent, hence
-  /// shard-count invariant).
-  struct LaneTotals {
-    std::uint64_t count = 0;
-    std::uint64_t xor_slots = 0;
-    std::uint64_t xor_words = 0;
-    void add(std::int64_t slot, std::uint64_t slot_hash);
-    friend bool operator==(const LaneTotals&, const LaneTotals&) = default;
-  };
-
-  /// Fault-plan hooks (run only while a plan is armed). inject_shard_faults
-  /// runs at sweep entry on the shard's own thread; the message-fault pair
-  /// runs serially in the round loop: snapshot_send_lane_and_inject folds
-  /// the speakers' fresh slots into lane_expected_, then applies
-  /// scheduled/random drops and corruptions to the freshly-written out
-  /// arena; verify_delivery_checksum re-folds every fresh slot of the in
-  /// arena at the next delivery boundary and throws corruption_error on
-  /// mismatch.
+  /// Fault-plan hook, run only while a plan is armed: at sweep entry, on
+  /// the shard's own thread.
   void inject_shard_faults(int shard, int round);
-  void snapshot_send_lane_and_inject(int delivery_round);
-  void verify_delivery_checksum();
-  /// Order-dependent hash of one slot's payload for the checksum lane.
-  std::uint64_t lane_hash_slot(const Arena& a, std::int64_t s) const;
 
   const Graph* g_;
   int num_shards_ = 1;
@@ -676,9 +648,6 @@ class Runtime {
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  /// Whether this phase uses the broadcast lane and grouped delivery:
-  /// !fault_armed_, set at phase start before the phase executor forks.
-  bool lane_ = false;
   /// Summed degree of the previous round's speakers (all shards): the
   /// walk cost of grouped delivery, and its message count when every
   /// speaker broadcast.
@@ -710,9 +679,6 @@ class Runtime {
   /// Progress watchdog (0 = off) and its consecutive-idle-round counter.
   int watchdog_idle_rounds_ = 0;
   int idle_rounds_ = 0;
-  /// Checksum lane of the in-flight round: what the speakers sent, folded
-  /// before injection; empty until the phase's first snapshot.
-  std::optional<LaneTotals> lane_expected_;
   /// Session CONGEST budget (0 = LOCAL) and the per-phase effective
   /// per-message cap derived from it and the program contract: the
   /// tighter of the two positives, or int64 max when both are 0.

@@ -193,8 +193,7 @@ inline Outcome run_program(dvc::sim::Runtime* rt, const OracleInput& in,
 ///   * a fresh session per run, through the one-call facade;
 ///   * threaded shards 2, 3 and 8, one session each, reused across every
 ///     program without reset_log() -- the shared-session axis;
-///   * inline shards (4 shards, no threads), also under the port-scan
-///     oracle (port_scan_oracle_plan());
+///   * inline shards (4 shards, no threads);
 ///   * resume at every phase boundary: the reference run checkpoints at
 ///     each boundary, and each checkpoint resumes on a reset_log()'d
 ///     3-shard inline session that re-runs the program to the end;
@@ -234,9 +233,6 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
     }
   };
 
-  dvc::Knobs armed = knobs;
-  armed.fault_plan = port_scan_oracle_plan();
-
   sim::Runtime ref(in.g, 1);
   sim::Runtime threaded[] = {sim::Runtime(in.g, 2), sim::Runtime(in.g, 3),
                              sim::Runtime(in.g, 8)};
@@ -261,10 +257,8 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
     for (sim::Runtime& rt : threaded) {
       check(&rt, program, knobs, "threaded shards=" + std::to_string(rt.shards()));
     }
-    const std::string inline_shards =
-        "inline shards=" + std::to_string(inline_rt.shards());
-    check(&inline_rt, program, knobs, inline_shards);
-    check(&inline_rt, program, armed, "port-scan oracle, " + inline_shards);
+    check(&inline_rt, program, knobs,
+          "inline shards=" + std::to_string(inline_rt.shards()));
     for (std::size_t k = 0; k < checkpoints.size(); ++k) {
       ++tally.boundaries;
       resumer.reset_log();

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -531,6 +532,28 @@ TEST(DistWire, BroadcastShipsOncePerRemoteWorker) {
         << "the broadcast crossed the wire once per leaf, not once";
   }
   expect_no_zombie_children();
+}
+
+TEST(DistWire, LoopbackRelayAddsNoPayloadWords) {
+  // On the shared loopback session the sender's own sweep already wrote
+  // every relayed message into its shard's word buffer; applying the relay
+  // must not append the words a second time, so the buffers grow exactly
+  // as in an in-process run.
+  const Graph g = planted_arboricity(65536, 3, 1);
+  const auto payload_bytes = [&](bool loopback) {
+    sim::Runtime rt(g, 4, /*inline_shards=*/true);
+    std::optional<DistSession> session;
+    if (loopback) {
+      session.emplace(rt,
+                      DistConfig{.workers = 4, .backend = Backend::kLoopback});
+    }
+    (void)color_graph(rt, 3, Preset::PolylogTime);
+    if (session) {
+      EXPECT_TRUE(session->totals().distributed);
+    }
+    return rt.memory_breakdown().payload_bytes;
+  };
+  EXPECT_EQ(payload_bytes(/*loopback=*/true), payload_bytes(false));
 }
 
 // ---------------------------------------------------------------------------

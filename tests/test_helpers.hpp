@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <fstream>
-#include <limits>
 #include <string>
 
 #include "sim/runtime.hpp"
@@ -33,24 +32,6 @@ class FloodAll : public dvc::sim::VertexProgram {
  private:
   int rounds_;
 };
-
-/// Port-scan oracle for the executor's delivery modes. Runtime::
-/// set_fault_plan documents the contract this relies on: while ANY plan is
-/// armed, the broadcast lane and grouped delivery are disabled -- every
-/// broadcast is written one slot cell per port and every round delivers by
-/// port scan over the live vertices' slots. This plan is armed but can
-/// never fire -- its only entry is a stall scheduled at an unreachable
-/// phase -- so a session carrying it runs the per-slot path, checks every
-/// delivery boundary with the checksum lane, and must reproduce colors,
-/// RunStats and PhaseLog bit for bit. Install it with Knobs::fault_plan or
-/// Runtime::set_fault_plan.
-inline dvc::sim::FaultPlan port_scan_oracle_plan() {
-  dvc::sim::FaultPlan plan;
-  plan.scheduled.push_back({dvc::sim::FaultKind::kStall,
-                            /*phase=*/std::numeric_limits<int>::max(),
-                            /*round=*/0, /*shard=*/-1, /*salt=*/-1});
-  return plan;
-}
 
 /// True under AddressSanitizer or ThreadSanitizer. Both reserve terabytes
 /// of shadow address space, so an RLIMIT_AS cap cannot be applied.

@@ -26,12 +26,14 @@
 #include "graph/generators.hpp"
 #include "sim/runtime.hpp"
 #include "determinism_oracle.hpp"
+#include "reference_model.hpp"
 #include "test_support.hpp"
 
 namespace dvc {
 namespace {
 
 using dvc_test::FloodAll;
+namespace model = dvc_test::model;
 
 // --- 1. Warm phases allocate nothing --------------------------------------
 
@@ -160,75 +162,78 @@ TEST(Runtime, CaughtProgramErrorDoesNotPoisonTheNextPhase) {
 
 namespace adversarial {
 
-/// Halt-heavy adversarial program: ~90% of vertices broadcast once and halt
-/// in begin(); the survivors keep exchanging on two ports with staggered
+/// Halt-heavy adversarial probe: ~90% of vertices broadcast once and halt
+/// in begin(); the survivors keep sending on two ports with staggered
 /// halts, so the live list compacts a little every round. Round 1 delivers
-/// the dense begin() broadcasts (port-scan mode) while later rounds carry
-/// only the survivors' trickle (grouped sender-driven mode), exercising
-/// both delivery modes -- plus messages addressed to already-halted
-/// vertices, which must be dropped -- in one phase. Each vertex folds its
-/// inbox into a per-vertex digest so tests can compare the exact delivered
-/// contents, not just counters.
-class HaltHeavy : public sim::VertexProgram {
- public:
-  explicit HaltHeavy(std::vector<std::int64_t>& digest) : digest_(digest) {}
-  std::string name() const override { return "halt-heavy"; }
-  int max_words() const override { return 2; }
-  void begin(sim::Ctx& ctx) override {
-    ctx.broadcast({ctx.id(), 0});
-    if (ctx.id() % 10 != 0) ctx.halt();
+/// the dense begin() broadcasts from the broadcast lane by port scan;
+/// later rounds carry the survivors' port sends from the slot cells, plus
+/// messages addressed to already-halted vertices, which must be dropped.
+model::Action halt_heavy(V v, int degree, int round, const model::Inbox&) {
+  const std::int64_t id = v + 1;
+  model::Action a;
+  if (round == 0) {
+    a.broadcast = model::Words{id, 0};
+    a.halt = id % 10 != 0;
+  } else if (round > (id / 10) % 5 + 2) {
+    a.halt = true;
+  } else {
+    if (degree > 0) a.sends.push_back({0, {id, round}});
+    if (degree > 1) a.sends.push_back({degree - 1, {id, round}});
   }
-  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
-    auto& d = digest_[static_cast<std::size_t>(ctx.vertex())];
-    for (const sim::MsgView& m : inbox) {
-      d += (m.port + 1) * (m.data[0] * 31 + m.data[1]);
-    }
-    if (ctx.round() > (ctx.id() / 10) % 5 + 2) {
-      ctx.halt();
-      return;
-    }
-    if (ctx.degree() > 0) ctx.send(0, {ctx.id(), ctx.round()});
-    if (ctx.degree() > 1) ctx.send(ctx.degree() - 1, {ctx.id(), ctx.round()});
-  }
+  return a;
+}
 
- private:
-  std::vector<std::int64_t>& digest_;
-};
+/// Grouped-delivery probe: every vertex stays live for `rounds` rounds,
+/// but only 1-in-64 vertices send (one rotating port each round), so
+/// messages are far sparser than the live port space. On a 2,048-vertex
+/// near-regular degree-8 graph grouped assembly engages at 1 and 2 shards;
+/// at 8 shards a shard's live port space is small enough that it scans.
+/// With `mixed`, the 1-in-64 senders broadcast instead and every
+/// (64k+32)-th vertex sends on one port in the same round, so grouped
+/// rounds assemble lane and slot payloads side by side.
+model::Probe few_senders(int rounds, bool mixed) {
+  return [=](V v, int degree, int round, const model::Inbox&) {
+    model::Action a;
+    if (round >= rounds) {
+      a.halt = true;
+      return a;
+    }
+    if (degree == 0) return a;
+    const std::int64_t id = v + 1;
+    const std::int64_t k = id % 64;
+    if (mixed && k == 0) {
+      a.broadcast = model::Words{id, round};
+    } else if (k == (mixed ? 32 : 0)) {
+      a.sends.push_back({round % degree, {id, round}});
+    }
+    return a;
+  };
+}
 
 }  // namespace adversarial
 
-TEST(Runtime, HaltHeavyProgramMatchesPortScanOracleAtAnyShardCount) {
+TEST(Runtime, HaltHeavyProgramMatchesTheReferenceModelAtAnyShardCount) {
   const Graph g = random_near_regular(1 << 11, 8, 29);
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-
-  std::vector<std::int64_t> base_digest(n, 0);
-  sim::Runtime base_rt(g, 1);
-  base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
-  adversarial::HaltHeavy base_prog(base_digest);
-  const sim::RunStats base = base_rt.run_phase(base_prog, 64, "halt-heavy");
+  const model::Run want = model::interpret(g, adversarial::halt_heavy, 64);
   // The workload really is halt-heavy: ~10% of vertices survive begin().
-  ASSERT_FALSE(base.active_per_round.empty());
-  EXPECT_LE(base.active_per_round.front(), g.num_vertices() / 8);
+  ASSERT_FALSE(want.stats.active_per_round.empty());
+  EXPECT_LE(want.stats.active_per_round.front(), g.num_vertices() / 8);
 
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::vector<std::int64_t> digest(n, 0);
     sim::Runtime rt(g, shards);
-    adversarial::HaltHeavy prog(digest);
-    const sim::RunStats& stats = rt.run_phase(prog, 64, "halt-heavy");
-    EXPECT_TRUE(stats == base);
-    EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
+    EXPECT_TRUE(model::same_as_model(
+        want, model::run_on(rt, adversarial::halt_heavy, /*max_words=*/2, 64)));
   }
 }
 
 TEST(Runtime, HaltHeavyLiveCountsMatchTheClosedForm) {
-  // HaltHeavy's schedule depends on ids alone: vertices with id % 10 != 0
+  // halt_heavy's schedule depends on ids alone: vertices with id % 10 != 0
   // halt in begin(), and a survivor halts in round (id / 10) % 5 + 3. So
   // the live count at the start of round r is the number of survivors whose
   // halting round is >= r -- an oracle that shares no code with the
   // executor's live-list compaction.
   const Graph g = random_near_regular(1 << 11, 8, 29);
-  const auto n = static_cast<std::size_t>(g.num_vertices());
   std::vector<std::int32_t> expected;
   for (V v = 0; v < g.num_vertices(); ++v) {
     const std::int64_t id = v + 1;
@@ -240,89 +245,32 @@ TEST(Runtime, HaltHeavyLiveCountsMatchTheClosedForm) {
   ASSERT_EQ(expected.size(), 7u);
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::vector<std::int64_t> digest(n, 0);
     sim::Runtime rt(g, shards);
-    adversarial::HaltHeavy prog(digest);
-    const sim::RunStats& stats = rt.run_phase(prog, 64, "halt-heavy");
-    EXPECT_EQ(stats.active_per_round, expected);
-    EXPECT_EQ(stats.rounds, static_cast<int>(expected.size()));
+    const model::Run run =
+        model::run_on(rt, adversarial::halt_heavy, /*max_words=*/2, 64);
+    EXPECT_EQ(run.stats.active_per_round, expected);
+    EXPECT_EQ(run.stats.rounds, static_cast<int>(expected.size()));
   }
 }
 
-namespace adversarial {
-
-/// Grouped-delivery workload: every vertex stays live for `rounds` rounds,
-/// but only 1-in-64 vertices send (one rotating port each round), so
-/// messages are far sparser than the live port space and the executor's
-/// grouped assembly is guaranteed to engage (under any reasonable
-/// grouped-vs-scan threshold). With `mixed`, the 1-in-64 senders broadcast
-/// instead and every (64k+32)-th vertex sends on one port in the same
-/// round, so grouped rounds assemble lane and slot payloads side by side.
-/// Receivers fold their inboxes into a digest so the test compares exact
-/// delivered contents.
-class FewSenders : public sim::VertexProgram {
- public:
-  FewSenders(int rounds, std::vector<std::uint64_t>& digest, bool mixed = false)
-      : rounds_(rounds), digest_(digest), mixed_(mixed) {}
-  std::string name() const override { return "few-senders"; }
-  int max_words() const override { return 2; }
-  void begin(sim::Ctx& ctx) override { maybe_send(ctx); }
-  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
-    auto& d = digest_[static_cast<std::size_t>(ctx.vertex())];
-    for (const sim::MsgView& m : inbox) {
-      // Unsigned, so a long fold wraps instead of overflowing.
-      d = d * 37 + static_cast<std::uint64_t>((m.port + 1) *
-                                              (m.data[0] + m.data[1]));
-    }
-    if (ctx.round() >= rounds_) {
-      ctx.halt();
-      return;
-    }
-    maybe_send(ctx);
-  }
-
- private:
-  void maybe_send(sim::Ctx& ctx) {
-    if (ctx.degree() == 0) return;
-    const std::int64_t k = ctx.id() % 64;
-    if (mixed_ && k == 0) {
-      ctx.broadcast({ctx.id(), ctx.round()});
-    } else if (k == (mixed_ ? 32 : 0)) {
-      ctx.send(ctx.round() % ctx.degree(), {ctx.id(), ctx.round()});
-    }
-  }
-  int rounds_;
-  std::vector<std::uint64_t>& digest_;
-  bool mixed_;
-};
-
-}  // namespace adversarial
-
-TEST(Runtime, GroupedDeliveryMatchesPortScanOracleAtAnyShardCount) {
+TEST(Runtime, GroupedDeliveryMatchesTheReferenceModelAtAnyShardCount) {
   const Graph g = random_near_regular(1 << 11, 8, 43);
-  const auto n = static_cast<std::size_t>(g.num_vertices());
   constexpr int kRounds = 12;
 
   for (const bool mixed : {false, true}) {
-    std::vector<std::uint64_t> base_digest(n, 0);
-    sim::Runtime base_rt(g, 1);
-    base_rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
-    adversarial::FewSenders base_prog(kRounds, base_digest, mixed);
-    const sim::RunStats base =
-        base_rt.run_phase(base_prog, kRounds + sim::kRoundCapSlack, "few");
+    const model::Probe probe = adversarial::few_senders(kRounds, mixed);
+    const model::Run want =
+        model::interpret(g, probe, kRounds + sim::kRoundCapSlack);
     // The workload delivers something (or the grouped path is vacuous).
-    ASSERT_GT(base.messages, 0u);
+    ASSERT_GT(want.stats.messages, 0u);
 
     for (const int shards : {1, 2, 8}) {
       SCOPED_TRACE("mixed=" + std::to_string(mixed) +
                    " shards=" + std::to_string(shards));
-      std::vector<std::uint64_t> digest(n, 0);
       sim::Runtime rt(g, shards);
-      adversarial::FewSenders prog(kRounds, digest, mixed);
-      const sim::RunStats& stats =
-          rt.run_phase(prog, kRounds + sim::kRoundCapSlack, "few");
-      EXPECT_TRUE(stats == base);
-      EXPECT_EQ(digest, base_digest) << "delivered inbox contents differ";
+      EXPECT_TRUE(model::same_as_model(
+          want, model::run_on(rt, probe, /*max_words=*/2,
+                              kRounds + sim::kRoundCapSlack)));
     }
   }
 }
@@ -402,9 +350,8 @@ class Misuser : public sim::VertexProgram {
 
 TEST(Runtime, SecondMessageOnAnEdgeDirectionThrowsInEveryDeliveryMode) {
   // The LOCAL model allows one message per edge direction per round. Port
-  // sends and broadcasts travel different lanes by default and the same
-  // slot cells under the port-scan oracle; every way of sending twice over
-  // one edge must throw in both, in begin() and in a step round.
+  // sends and broadcasts travel different lanes; every way of sending twice
+  // over one edge must throw, in begin() and in a step round.
   const Graph g = random_near_regular(256, 4, 47);
   const V culprit = g.num_vertices() / 2 + 1;
   ASSERT_GE(g.degree(culprit), 2);
@@ -412,24 +359,20 @@ TEST(Runtime, SecondMessageOnAnEdgeDirectionThrowsInEveryDeliveryMode) {
   for (const Misuse misuse :
        {Misuse::kSendTwice, Misuse::kBroadcastTwice,
         Misuse::kBroadcastThenSend, Misuse::kSendThenBroadcast}) {
-    for (const bool oracle : {false, true}) {
-      for (const int shards : {1, 4}) {
-        for (const int at : {0, 1}) {
-          SCOPED_TRACE("misuse=" + std::to_string(static_cast<int>(misuse)) +
-                       " oracle=" + std::to_string(oracle) +
-                       " shards=" + std::to_string(shards) +
-                       " round=" + std::to_string(at));
-          sim::Runtime rt(g, shards);
-          if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
-          local_rule::Misuser prog(misuse, culprit, at);
-          try {
-            rt.run_phase(prog, 8);
-            ADD_FAILURE() << "expected invariant_error";
-          } catch (const invariant_error& e) {
-            EXPECT_NE(std::string(e.what()).find("edge-direction"),
-                      std::string::npos)
-                << e.what();
-          }
+    for (const int shards : {1, 4}) {
+      for (const int at : {0, 1}) {
+        SCOPED_TRACE("misuse=" + std::to_string(static_cast<int>(misuse)) +
+                     " shards=" + std::to_string(shards) +
+                     " round=" + std::to_string(at));
+        sim::Runtime rt(g, shards);
+        local_rule::Misuser prog(misuse, culprit, at);
+        try {
+          rt.run_phase(prog, 8);
+          ADD_FAILURE() << "expected invariant_error";
+        } catch (const invariant_error& e) {
+          EXPECT_NE(std::string(e.what()).find("edge-direction"),
+                    std::string::npos)
+              << e.what();
         }
       }
     }
@@ -591,9 +534,8 @@ struct Violation {
 /// Runs `prog` and returns the bandwidth_error's fields (vertex -1 when the
 /// phase did not throw one).
 Violation run_for_violation(const Graph& g, sim::VertexProgram& prog,
-                            bool oracle, int shards, int congest_words) {
+                            int shards, int congest_words) {
   sim::Runtime rt(g, shards);
-  if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
   rt.set_congest_words(congest_words);
   try {
     rt.run_phase(prog, 8);
@@ -606,37 +548,30 @@ Violation run_for_violation(const Graph& g, sim::VertexProgram& prog,
 }  // namespace bw
 
 TEST(Runtime, OverCapBroadcastRaisesTheSameStructuredErrorInEveryDeliveryMode) {
-  // A broadcast is metered once, as a send on port 0, whether it travels the
-  // broadcast lane (default) or one slot cell per port (port-scan oracle):
-  // both report the same vertex, port, round, width, cap and cap source.
+  // A broadcast is metered once, as a send on port 0, at any shard count:
+  // every run reports the same vertex, port, round, width, cap and cap
+  // source.
   const Graph g = random_near_regular(256, 4, 53);
   for (const bool contract : {false, true}) {
     bw::LateWideBroadcast prog(/*width=*/3, /*declared=*/contract ? 2 : 0,
                                /*wide_round=*/2);
-    const bw::Violation want = bw::run_for_violation(
-        g, prog, /*oracle=*/true, /*shards=*/1, contract ? 0 : 2);
+    const bw::Violation want =
+        bw::run_for_violation(g, prog, /*shards=*/1, contract ? 0 : 2);
     EXPECT_EQ(want.port, 0);
     EXPECT_EQ(want.round, 2);
     EXPECT_EQ(want.words, 3);
     EXPECT_EQ(want.cap, 2);
     EXPECT_EQ(want.from_contract, contract);
     EXPECT_EQ(want.vertex % 7, 2);  // id = vertex + 1
-    for (const bool oracle : {false, true}) {
-      for (const int shards : {1, 4}) {
-        SCOPED_TRACE("contract=" + std::to_string(contract) +
-                     " oracle=" + std::to_string(oracle) +
-                     " shards=" + std::to_string(shards));
-        EXPECT_EQ(bw::run_for_violation(g, prog, oracle, shards,
-                                        contract ? 0 : 2),
-                  want);
-      }
-    }
+    SCOPED_TRACE("contract=" + std::to_string(contract));
+    EXPECT_EQ(bw::run_for_violation(g, prog, /*shards=*/4, contract ? 0 : 2),
+              want);
   }
 }
 
 TEST(Runtime, OverCapBroadcastFromAnIsolatedVertexSendsNothing) {
-  // A degree-0 broadcast is a no-op: no message, hence nothing to meter,
-  // in either delivery mode. Vertices 0 and 4..7 are isolated here.
+  // A degree-0 broadcast is a no-op: no message, hence nothing to meter.
+  // Vertices 0 and 4..7 are isolated here.
   const Graph g = Graph::from_edges(8, {{1, 2}, {2, 3}});
   struct IsolatedWide : sim::VertexProgram {
     std::string name() const override { return "isolated-wide"; }
@@ -649,19 +584,14 @@ TEST(Runtime, OverCapBroadcastFromAnIsolatedVertexSendsNothing) {
     }
     void step(sim::Ctx& ctx, const sim::Inbox&) override { ctx.halt(); }
   };
-  for (const bool oracle : {false, true}) {
-    SCOPED_TRACE("oracle=" + std::to_string(oracle));
-    IsolatedWide prog;
-    EXPECT_EQ(bw::run_for_violation(g, prog, oracle, /*shards=*/2,
-                                    /*congest_words=*/2),
-              bw::Violation{});
-    sim::Runtime rt(g);
-    rt.set_congest_words(2);
-    if (oracle) rt.set_fault_plan(dvc_test::port_scan_oracle_plan());
-    const sim::RunStats& stats = rt.run_phase(prog, 4);
-    EXPECT_EQ(stats.messages, 4u);  // degrees 1 + 2 + 1
-    EXPECT_EQ(stats.max_msg_words, 1u);
-  }
+  IsolatedWide prog;
+  EXPECT_EQ(bw::run_for_violation(g, prog, /*shards=*/2, /*congest_words=*/2),
+            bw::Violation{});
+  sim::Runtime rt(g);
+  rt.set_congest_words(2);
+  const sim::RunStats& stats = rt.run_phase(prog, 4);
+  EXPECT_EQ(stats.messages, 4u);  // degrees 1 + 2 + 1
+  EXPECT_EQ(stats.max_msg_words, 1u);
 }
 
 TEST(Runtime, PaperPipelineRunsUnderItsDeclaredCongestBudget) {
