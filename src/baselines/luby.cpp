@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
+#include "common/wire.hpp"
 #include "sim/runtime.hpp"
 
 namespace dvc {

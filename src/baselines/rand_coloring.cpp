@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
+#include "common/wire.hpp"
 
 namespace dvc {
 namespace {

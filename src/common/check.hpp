@@ -46,36 +46,27 @@ class transient_error : public std::runtime_error {
 };
 
 /// Raised when a checksum-guarded byte stream does not match its bytes: a
-/// checkpoint buffer whose trailing checksum disagrees, or a truncated or
-/// corrupted wire frame. Lives here (not sim/) so the shared
-/// serialization layer (common/wire.hpp) and the transport can throw it
-/// without depending on the simulator; sim re-exports it as
-/// dvc::sim::corruption_error.
+/// truncated or corrupted wire frame. Lives here (not dist/) so the shared
+/// serialization layer (common/wire.hpp) can throw it without depending on
+/// the transport.
 class corruption_error : public transient_error {
  public:
   corruption_error(const std::string& what, std::string phase_label, int phase,
-                   int round, std::uint64_t expected_messages,
-                   std::uint64_t observed_messages)
+                   int round)
       : transient_error(what),
         phase_label(std::move(phase_label)),
         phase(phase),
-        round(round),
-        expected_messages(expected_messages),
-        observed_messages(observed_messages) {}
+        round(round) {}
 
   std::string phase_label;
-  int phase;  ///< 0-based phase index (-1 outside any phase, e.g. a buffer)
+  int phase;  ///< 0-based phase index (-1 when the frame is not phase-scoped)
   int round;  ///< round of the damaged frame (-1 outside any round)
-  /// What the check expected and saw (a frame checksum mismatch reports
-  /// the computed and the stored checksum; 0 when not applicable).
-  std::uint64_t expected_messages;
-  std::uint64_t observed_messages;
 };
 
 namespace detail {
 
 /// splitmix64-based combiner shared by Graph::digest(), the fault-decision
-/// hashes, and the wire/checkpoint checksums: finalizes `x` through the
+/// hashes, and the wire frame checksum: finalizes `x` through the
 /// splitmix64 permutation, then folds it into the running hash `h` with a
 /// position-dependent combine so equal multisets of values at different
 /// stream positions do not collide trivially.

@@ -1,7 +1,7 @@
-// Shared flat-buffer serialization: little-endian encode/decode, the
-// checksum fold, and the framed wire protocol the distributed transport
-// speaks -- ONE copy shared by checkpoint() and the src/dist/ transport.
-// Everything here is format, not policy: no I/O, no simulator types.
+// Flat-buffer serialization: little-endian encode/decode, the checksum
+// fold, and the framed wire protocol the src/dist/ transport speaks (and
+// dist-capable programs ship their per-vertex state in). Everything here is
+// format, not policy: no I/O, no simulator types.
 //
 // The codec works on whole words, not bytes: each fixed-width field is one
 // memcpy of its native representation (the host must be little-endian, see
@@ -21,9 +21,9 @@
 //       20   len  payload
 //   20+len     8  checksum   checksum64(kFrameMagic, header+payload)
 //
-// The trailing checksum is the same digest_mix fold the checkpoint trailer
-// uses: any flipped bit or truncation anywhere in the frame changes it, and
-// decoding raises dvc::corruption_error -- never silent damage.
+// The trailing checksum is a digest_mix fold (checksum64): any flipped bit
+// or truncation anywhere in the frame changes it, and decoding raises
+// dvc::corruption_error -- never silent damage.
 #pragma once
 
 #include <algorithm>
@@ -43,10 +43,10 @@ static_assert(std::endian::native == std::endian::little,
               "the wire codec memcpy's native integers: the host must be "
               "little-endian");
 
-/// Order-dependent fold of a byte stream under `seed`, shared by the
-/// checkpoint and frame trailers: each 8-byte little-endian word, then the
-/// 0-7 tail bytes (if any) zero-padded to one word, then the byte length,
-/// which keeps buffers that differ only by trailing zero bytes apart.
+/// Order-dependent fold of a byte stream under `seed` (the frame trailer):
+/// each 8-byte little-endian word, then the 0-7 tail bytes (if any)
+/// zero-padded to one word, then the byte length, which keeps buffers that
+/// differ only by trailing zero bytes apart.
 inline std::uint64_t checksum64(std::uint64_t seed,
                                 std::span<const std::uint8_t> bytes) {
   std::uint64_t h = seed;
@@ -107,7 +107,7 @@ struct ByteReader {
     if (n > buf.size() - pos) {
       throw corruption_error(
           std::string(context) + " truncated: ran past its end while decoding",
-          /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 0, 0);
+          /*phase_label=*/"", /*phase=*/-1, /*round=*/-1);
     }
   }
   std::uint8_t u8() { return get<std::uint8_t>(); }
@@ -152,7 +152,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 3;
+inline constexpr std::uint8_t kFrameVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it
@@ -217,13 +217,15 @@ inline FrameHeader decode_frame_header(std::span<const std::uint8_t> hdr) {
   FrameHeader h;
   const std::uint32_t magic = r.u32();
   if (magic != kFrameMagic) {
-    throw corruption_error("frame header has wrong magic", "", -1, -1,
-                           kFrameMagic, magic);
+    throw corruption_error(
+        "frame header has wrong magic " + std::to_string(magic), "", -1, -1);
   }
   const std::uint8_t version = r.u8();
   if (version != kFrameVersion) {
-    throw corruption_error("frame header has unknown version", "", -1, -1,
-                           kFrameVersion, version);
+    throw corruption_error("frame header has unknown version " +
+                               std::to_string(version) + " (expected " +
+                               std::to_string(kFrameVersion) + ")",
+                           "", -1, -1);
   }
   h.type = r.u8();
   (void)r.u16();  // reserved
@@ -231,8 +233,10 @@ inline FrameHeader decode_frame_header(std::span<const std::uint8_t> hdr) {
   h.round = r.i32();
   h.payload_len = r.u32();
   if (h.payload_len > kFrameMaxPayload) {
-    throw corruption_error("frame length field exceeds the sanity cap", "", -1,
-                           -1, kFrameMaxPayload, h.payload_len);
+    throw corruption_error("frame length field " +
+                               std::to_string(h.payload_len) +
+                               " exceeds the sanity cap",
+                           "", -1, -1);
   }
   return h;
 }
@@ -246,15 +250,16 @@ inline std::span<const std::uint8_t> frame_payload(
   const std::size_t want =
       kFrameHeaderBytes + h.payload_len + kFrameTrailerBytes;
   if (frame.size() < want) {
-    throw corruption_error("frame truncated before its declared end", "", -1,
-                           -1, want, frame.size());
+    throw corruption_error("frame truncated before its declared end (" +
+                               std::to_string(frame.size()) + " of " +
+                               std::to_string(want) + " bytes)",
+                           "", -1, -1);
   }
   const std::size_t body = kFrameHeaderBytes + h.payload_len;
   const std::uint64_t stored = ByteReader{frame, body, "frame trailer"}.u64();
   const std::uint64_t computed = checksum64(kFrameMagic, frame.first(body));
   if (stored != computed) {
-    throw corruption_error("frame checksum mismatch", "", -1, -1, computed,
-                           stored);
+    throw corruption_error("frame checksum mismatch", "", -1, -1);
   }
   return frame.subspan(kFrameHeaderBytes, h.payload_len);
 }

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "common/wire.hpp"
 #include "core/arbdefective.hpp"
 #include "decomp/h_partition.hpp"
 #include "defective/reduce.hpp"

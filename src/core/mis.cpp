@@ -1,6 +1,7 @@
 #include "core/mis.hpp"
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 #include "core/legal_coloring.hpp"
 
 namespace dvc {

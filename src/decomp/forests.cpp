@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 
 namespace dvc {
 namespace {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 
 namespace dvc {
 namespace {

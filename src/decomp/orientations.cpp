@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "common/wire.hpp"
 #include "defective/small_degree.hpp"
 
 namespace dvc {

@@ -86,7 +86,7 @@ constexpr std::int32_t kBroadcastPort = -1;  // see handle_sweep
 /// Encodes the exception a worker sweep raised into a kError frame whose
 /// payload is: u8 kind, str what, then kind-specific fields (bandwidth:
 /// vertex, port, round, words, cap, from_contract; corruption: phase_label,
-/// phase, round, expected, observed).
+/// phase, round).
 std::vector<std::uint8_t> encode_error_frame() {
   ByteWriter w = wire::open_frame();
   try {
@@ -106,8 +106,6 @@ std::vector<std::uint8_t> encode_error_frame() {
     w.str(e.phase_label);
     w.i32(e.phase);
     w.i32(e.round);
-    w.u64(e.expected_messages);
-    w.u64(e.observed_messages);
   } catch (const transient_error& e) {
     w.u8(kErrTransient);
     w.str(e.what());
@@ -152,10 +150,7 @@ std::vector<std::uint8_t> encode_error_frame() {
       std::string phase_label = r.str();
       const int phase = r.i32();
       const int round = r.i32();
-      const std::uint64_t expected = r.u64();
-      const std::uint64_t observed = r.u64();
-      throw corruption_error(what, std::move(phase_label), phase, round,
-                             expected, observed);
+      throw corruption_error(what, std::move(phase_label), phase, round);
     }
     case kErrTransient:
       throw transient_error(what);
@@ -412,7 +407,7 @@ struct WorkerCore {
       default:
         throw corruption_error("worker received an unexpected frame type " +
                                    std::to_string(static_cast<int>(h.type)),
-                               "", h.phase, h.round, 0, 0);
+                               "", h.phase, h.round);
     }
   }
 };

@@ -26,7 +26,7 @@
 //
 // Worker death (kill -9, crash, channel loss) raises worker_lost_error, a
 // dvc::transient_error: the service layer classifies it transient and heals
-// the job through its retry + checkpoint-resume path.
+// the job through its retry path (replay against the held phase log).
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,8 @@
 // (common/wire.hpp) over it; the transport's only jobs are full-frame
 // delivery in FIFO order and honest death reporting: any sign that the peer
 // is gone -- EOF, EPIPE, a reset -- surfaces as worker_lost_error, which
-// derives from dvc::transient_error so the service layer's retry /
-// checkpoint-resume machinery (PR 9) heals a killed worker exactly like an
-// injected shard crash.
+// derives from dvc::transient_error so the service layer's retry heals a
+// killed worker exactly like an injected shard crash.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,8 @@ enum class FrameType : std::uint8_t {
 /// A worker process (or simulated loopback worker) died or its channel
 /// broke. Transient by design: the computation is deterministic, so a
 /// retry -- fresh workers, same inputs -- produces the identical result,
-/// and the service's checkpoint-resume path verifies exactly that.
+/// and the service's replay against the held phase log verifies exactly
+/// that.
 class worker_lost_error : public transient_error {
  public:
   worker_lost_error(const std::string& what, int worker, int phase, int round)

@@ -700,9 +700,8 @@ std::optional<JobResult> ColoringService::execute(Job job) {
   try {
     // Attempt 0 takes a pooled (possibly warm) session. Retries build a
     // FRESH cold session instead: the failed attempt's session was
-    // discarded below (injected drops/corruption deliberately scramble its
-    // arena state), and a fresh session is the natural target for a
-    // checkpoint resume.
+    // discarded below (a shard fault or bad_alloc unwound it mid-sweep),
+    // and a fresh session is the natural target for a replay.
     SessionPool::Entry entry;
     if (job.attempt == 0) {
       entry = pool_.acquire(spec.graph, shards, dist_job);
@@ -721,13 +720,13 @@ std::optional<JobResult> ColoringService::execute(Job job) {
     // runtime suite proves shared-vs-fresh identity), which is what makes
     // pool reuse invisible to callers.
     entry.rt->reset_log();
-    if (job.resume_ckpt) {
-      // Restore the phase-boundary state of the failed attempt and arm
-      // replay verification: the re-run below re-executes the pipeline
-      // from the top, and every phase up to the checkpoint is verified
-      // bit-identical against it as it lands (divergence -> invariant
-      // error -> kFailed, never a silently different answer).
-      entry.rt->resume(*job.resume_ckpt);
+    if (job.replay_log) {
+      // Arm replay verification against the failed attempt's log: the
+      // re-run below re-executes the pipeline from the top, and every phase
+      // the failed attempt completed is verified bit-identical against it
+      // as it lands (divergence -> invariant error -> kFailed, never a
+      // silently different answer).
+      entry.rt->resume(*job.replay_log);
     }
     const std::uint64_t faults_before = entry.rt->faults_injected();
     try {
@@ -795,23 +794,21 @@ std::optional<JobResult> ColoringService::execute(Job job) {
       } catch (...) {
       }
       if (transient) {
-        // First transient failure captures the phase-boundary snapshot the
-        // retry resumes from. (The runtime's stamp guard already advanced
-        // the session past the aborted phase, so this IS a boundary; the
-        // log holds only COMPLETED phases.) Best-effort: if the snapshot
-        // itself fails -- say, under allocation-failure injection -- the
-        // retry simply re-runs from scratch.
-        if (!job.resume_ckpt) {
+        // First transient failure holds a copy of the log every retry
+        // replays. (The log records only COMPLETED phases, so the copy ends
+        // on a phase boundary.) Best-effort: if the copy itself fails --
+        // say, under allocation-failure injection -- the retry simply
+        // re-runs unverified.
+        if (!job.replay_log) {
           try {
-            job.resume_ckpt =
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    entry.rt->checkpoint());
+            job.replay_log =
+                std::make_shared<const sim::PhaseLog>(entry.rt->log());
           } catch (...) {
           }
         }
-        // Discard the session (fall off scope, joining its threads):
-        // injected drops/corruption leave arena state deliberately
-        // scrambled, so it must never return to the pool.
+        // Discard the session (fall off scope, joining its threads): a
+        // shard fault or bad_alloc unwound it mid-sweep, so it must never
+        // return to the pool.
       } else {
         // A structurally-throwing job fails only itself. The session is
         // still sound (the runtime clears shard exception state when it

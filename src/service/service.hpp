@@ -150,14 +150,14 @@ struct ServiceConfig {
   /// callers that want to pre-fill a batch before execution starts.
   bool start_paused = false;
 
-  /// Self-healing policy for TRANSIENT job failures (sim::transient_error
-  /// subclasses -- injected faults, detected message corruption -- and
-  /// std::bad_alloc). Structural failures (precondition/invariant/bandwidth
-  /// errors, watchdog trips, cancellation, deadlines) are never retried:
-  /// they are deterministic properties of the job, so re-running cannot
-  /// change the outcome. A retry resumes from the checkpoint taken at the
-  /// failed run's last completed phase boundary; the checkpoint replay
-  /// machinery (sim/runtime.hpp) verifies it bit-identical to a fresh run.
+  /// Self-healing policy for TRANSIENT job failures (transient_error
+  /// subclasses -- injected shard faults, a lost worker, a damaged wire
+  /// frame -- and std::bad_alloc). Structural failures (precondition/
+  /// invariant/bandwidth errors, watchdog trips, cancellation, deadlines)
+  /// are never retried: they are deterministic properties of the job, so
+  /// re-running cannot change the outcome. A retry re-runs the pipeline
+  /// from the top against the held phase log of the failed run, and
+  /// Runtime::resume verifies every phase that run completed bit-identical.
   struct RetryPolicy {
     /// Total execution attempts per job (first run included). 1 = the
     /// legacy behaviour: any failure is final. Must be >= 1.
@@ -210,7 +210,7 @@ struct JobSpec {
   /// dist-capable phase executes across that many worker processes, with
   /// results bit-identical to the in-process run. A worker death surfaces
   /// as dist::worker_lost_error -- a transient_error -- so the service's
-  /// retry + checkpoint-resume policy heals it like any injected fault.
+  /// retry policy (held phase log replay) heals it like any injected fault.
   struct DistSpec {
     int workers = 0;
     dist::Backend backend = dist::Backend::kFork;
@@ -257,7 +257,7 @@ struct JobResult {
   int attempts = 0;
   /// True iff the job failed transiently at least once and a retry then
   /// succeeded -- the self-healing path. The result is bit-identical to a
-  /// fault-free run (checkpoint replay verifies this).
+  /// fault-free run (replay against the held phase log verifies this).
   bool recovered = false;
   /// Label of the pipeline phase that was running (or about to run) when a
   /// failed job threw; empty for kOk and for jobs that never ran.
@@ -537,10 +537,9 @@ class ColoringService {
     /// Retry backoff: the worker sleeps until this instant before running
     /// (default epoch = no wait).
     std::chrono::steady_clock::time_point not_before{};
-    /// Phase-boundary checkpoint captured when the first transient failure
-    /// struck; every retry resumes from it. Shared so requeueing copies
-    /// cheaply.
-    std::shared_ptr<const std::vector<std::uint8_t>> resume_ckpt;
+    /// Held phase log of the attempt the first transient failure struck;
+    /// every retry replays against it. Shared so requeueing copies cheaply.
+    std::shared_ptr<const sim::PhaseLog> replay_log;
   };
 
   /// Sliding window of the most recent latency samples (ring overwrite).

@@ -76,12 +76,6 @@ class fault_error : public transient_error {
   int shard;                ///< the failed shard
 };
 
-/// Raised by Runtime::resume on a checkpoint buffer whose trailing checksum
-/// does not match its bytes, and by the wire layer on a damaged frame. The
-/// class itself lives in common/check.hpp (the serialization layer throws
-/// it); re-exported here so sim-side callers keep their historical spelling.
-using dvc::corruption_error;
-
 /// Raised by the runtime watchdog (Runtime::set_watchdog_idle_rounds): the
 /// configured number of consecutive rounds passed in which no vertex halted
 /// and no message was sent -- a runaway phase burning rounds without

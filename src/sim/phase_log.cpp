@@ -1,7 +1,5 @@
 #include "sim/phase_log.hpp"
 
-#include "common/wire.hpp"
-
 namespace dvc::sim {
 
 // ---------------------------------------------------------------------------
@@ -175,61 +173,6 @@ void PhaseLog::record(std::string_view name, const RunStats& stats) {
   bandwidth_.insert(bandwidth_.end(), stats.words_per_round.begin(),
                     stats.words_per_round.end());
   entries_.push_back(e);
-}
-
-void PhaseLog::save(wire::ByteWriter& w) const {
-  w.u64(entries_.size());
-  for (const Entry& e : entries_) {
-    w.str(name(e));
-    w.i32(e.depth);
-    w.u8(e.span ? 1 : 0);
-    w.i32(e.rounds);
-    w.u64(e.messages);
-    w.u64(e.words);
-    w.u64(e.work_items);
-    w.u32(e.max_msg_words);
-    const auto a = active(e);
-    w.u32(static_cast<std::uint32_t>(a.size()));
-    for (const std::int32_t x : a) w.i32(x);
-    const auto b = bandwidth(e);
-    w.u32(static_cast<std::uint32_t>(b.size()));
-    for (const std::uint64_t x : b) w.u64(x);
-  }
-}
-
-PhaseLog PhaseLog::load(wire::ByteReader& r) {
-  PhaseLog log;
-  const std::uint64_t entries = r.u64();
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const std::string name = r.str();
-    Entry e;
-    e.name_off = log.intern(name);
-    e.name_len = static_cast<std::uint32_t>(name.size());
-    e.depth = r.i32();
-    e.span = r.u8() != 0;
-    e.rounds = r.i32();
-    e.messages = r.u64();
-    e.words = r.u64();
-    e.work_items = r.u64();
-    e.max_msg_words = r.u32();
-    // Offsets as record() assigns them (0 for an empty series), so a loaded
-    // log compares equal to the one that was saved.
-    e.active_len = r.u32();
-    e.active_off = e.active_len == 0
-                       ? 0
-                       : static_cast<std::uint32_t>(log.active_.size());
-    for (std::uint32_t j = 0; j < e.active_len; ++j) {
-      log.active_.push_back(r.i32());
-    }
-    e.bw_len = r.u32();
-    e.bw_off =
-        e.bw_len == 0 ? 0 : static_cast<std::uint32_t>(log.bandwidth_.size());
-    for (std::uint32_t j = 0; j < e.bw_len; ++j) {
-      log.bandwidth_.push_back(r.u64());
-    }
-    log.entries_.push_back(e);
-  }
-  return log;
 }
 
 }  // namespace dvc::sim

@@ -9,11 +9,6 @@
 #include <string_view>
 #include <vector>
 
-namespace dvc::wire {
-struct ByteReader;
-struct ByteWriter;
-}  // namespace dvc::wire
-
 namespace dvc::sim {
 
 struct RunStats {
@@ -169,12 +164,6 @@ class PhaseLog {
 
   /// Appends a leaf entry at the current depth.
   void record(std::string_view name, const RunStats& stats);
-
-  /// Encodes the log, entry by entry with its name and per-round series
-  /// inline, for Runtime::checkpoint; load() is the inverse (bounds-checked
-  /// reads: a short buffer throws corruption_error).
-  void save(wire::ByteWriter& w) const;
-  static PhaseLog load(wire::ByteReader& r);
 
   friend bool operator==(const PhaseLog&, const PhaseLog&) = default;
 

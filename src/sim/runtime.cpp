@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
-#include "common/wire.hpp"
 
 namespace dvc::sim {
 namespace {
@@ -25,14 +24,6 @@ constexpr std::uint64_t kGroupedDeliveryFactor = 12;
 
 constexpr const char* kOneMessagePerEdge =
     "at most one message per edge-direction per round (LOCAL model)";
-
-// Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
-// magic + version header, graph fingerprint, CONGEST budget, the serialized
-// PhaseLog (PhaseLog::save), and a trailing wire::checksum64. The encode/
-// decode/checksum idioms live in common/wire.hpp, shared with the
-// distributed transport's frame protocol.
-constexpr std::uint64_t kCkptMagic = 0x647663434b505431ULL;  // "dvcCKPT1"
-constexpr std::uint32_t kCkptVersion = 4;
 
 // Depth counter (not a bool) so machinery scopes nest: the round loop is
 // machinery, program callbacks are not, but Ctx::send called from a callback
@@ -693,66 +684,12 @@ void Runtime::inject_shard_faults(int shard, int round) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase-boundary checkpoint/resume
+// Replay against a held log
 
-std::vector<std::uint8_t> Runtime::checkpoint() const {
-  DVC_REQUIRE(replay_target_.empty(),
-              "checkpoint while an earlier resume is still replaying -- the "
-              "prefix under verification is not yet trustworthy");
-  wire::ByteWriter w;
-  // The fixed header (40 bytes) plus a trailer; the reserve also keeps
-  // GCC 12's -Wstringop-overflow from misreading the first append.
-  w.buf.reserve(64);
-  w.u64(kCkptMagic);
-  w.u32(kCkptVersion);
-  // Graph binding fingerprint: a checkpoint only resumes onto a session for
-  // the same graph (digest + shape double-check).
-  w.u64(g_->digest());
-  w.i64(static_cast<std::int64_t>(g_->num_vertices()));
-  w.i64(g_->num_slots());
-  w.i32(congest_words_);
-  log_.save(w);
-  w.u64(wire::checksum64(kCkptMagic, w.buf));
-  return std::move(w.buf);
-}
-
-void Runtime::resume(std::span<const std::uint8_t> buffer) {
+void Runtime::resume(PhaseLog target) {
   DVC_REQUIRE(log_.empty(),
               "resume requires an empty session log (fresh session, or "
               "reset_log first)");
-  DVC_REQUIRE(buffer.size() >= 8 + 4 + 8,
-              "resume buffer is too small to be a checkpoint");
-  // Verify the trailing content checksum before trusting a single field.
-  const std::span<const std::uint8_t> body = buffer.first(buffer.size() - 8);
-  const std::uint64_t want_sum =
-      wire::ByteReader{buffer.last(8), 0, "checkpoint trailer"}.u64();
-  if (wire::checksum64(kCkptMagic, body) != want_sum) {
-    throw corruption_error(
-        "checkpoint buffer failed its content checksum -- the bytes were "
-        "corrupted between checkpoint() and resume()",
-        /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 0, 0);
-  }
-  wire::ByteReader r{body, 0, "checkpoint buffer"};
-  if (r.u64() != kCkptMagic) {
-    throw precondition_error("resume: buffer is not a dvc checkpoint");
-  }
-  const std::uint32_t version = r.u32();
-  DVC_REQUIRE(version == kCkptVersion,
-              "resume: unsupported checkpoint version " +
-                  std::to_string(version));
-  DVC_REQUIRE(r.u64() == g_->digest(),
-              "resume: checkpoint was taken for a different graph (digest "
-              "mismatch)");
-  DVC_REQUIRE(r.i64() == static_cast<std::int64_t>(g_->num_vertices()),
-              "resume: vertex count mismatch");
-  DVC_REQUIRE(r.i64() == g_->num_slots(), "resume: slot count mismatch");
-  // Parsed into locals and committed only after the last check: a rejected
-  // buffer leaves the session as it was.
-  const int congest_words = r.i32();
-  PhaseLog target = PhaseLog::load(r);
-  DVC_REQUIRE(r.pos == body.size(),
-              "resume: trailing bytes after the checkpoint payload");
-  congest_words_ = congest_words;
   replay_target_ = std::move(target);
   replay_checked_ = 0;
 }
@@ -772,22 +709,22 @@ void Runtime::check_replay() {
                        : "expected a leaf phase here";
     } else if (got.depth != want.depth) {
       what = "nesting depth " + std::to_string(got.depth) +
-             " != checkpointed " + std::to_string(want.depth);
+             " != replayed " + std::to_string(want.depth);
     } else if (!got.span && !(log_.stats(i) == replay_target_.stats(i))) {
       // A span's counters are a fold of its (verified) leaves, and an open
       // span's are not final yet: spans are matched on shape only.
-      what = "counters or per-round series differ from the checkpoint";
+      what = "counters or per-round series differ from the replayed log";
     }
     if (!what.empty()) {
       throw invariant_error(
           "checkpoint replay diverged at log entry " + std::to_string(i) +
           " ('" + std::string(log_.name(got)) + "'): " + what +
-          " -- the resumed run is not bit-identical to the checkpointed run "
+          " -- the resumed run is not bit-identical to the replayed run "
           "(different knobs, graph, or nondeterminism)");
     }
   }
-  // The checkpointed prefix is fully re-verified; the rest of the run is
-  // new ground.
+  // The replayed prefix is fully re-verified; the rest of the run is new
+  // ground.
   if (replay_checked_ == replay_target_.size()) {
     replay_target_ = PhaseLog{};
     replay_checked_ = 0;

@@ -90,10 +90,14 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 #include "graph/graph.hpp"
 #include "sim/fault.hpp"
 #include "sim/phase_log.hpp"
+
+namespace dvc::wire {
+struct ByteReader;  // the byte codec dist-capable programs ship state with
+struct ByteWriter;
+}  // namespace dvc::wire
 
 namespace dvc::dist {
 struct RuntimeAccess;  // distributed transport's window into the session
@@ -340,7 +344,7 @@ class Runtime {
   /// phase counter, so fault-plan phase indices and phase-label context
   /// describe positions in the CURRENT pipeline -- a warm pooled session
   /// behaves exactly like a fresh one (the bit-identity contract). An
-  /// unfinished checkpoint replay is dropped with the run it verified.
+  /// unfinished replay (see resume) is dropped with the run it verified.
   void reset_log() {
     log_.clear();
     replay_target_ = PhaseLog{};
@@ -425,31 +429,18 @@ class Runtime {
   /// fault plans key on: the next phase to run has index phases_run()).
   int phases_run() const { return phase_index_; }
 
-  /// Serializes the session's phase-boundary state -- graph binding
-  /// fingerprint, CONGEST budget and the full PhaseLog -- into a flat byte
-  /// buffer with a trailing content checksum. Nothing else is needed: every
-  /// phase starts from the same reset state, and a resumed session re-runs
-  /// its pipeline from the top. Only meaningful AT a phase boundary (which
-  /// is the only place callers can run: run_phase is synchronous), e.g.
-  /// from the interrupt hook or after catching a phase error. Requires
-  /// that the session is not itself mid-replay of an earlier resume.
-  std::vector<std::uint8_t> checkpoint() const;
-
-  /// Restores a checkpoint()'d buffer into this session and arms replay
-  /// verification: the phases already recorded in the checkpoint are
-  /// re-executed by the caller (resume restores the CONGEST budget, then the
-  /// caller re-runs its pipeline from the top), and as each span opens and
-  /// after each run_phase every entry the log gained is verified
-  /// bit-identical -- name, depth, span flag, and for leaves counters and
-  /// per-round series -- against the checkpointed log at the same index,
+  /// Arms replay verification against `target`, the log of an earlier run
+  /// of the same pipeline on the same graph (a retry holds the failed
+  /// attempt's log). The caller then re-runs its pipeline from the top, and
+  /// as each span opens and after each run_phase every entry the log gained
+  /// is verified bit-identical -- name, depth, span flag, and for leaves
+  /// counters and per-round series -- against `target` at the same index,
   /// throwing invariant_error on the first divergence. The session must be
-  /// freshly constructed or reset_log()'d for the same graph
-  /// (digest-checked). Throws precondition_error on a foreign/incompatible
-  /// buffer and corruption_error on a checksum mismatch.
-  void resume(std::span<const std::uint8_t> buffer);
+  /// freshly constructed or reset_log()'d (precondition_error otherwise).
+  void resume(PhaseLog target);
   /// Checks the log entries recorded since the last check against the
-  /// checkpoint being replayed (see resume) and drops the target once all
-  /// of it is verified; a no-op when not replaying. run_phase calls it after
+  /// log being replayed (see resume) and drops the target once all of it
+  /// is verified; a no-op when not replaying. run_phase calls it after
   /// each leaf and PhaseSpan as each span opens. Throws invariant_error on
   /// a mismatch.
   void check_replay();
@@ -655,13 +646,12 @@ class Runtime {
   /// Session-round base of the current phase: epoch stamps are
   /// stamp_base_ + round_. Advanced past every stamp the finished phase
   /// wrote; wraps (with a full epoch reset) long before int32 overflow.
-  /// Only monotonic within the session, so checkpoints do not carry it.
+  /// Only monotonic within the session; no log or result carries it.
   std::int32_t stamp_base_ = 0;
   RunStats stats_;
   PhaseLog log_;
-  /// Checkpoint replay (see resume): the checkpointed log the re-run must
-  /// reproduce, and how many of its entries are verified so far. Empty
-  /// when not replaying.
+  /// Replay (see resume): the held log the re-run must reproduce, and how
+  /// many of its entries are verified so far. Empty when not replaying.
   PhaseLog replay_target_;
   std::size_t replay_checked_ = 0;
   std::function<void(int)> observer_;

@@ -194,9 +194,9 @@ inline Outcome run_program(dvc::sim::Runtime* rt, const OracleInput& in,
 ///   * threaded shards 2, 3 and 8, one session each, reused across every
 ///     program without reset_log() -- the shared-session axis;
 ///   * inline shards (4 shards, no threads);
-///   * resume at every phase boundary: the reference run checkpoints at
-///     each boundary, and each checkpoint resumes on a reset_log()'d
-///     3-shard inline session that re-runs the program to the end;
+///   * resume at every phase boundary: the reference run copies its log at
+///     each boundary, and each copy is replayed on a reset_log()'d 3-shard
+///     inline session that re-runs the program to the end;
 ///   * loopback dist at 2 and 3 workers, and fork at 2 workers when
 ///     in.fork, on the inline session.
 /// Shard and worker counts above n are clamped by the runtime. Each
@@ -216,14 +216,14 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
                           : "mis")
                   << " / " << axis << ": " << what;
   };
-  // Runs `program` on `rt` -- resumed from `checkpoint` first, if given --
-  // and compares the result with the program's reference.
+  // Runs `program` on `rt` -- replaying `held` first, if given -- and
+  // compares the result with the program's reference.
   const auto check = [&](sim::Runtime* rt, int program, const dvc::Knobs& k,
                          const std::string& axis,
-                         const std::vector<std::uint8_t>* checkpoint = nullptr) {
+                         const sim::PhaseLog* held = nullptr) {
     ++tally.runs;
     try {
-      if (checkpoint != nullptr) rt->resume(*checkpoint);
+      if (held != nullptr) rt->resume(*held);
       const ::testing::AssertionResult same = oracle_detail::same_outcome(
           reference[static_cast<std::size_t>(program)],
           oracle_detail::run_program(rt, in, program, k));
@@ -240,12 +240,12 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
   sim::Runtime resumer(in.g, 3, /*inline_shards=*/true);
 
   for (int program = 0; program < kNumPrograms; ++program) {
-    // The reference, checkpointing at every phase boundary on the way.
-    std::vector<std::vector<std::uint8_t>> checkpoints;
+    // The reference, copying its log at every phase boundary on the way.
+    std::vector<sim::PhaseLog> held;
     ref.reset_log();
     try {
       const sim::ScopedInterrupt at_boundary(
-          ref, [&] { checkpoints.push_back(ref.checkpoint()); });
+          ref, [&] { held.push_back(ref.log()); });
       ++tally.runs;
       reference[static_cast<std::size_t>(program)] =
           oracle_detail::run_program(&ref, in, program, knobs);
@@ -259,14 +259,14 @@ inline void check_every_axis(const OracleInput& in, const dvc::Knobs& knobs,
     }
     check(&inline_rt, program, knobs,
           "inline shards=" + std::to_string(inline_rt.shards()));
-    for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    for (std::size_t k = 0; k < held.size(); ++k) {
       ++tally.boundaries;
       resumer.reset_log();
       check(&resumer, program, knobs,
             "resume at boundary " + std::to_string(k) + " of " +
-                std::to_string(checkpoints.size()) + ", shards 1 -> " +
+                std::to_string(held.size()) + ", shards 1 -> " +
                 std::to_string(resumer.shards()),
-            &checkpoints[k]);
+            &held[k]);
     }
   }
 

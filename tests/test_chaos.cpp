@@ -1,10 +1,10 @@
-// Chaos suite: deterministic fault injection, phase-boundary checkpoint/
-// resume, and the service's self-healing retry path. The contract under
-// test is REPRODUCIBILITY OF FAILURE: the same FaultPlan raises the same
+// Chaos suite: deterministic fault injection, replay against a held phase
+// log, and the service's self-healing retry path. The contract under test
+// is REPRODUCIBILITY OF FAILURE: the same FaultPlan raises the same
 // structured error at the same (phase, round, shard) on every run; a
 // session that survived a fault keeps serving bit-identical results; a
-// checkpoint is rejected when foreign, corrupt or replayed divergently
-// (resume at every phase boundary is an axis of
+// replay that diverges from its held log is caught at the first differing
+// entry (resume at every phase boundary is an axis of
 // tests/test_determinism_oracle.cpp); and a job the service healed through
 // a retry is bitwise-equal to a fault-free solo run.
 //
@@ -17,14 +17,12 @@
 #include <chrono>
 #include <new>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 #include "core/api.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
@@ -254,89 +252,26 @@ TEST(Watchdog, SilentProgramTripsPromptStructuralFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / resume
+// Replay against a held log
 
-TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
+TEST(Replay, ResumeCatchesEveryDivergentReplayOfAHeldLog) {
   const Graph g = planted_arboricity(200, 3, 53);
   sim::Runtime rt(g, 2);
-  rt.set_congest_words(3);
   FloodAll flood(4);
   rt.run_phase(flood, 32);
-  const std::vector<std::uint8_t> ckpt = rt.checkpoint();
-  // Recomputes the trailing checksum of an edited buffer, so the bytes are
-  // intact and only a field check can reject them.
-  const auto reseal = [](std::vector<std::uint8_t>& buf) {
-    wire::ByteReader r{buf, 0, "checkpoint"};
-    const std::uint64_t magic = r.u64();  // also the checksum seed
-    const std::size_t body = buf.size() - 8;
-    const std::uint64_t sum = wire::checksum64(
-        magic, std::span<const std::uint8_t>(buf.data(), body));
-    for (int i = 0; i < 8; ++i) {
-      buf[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
-    }
-  };
-
-  {  // Wrong graph: digest-checked before anything is restored.
-    const Graph other = planted_arboricity(200, 3, 54);
-    sim::Runtime wrong(other, 2);
-    EXPECT_THROW(wrong.resume(ckpt), precondition_error);
-  }
-  {  // Not a checkpoint at all.
-    const std::vector<std::uint8_t> junk = {1, 2, 3, 4};
+  const sim::PhaseLog held = rt.log();
+  {  // A faithful replay passes, and the replayed session's log equals the
+    // held one.
     sim::Runtime fresh(g, 2);
-    EXPECT_THROW(fresh.resume(junk), precondition_error);
-  }
-  {  // A single flipped byte must fail the content checksum.
-    std::vector<std::uint8_t> bad = ckpt;
-    bad[bad.size() / 2] ^= 0x40;
-    sim::Runtime fresh(g, 2);
-    EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
-  }
-  // Another format version, the previous one or the next: the version field
-  // (after the 8-byte magic) is patched, so only the version check can
-  // reject the buffer.
-  const std::uint32_t version = wire::ByteReader{ckpt, 8, "checkpoint"}.u32();
-  for (const std::uint32_t patched : {version - 1, version + 1}) {
-    SCOPED_TRACE(patched);
-    std::vector<std::uint8_t> other = ckpt;
-    for (int i = 0; i < 4; ++i) {
-      other[8 + i] = static_cast<std::uint8_t>(patched >> (8 * i));
-    }
-    reseal(other);
-    sim::Runtime fresh(g, 2);
-    try {
-      fresh.resume(other);
-      FAIL() << "a foreign checkpoint version was accepted";
-    } catch (const precondition_error& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  {  // A buffer rejected by its LAST check (one byte past the payload)
-    // leaves the session untouched: it still runs under its own CONGEST
-    // budget, and a valid resume then succeeds.
-    std::vector<std::uint8_t> longer = ckpt;
-    longer.insert(longer.end() - 8, std::uint8_t{0});
-    reseal(longer);
-    sim::Runtime fresh(g, 2);
-    try {
-      fresh.resume(longer);
-      FAIL() << "a checkpoint with trailing bytes was accepted";
-    } catch (const precondition_error& e) {
-      EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos)
-          << e.what();
-    }
-    EXPECT_EQ(fresh.congest_words(), 0);
-    fresh.resume(ckpt);
-    EXPECT_EQ(fresh.congest_words(), 3);
+    fresh.resume(held);
     FloodAll again(4);
-    EXPECT_NO_THROW(fresh.run_phase(again, 32));  // replay-verified
+    EXPECT_NO_THROW(fresh.run_phase(again, 32));
+    EXPECT_TRUE(fresh.log() == held);
   }
-  {  // A divergent replay (different phase than the checkpointed run) must
-    // be caught at the first re-recorded phase.
+  {  // A divergent replay (different phase than the held run) must be
+    // caught at the first re-recorded phase.
     sim::Runtime fresh(g, 2);
-    fresh.resume(ckpt);
+    fresh.resume(held);
     FloodAll other(4);
     try {
       fresh.run_phase(other, 32, "not-flood");
@@ -356,9 +291,9 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     EXPECT_NE(msg.find(what), std::string::npos) << msg;
   };
   {  // Same phase label, different counters: FloodAll(3) replayed against
-    // the FloodAll(4) checkpoint.
+    // the FloodAll(4) log.
     sim::Runtime fresh(g, 2);
-    fresh.resume(ckpt);
+    fresh.resume(held);
     FloodAll shorter(3);
     try {
       fresh.run_phase(shorter, 32);
@@ -375,9 +310,8 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
       FloodAll same(4);
       spanned.run_phase(same, 32);
     }
-    const std::vector<std::uint8_t> span_ckpt = spanned.checkpoint();
     sim::Runtime fresh(g, 2);
-    fresh.resume(span_ckpt);
+    fresh.resume(spanned.log());
     try {
       const sim::PhaseSpan span(fresh, "other");
       FAIL() << "a replay under a different span was not detected";
@@ -385,18 +319,17 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
       expect_diverged(e, "expected phase 'outer'");
     }
   }
-  {  // A checkpointed log that ends on a span with no leaf after it (a
-    // driver on an empty input): the replay still verifies it, as the span
-    // opens, and then lets the session checkpoint again.
+  {  // A held log that ends on a span with no leaf after it (a driver on an
+    // empty input): the replay still verifies it, as the span opens.
     sim::Runtime spanned(g, 2);
     { const sim::PhaseSpan span(spanned, "empty"); }
-    const std::vector<std::uint8_t> span_ckpt = spanned.checkpoint();
+    const sim::PhaseLog span_log = spanned.log();
     sim::Runtime same(g, 2);
-    same.resume(span_ckpt);
+    same.resume(span_log);
     { const sim::PhaseSpan span(same, "empty"); }
-    EXPECT_EQ(same.checkpoint(), span_ckpt);
+    EXPECT_TRUE(same.log() == span_log);
     sim::Runtime other(g, 2);
-    other.resume(span_ckpt);
+    other.resume(span_log);
     try {
       const sim::PhaseSpan span(other, "full");
       FAIL() << "a replay under a different empty span was not detected";
@@ -404,6 +337,29 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
       expect_diverged(e, "expected phase 'empty'");
     }
   }
+}
+
+TEST(Replay, ResumeOnANonEmptyLogThrowsAndLeavesTheSessionRunnable) {
+  const Graph g = planted_arboricity(200, 3, 53);
+  sim::Runtime rt(g, 2);
+  FloodAll flood(4);
+  rt.run_phase(flood, 32);
+  const sim::PhaseLog held = rt.log();
+  // The session already recorded a phase: arming a replay now would check
+  // the held log against entries the re-run did not produce.
+  EXPECT_THROW(rt.resume(held), precondition_error);
+  // Nothing was armed: a phase the held log does not contain still runs,
+  // and the log just grows.
+  FloodAll shorter(3);
+  EXPECT_NO_THROW(rt.run_phase(shorter, 32, "after-rejected-resume"));
+  ASSERT_EQ(rt.log().size(), 2u);
+  EXPECT_EQ(rt.log().name(rt.log()[1]), "after-rejected-resume");
+  // After reset_log the same held log is accepted and verified.
+  rt.reset_log();
+  rt.resume(held);
+  FloodAll again(4);
+  EXPECT_NO_THROW(rt.run_phase(again, 32));
+  EXPECT_TRUE(rt.log() == held);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@
 // SIGKILLed mid-round, coordinator teardown with frames in flight --
 // surfaces as the structured error taxonomy (corruption_error /
 // transient_error / precondition_error), never a hang, with the service's
-// retry + checkpoint path healing a killed worker end to end.
+// retry (replay against the held phase log) healing a killed worker end to
+// end.
 //
 // This file is the `dist` ctest label and runs in the ASan+UBSan and TSan
 // CI legs (see .github/workflows/ci.yml): the fork backend crosses a real
@@ -187,8 +188,8 @@ TEST(Wire, ReaderBoundsChecksEveryRead) {
   EXPECT_THROW((void)r2.str(), corruption_error);  // length prefix missing
 }
 
-TEST(Wire, ChecksumMatchesCheckpointIdiom) {
-  // checksum64 is the shared fold: order-dependent, seed-dependent.
+TEST(Wire, ChecksumDependsOnByteOrderAndSeed) {
+  // checksum64 is order-dependent and seed-dependent, and deterministic.
   const std::vector<std::uint8_t> a = {1, 2, 3, 4};
   const std::vector<std::uint8_t> b = {4, 3, 2, 1};
   EXPECT_NE(wire::checksum64(1, a), wire::checksum64(1, b));
@@ -225,9 +226,8 @@ TEST(Wire, EverySingleBitFlipIsCorruption) {
 
 TEST(Wire, ChecksumGoldenValues) {
   // Pinned outputs of the word-wise fold over bytes 1, 2, ..., n under the
-  // frame seed. Frames and checkpoints both carry this checksum: changing
-  // any value here changes both formats, so it requires bumping both
-  // wire::kFrameVersion and the checkpoint format version.
+  // frame seed. Every frame carries this checksum: changing any value here
+  // changes the frame format, so it requires bumping wire::kFrameVersion.
   const std::pair<std::size_t, std::uint64_t> golden[] = {
       {0, 0xa3c0d9b1bd680114ULL}, {1, 0xa38a90f6ebf150e0ULL},
       {7, 0x462c424b39eb9897ULL}, {8, 0xee635f456806bd06ULL},
@@ -872,9 +872,9 @@ TEST(DistService, PoolKeysThreadedAndInlineSessionsSeparately) {
 TEST(DistService, SigkilledWorkerIsHealedByRetryCheckpointBitIdentically) {
   // The acceptance bar, end to end: a worker process SIGKILLed mid-round
   // fails the attempt with a transient worker_lost_error; the service
-  // retries on a fresh session, resuming from the checkpoint captured at
-  // the failed run's last completed phase boundary (replay-verified), and
-  // the healed result is BITWISE-equal to the fault-free run.
+  // retries on a fresh session, replaying against the phase log the
+  // failed run held at its last completed phase boundary, and the healed
+  // result is BITWISE-equal to the fault-free run.
   const Graph g = planted_arboricity(150, 3, 11);
   const LegalColoringResult base =
       solo_run(g, 3, Preset::NearLinearColors, 2);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 #include "core/api.hpp"
 #include "decomp/h_partition.hpp"
 #include "graph/generators.hpp"
@@ -737,47 +736,6 @@ TEST(PhaseLog, SliceRebasesDepthAndPreservesNames) {
   EXPECT_EQ(sliced[0].rounds, sliced[1].rounds);
   // Slicing is self-similar: re-slicing from 0 is the identity.
   EXPECT_TRUE(sliced.slice(0) == sliced);
-}
-
-/// Halts every vertex in begin(): a leaf with zero rounds, an empty active
-/// series and a one-sample (begin-only) bandwidth series.
-class HaltInBegin : public sim::VertexProgram {
- public:
-  std::string name() const override { return "halt-in-begin"; }
-  void begin(sim::Ctx& ctx) override { ctx.halt(); }
-  void step(sim::Ctx&, const sim::Inbox&) override {}
-};
-
-TEST(PhaseLog, SaveLoadRoundTripsAComposedPipelineLog) {
-  // The checkpoint's log encoding: spans, nested leaves and a zero-round
-  // leaf must all come back equal, and load consumes exactly what save
-  // wrote.
-  const Graph g = planted_arboricity(512, 4, 17);
-  sim::Runtime rt(g);
-  (void)color_graph(rt, 4, Preset::PolylogTime);
-  {
-    const sim::PhaseSpan span(rt, "tail");
-    HaltInBegin quiet;
-    rt.run_phase(quiet, 1);
-  }
-  const sim::PhaseLog& log = rt.log();
-  bool span = false, nested = false, zero_round = false;
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    span = span || log[i].span;
-    nested = nested || (!log[i].span && log[i].depth > 0);
-    zero_round = zero_round || (!log[i].span && log[i].rounds == 0);
-  }
-  ASSERT_TRUE(span && nested && zero_round);
-
-  wire::ByteWriter w;
-  log.save(w);
-  wire::ByteReader r{w.buf, 0, "phase log"};
-  const sim::PhaseLog loaded = sim::PhaseLog::load(r);
-  EXPECT_EQ(r.pos, w.buf.size());
-  EXPECT_TRUE(loaded == log);
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    EXPECT_TRUE(loaded.stats(i) == log.stats(i)) << "entry " << i;
-  }
 }
 
 }  // namespace
