@@ -28,6 +28,8 @@ class SimpleArbProgram : public sim::VertexProgram {
     // Messages are round-keyed (CONGEST tightening): anything received in
     // round 1 is this one-word announcement; later messages are two-word
     // {group, color} selections -- a vertex selects exactly once and halts.
+    // After round 1 a vertex still waiting for parents sleeps until mail:
+    // a step without mail would change nothing.
     ctx.broadcast({group_of(ctx.vertex())});
   }
 
@@ -41,7 +43,11 @@ class SimpleArbProgram : public sim::VertexProgram {
       }
       pending_[static_cast<std::size_t>(v)] = parents;
       histogram_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(k_), 0);
-      if (parents == 0) select_and_finish(ctx, v, mine);
+      if (parents == 0) {
+        select_and_finish(ctx, v, mine);
+      } else {
+        ctx.sleep_until(sim::Ctx::kUntilMail);
+      }
       return;
     }
     for (const sim::MsgView& msg : inbox) {
@@ -50,7 +56,11 @@ class SimpleArbProgram : public sim::VertexProgram {
       ++histogram_[static_cast<std::size_t>(v)][static_cast<std::size_t>(msg.data[1])];
       --pending_[static_cast<std::size_t>(v)];
     }
-    if (pending_[static_cast<std::size_t>(v)] == 0) select_and_finish(ctx, v, mine);
+    if (pending_[static_cast<std::size_t>(v)] == 0) {
+      select_and_finish(ctx, v, mine);
+    } else {
+      ctx.sleep_until(sim::Ctx::kUntilMail);
+    }
   }
 
   Coloring take_colors() { return std::move(colors_); }

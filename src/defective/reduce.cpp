@@ -14,7 +14,8 @@ std::int64_t group_at(const std::vector<std::int64_t>* groups, V v) {
 
 // Greedy along an orientation: round 1 exchanges groups so every vertex can
 // identify its same-group parents; afterwards a vertex that has heard the
-// colors of all parents picks the smallest free color and halts. Messages
+// colors of all parents picks the smallest free color and halts, and sleeps
+// until mail while it waits (a step without mail changes nothing). Messages
 // are round-keyed (CONGEST tightening): a message received in round 1 is a
 // one-word group announcement from begin(); any later message is a
 // two-word {group, color} -- a vertex announces its color exactly once and
@@ -51,6 +52,8 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
       pending_[static_cast<std::size_t>(v)] = parents;
       if (parents == 0) {
         choose_and_finish(ctx, v, mine);
+      } else {
+        ctx.sleep_until(sim::Ctx::kUntilMail);
       }
       return;
     }
@@ -62,6 +65,8 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
     }
     if (pending_[static_cast<std::size_t>(v)] == 0) {
       choose_and_finish(ctx, v, mine);
+    } else {
+      ctx.sleep_until(sim::Ctx::kUntilMail);
     }
   }
 
@@ -110,7 +115,13 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
 };
 
 // Kuhn-Wattenhofer: phases of D+1 rounds, each phase halves the palette by
-// reducing color buckets of size 2(D+1) to D+1 in parallel.
+// reducing color buckets of size 2(D+1) to D+1 in parallel. A vertex acts
+// in one round per phase at most -- the round its local color's turn comes
+// -- and in the final round, when every vertex halts; it can tell those
+// rounds from its own color alone, so between them it sleeps until the
+// next one or until mail. Colors are renumbered at every phase end; a
+// vertex applies the renumbering to its own and its stored neighbor colors
+// lazily, when it next steps.
 class KwReduceProgram : public sim::VertexProgram {
  public:
   KwReduceProgram(const Graph& g, Coloring colors, std::int64_t palette,
@@ -120,7 +131,8 @@ class KwReduceProgram : public sim::VertexProgram {
         groups_(groups),
         bucket_width_(2 * (static_cast<std::int64_t>(degree_bound) + 1)),
         half_(static_cast<std::int64_t>(degree_bound) + 1),
-        port_colors_(static_cast<std::size_t>(g.num_slots()), -1) {
+        port_colors_(static_cast<std::size_t>(g.num_slots()), -1),
+        synced_(static_cast<std::size_t>(g.num_vertices()), 0) {
     // Precompute the global phase schedule: palettes after each phase.
     std::int64_t m = palette;
     palettes_.push_back(m);
@@ -134,9 +146,7 @@ class KwReduceProgram : public sim::VertexProgram {
   std::string name() const override { return "kw-reduce"; }
   int max_words() const override { return kw_reduce_max_words(); }
 
-  int total_rounds() const {
-    return 1 + static_cast<int>(palettes_.size() - 1) * static_cast<int>(half_);
-  }
+  int total_rounds() const { return 1 + phases() * static_cast<int>(half_); }
 
   void begin(sim::Ctx& ctx) override {
     const V v = ctx.vertex();
@@ -145,19 +155,22 @@ class KwReduceProgram : public sim::VertexProgram {
       return;
     }
     ctx.broadcast({group_at(groups_, v), colors_[static_cast<std::size_t>(v)]});
+    ctx.sleep_until(wake_round(v));
   }
 
   void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
     const V v = ctx.vertex();
     const std::int64_t mine = group_at(groups_, v);
-    for (const sim::MsgView& msg : inbox) {
-      if (msg.data[0] != mine) continue;
-      port_colors_[static_cast<std::size_t>(g_->slot(v, msg.port))] = msg.data[1];
-    }
     // Decode the phase and the in-phase position from the round number.
     const int r = ctx.round() - 1;  // 0-based over recoloring rounds
     const int phase = r / static_cast<int>(half_);
     const int pos = r % static_cast<int>(half_);
+    // Messages carry colors in this phase's numbering.
+    catch_up(v, phase);
+    for (const sim::MsgView& msg : inbox) {
+      if (msg.data[0] != mine) continue;
+      port_colors_[static_cast<std::size_t>(g_->slot(v, msg.port))] = msg.data[1];
+    }
     // In this phase colors live in [0, palettes_[phase]); bucket b covers
     // [b*W, b*W + W); local colors in [half_, W) recolor, highest first.
     const std::int64_t handled_local = bucket_width_ - 1 - pos;
@@ -187,19 +200,19 @@ class KwReduceProgram : public sim::VertexProgram {
       recolored = true;
     }
     if (pos == static_cast<int>(half_) - 1) {
-      // Phase end: renumber color = bucket*half_ + local, for self and for
-      // every stored neighbor color (all local colors are now < half_).
-      // Messages crossing the phase boundary must carry post-renumber
-      // values, so a vertex that recolored this round broadcasts only
-      // after renumbering.
-      renumber(v);
-      if (recolored) ctx.broadcast({mine, colors_[static_cast<std::size_t>(v)]});
-      if (phase + 2 == static_cast<int>(palettes_.size())) {
+      // Phase end: messages crossing the boundary carry the next phase's
+      // numbering (all local colors are now < half_).
+      const std::int64_t next = renumber(colors_[static_cast<std::size_t>(v)]);
+      if (recolored) ctx.broadcast({mine, next});
+      if (phase + 1 == phases()) {
+        colors_[static_cast<std::size_t>(v)] = next;
         ctx.halt();
+        return;
       }
     } else if (recolored) {
       ctx.broadcast({mine, colors_[static_cast<std::size_t>(v)]});
     }
+    ctx.sleep_until(wake_round(v));
   }
 
   Coloring take_colors() { return std::move(colors_); }
@@ -207,6 +220,7 @@ class KwReduceProgram : public sim::VertexProgram {
   bool dist_capable() const override { return true; }
   void save_vertex_state(V v, wire::ByteWriter& w) const override {
     w.i64(colors_[static_cast<std::size_t>(v)]);
+    w.i32(synced_[static_cast<std::size_t>(v)]);
     const int deg = g_->degree(v);
     for (int p = 0; p < deg; ++p) {
       w.i64(port_colors_[static_cast<std::size_t>(g_->slot(v, p))]);
@@ -214,6 +228,7 @@ class KwReduceProgram : public sim::VertexProgram {
   }
   void load_vertex_state(V v, wire::ByteReader& r) override {
     colors_[static_cast<std::size_t>(v)] = r.i64();
+    synced_[static_cast<std::size_t>(v)] = r.i32();
     const int deg = g_->degree(v);
     for (int p = 0; p < deg; ++p) {
       port_colors_[static_cast<std::size_t>(g_->slot(v, p))] = r.i64();
@@ -221,16 +236,43 @@ class KwReduceProgram : public sim::VertexProgram {
   }
 
  private:
-  void renumber(V v) {
-    auto renum = [&](std::int64_t c) {
-      return (c / bucket_width_) * half_ + (c % bucket_width_);
-    };
-    colors_[static_cast<std::size_t>(v)] = renum(colors_[static_cast<std::size_t>(v)]);
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      auto& c = port_colors_[static_cast<std::size_t>(g_->slot(v, p))];
-      if (c >= 0) c = renum(c);
+  int phases() const { return static_cast<int>(palettes_.size()) - 1; }
+
+  /// A color's number in the next phase: bucket b's local colors, all
+  /// below half_ by the phase end, move to [b*half_, b*half_ + half_).
+  std::int64_t renumber(std::int64_t c) const {
+    return (c / bucket_width_) * half_ + (c % bucket_width_);
+  }
+
+  /// The lazy phase-end renumbering: brings v's own color and its stored
+  /// neighbor colors (-1 = unknown) from the phase they were last written
+  /// in up to `phase`.
+  void catch_up(V v, int phase) {
+    auto& synced = synced_[static_cast<std::size_t>(v)];
+    for (; synced < phase; ++synced) {
+      auto& own = colors_[static_cast<std::size_t>(v)];
+      own = renumber(own);
+      const int deg = g_->degree(v);
+      for (int p = 0; p < deg; ++p) {
+        auto& c = port_colors_[static_cast<std::size_t>(g_->slot(v, p))];
+        if (c >= 0) c = renumber(c);
+      }
     }
+  }
+
+  /// The next round in which v recolors, read off its own color in its
+  /// synced phase (a vertex past its turn holds a local color below half_),
+  /// or else the final round, when every vertex halts.
+  int wake_round(V v) const {
+    std::int64_t c = colors_[static_cast<std::size_t>(v)];
+    for (int q = synced_[static_cast<std::size_t>(v)]; q < phases();
+         ++q, c = renumber(c)) {
+      const std::int64_t local = c % bucket_width_;
+      if (local < half_) continue;
+      return 1 + q * static_cast<int>(half_) +
+             static_cast<int>(bucket_width_ - 1 - local);
+    }
+    return phases() * static_cast<int>(half_);
   }
 
   const Graph* g_;
@@ -240,6 +282,9 @@ class KwReduceProgram : public sim::VertexProgram {
   std::int64_t half_;
   std::vector<std::int64_t> palettes_;
   std::vector<std::int64_t> port_colors_;
+  /// Per vertex: the phase whose numbering colors_[v] and v's port colors
+  /// are in (see catch_up).
+  std::vector<int> synced_;
 };
 
 }  // namespace

@@ -780,6 +780,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
       res.status = JobStatus::kOk;
       res.ok = true;
       res.recovered = job.attempt > 0;
+      res.replay_verified_entries = entry.rt->replay_verified();
     } catch (...) {
       fault_delta = entry.rt->faults_injected() - faults_before;
       res.failed_phase = std::string(entry.rt->last_phase());

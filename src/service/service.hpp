@@ -259,6 +259,10 @@ struct JobResult {
   /// succeeded -- the self-healing path. The result is bit-identical to a
   /// fault-free run (replay against the held phase log verifies this).
   bool recovered = false;
+  /// Entries of the held phase log the successful retry verified
+  /// bit-identical as it re-ran (Runtime::replay_verified): the held log's
+  /// whole size for a healed job, 0 when the run replayed nothing.
+  std::size_t replay_verified_entries = 0;
   /// Label of the pipeline phase that was running (or about to run) when a
   /// failed job threw; empty for kOk and for jobs that never ran.
   std::string failed_phase;

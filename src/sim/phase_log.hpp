@@ -16,11 +16,12 @@ struct RunStats {
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
   /// Algorithmic work of the phase: one item per program activation (a
-  /// begin() or step() call) plus one per delivered inbox message. By
-  /// construction this is delivery-mode invariant (it counts the work the
-  /// algorithm demands, not executor-internal scanning), so benches can
-  /// report work vs wall time and the delivery-mode oracle stays
-  /// bit-identical.
+  /// begin() or step() call) plus one per delivered inbox message. A
+  /// sleeper's skipped step (Ctx::sleep_until) is not an activation, so it
+  /// is the one counter sleeping moves. By construction this is
+  /// delivery-mode invariant (it counts the work the algorithm demands, not
+  /// executor-internal scanning), so benches can report work vs wall time
+  /// and the delivery-mode oracle stays bit-identical.
   std::uint64_t work_items = 0;
   /// Widest single message payload (words) observed during the phase; the
   /// phase ran within the CONGEST model iff this is <= the word budget.
@@ -91,7 +92,8 @@ class PhaseLog {
     std::int32_t rounds = 0;
     std::uint64_t messages = 0;
     std::uint64_t words = 0;
-    /// Activations + delivered messages (see RunStats::work_items).
+    /// Activations + delivered messages (see RunStats::work_items; a
+    /// sleeper's skipped step is no activation).
     std::uint64_t work_items = 0;
     /// Widest message of the phase (spans: max over the subtree).
     std::uint32_t max_msg_words = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <ranges>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/math.hpp"
@@ -21,6 +22,38 @@ std::atomic<std::uint64_t> g_threads_spawned{0};
 /// below the shard's live port space -- mid-density rounds stay on the scan
 /// path, truly sparse trickles skip the port scans entirely.
 constexpr std::uint64_t kGroupedDeliveryFactor = 12;
+
+/// wake_ value of a vertex that is stepped every round.
+constexpr std::int32_t kAwake = 0;
+
+/// Sorts after every vertex in the step sweep's merge.
+constexpr V kNoVertex = std::numeric_limits<V>::max();
+
+constexpr std::uint64_t timer_key(std::int32_t round, V v) {
+  return static_cast<std::uint64_t>(round) << 32 | static_cast<std::uint32_t>(v);
+}
+constexpr std::int32_t timer_round(std::uint64_t key) {
+  return static_cast<std::int32_t>(key >> 32);
+}
+constexpr V timer_vertex(std::uint64_t key) {
+  return static_cast<V>(key & 0xffffffffu);
+}
+void pop_timer(std::vector<std::uint64_t>& heap) {
+  std::ranges::pop_heap(heap, std::greater<>{});
+  heap.pop_back();
+}
+
+/// Grouped-delivery keys (see Runtime::Shard::grouped).
+constexpr std::uint64_t grouped_key(V receiver, std::int64_t slot) {
+  return static_cast<std::uint64_t>(receiver) << 32 |
+         static_cast<std::uint32_t>(slot);
+}
+constexpr V grouped_receiver(std::uint64_t key) {
+  return static_cast<V>(key >> 32);
+}
+constexpr std::size_t grouped_slot(std::uint64_t key) {
+  return static_cast<std::size_t>(key & 0xffffffffu);
+}
 
 constexpr const char* kOneMessagePerEdge =
     "at most one message per edge-direction per round (LOCAL model)";
@@ -71,6 +104,8 @@ void Ctx::broadcast(std::span<const std::int64_t> payload) {
 
 void Ctx::halt() { rt_->do_halt(shard_, v_); }
 
+void Ctx::sleep_until(int round) { rt_->do_sleep(v_, round); }
+
 std::vector<std::int64_t>& Ctx::scratch(int which) {
   DVC_REQUIRE(which >= 0 && which < kNumScratch, "scratch index out of range");
   return rt_->shards_[static_cast<std::size_t>(shard_)]
@@ -115,10 +150,12 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     arena.speakers.resize(static_cast<std::size_t>(num_shards_));
   }
   halted_.assign(static_cast<std::size_t>(n), 0);
+  wake_.assign(static_cast<std::size_t>(n), kAwake);
   for (int i = 0; i < num_shards_; ++i) {
-    // Live list and speaker lists hold at most the shard's vertex range;
-    // the grouped workspace at most (slot range) / kGroupedDeliveryFactor
-    // (see Shard::grouped). Inboxes hold at most the shard's max degree.
+    // Live, awake and speaker lists hold at most the shard's vertex range,
+    // the timer heap twice that (see push_timer), the grouped workspace at
+    // most (slot range) / kGroupedDeliveryFactor (see Shard::grouped).
+    // Inboxes hold at most the shard's max degree.
     // Reserving the exact bounds here makes every round -- including the
     // first of a cold phase -- provably allocation-free in the delivery
     // path.
@@ -129,6 +166,9 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     sh.slot_lo = g.slot(sh.first, 0);
     sh.slot_hi = g.slot(sh.last, 0);
     sh.live.reserve(range);
+    sh.awake.reserve(range);
+    sh.awake_next.reserve(range);
+    sh.timers.reserve(2 * range + 2);
     for (Arena& arena : arenas_) {
       arena.speakers[static_cast<std::size_t>(i)].reserve(range);
     }
@@ -288,8 +328,46 @@ void Runtime::do_halt(int shard, V v) {
   auto& h = halted_[static_cast<std::size_t>(v)];
   if (!h) {
     h = 1;
-    ++shards_[static_cast<std::size_t>(shard)].newly_halted;
+    Shard& sh = shards_[static_cast<std::size_t>(shard)];
+    ++sh.newly_halted;
+    // Wraps during begin(); the begin sweep recomputes the sum afterwards.
+    sh.live_ports -= static_cast<std::uint64_t>(g_->degree(v));
   }
+}
+
+void Runtime::do_sleep(V v, int round) {
+  DVC_REQUIRE(round > round_,
+              "sleep_until takes a round after the current one, or kUntilMail");
+  wake_[static_cast<std::size_t>(v)] = round;
+}
+
+bool Runtime::settle(Shard& sh, V v, std::int32_t prev) {
+  std::int32_t& wake = wake_[static_cast<std::size_t>(v)];
+  if (halted_[static_cast<std::size_t>(v)]) {
+    wake = kAwake;  // no pending key can match
+    return false;
+  }
+  if (wake == kAwake) return true;
+  if (wake != Ctx::kUntilMail && wake != prev) push_timer(sh, v, wake);
+  return false;
+}
+
+void Runtime::push_timer(Shard& sh, V v, std::int32_t round) {
+  auto& heap = sh.timers;
+  if (heap.size() == heap.capacity()) {
+    // Full: keep only keys whose vertex still sleeps toward them, once
+    // each. That is at most one per vertex of the shard -- half the
+    // reserve -- so the push below never reallocates. Sorted ascending is
+    // already a min-heap.
+    std::erase_if(heap, [&](std::uint64_t key) {
+      return wake_[static_cast<std::size_t>(timer_vertex(key))] !=
+             timer_round(key);
+    });
+    std::ranges::sort(heap);
+    heap.erase(std::unique(heap.begin(), heap.end()), heap.end());
+  }
+  heap.push_back(timer_key(round, v));
+  std::ranges::push_heap(heap, std::greater<>{});
 }
 
 void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) {
@@ -298,19 +376,23 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
     if (fault_armed_) inject_shard_faults(shard, round_);
     if (is_begin) {
       for (V v = sh.first; v < sh.last; ++v) {
+        wake_[static_cast<std::size_t>(v)] = kAwake;
         Ctx ctx(*this, shard, v);
         ++sh.work_items;
         ProgramScope callback;
         program.begin(ctx);
       }
-      // Seed the live list from the one post-begin halted sweep; from here
-      // on it is only compacted, never re-derived.
+      // Seed the live and awake lists and the timers from the one
+      // post-begin sweep; from here on the step sweeps maintain them.
       sh.live.clear();
       sh.live_ports = 0;
+      sh.awake.clear();
+      sh.timers.clear();
       for (V v = sh.first; v < sh.last; ++v) {
         if (halted_[static_cast<std::size_t>(v)]) continue;
         sh.live.push_back(v);
         sh.live_ports += static_cast<std::uint64_t>(g_->degree(v));
+        if (settle(sh, v, kAwake)) sh.awake.push_back(v);
       }
       return;
     }
@@ -323,8 +405,10 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
 void Runtime::gather_grouped(int shard, const Arena& in, std::int32_t want) {
   // Walk each speaker's sorted adjacency row over this shard's vertex range
   // and collect the receiver slots its messages arrive on: every port of a
-  // broadcaster, the freshly stamped cells of a port sender. Sorting the
-  // slots groups them by receiver in canonical port order.
+  // broadcaster, the freshly stamped cells of a port sender. Mail to a
+  // halted receiver is dropped here, so neither the sort nor the sweep
+  // sees it. Sorting the keys groups them by receiver in canonical port
+  // order.
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   sh.grouped.clear();
   for (const auto& speakers : in.speakers) {
@@ -335,14 +419,15 @@ void Runtime::gather_grouped(int shard, const Arena& in, std::int32_t want) {
       const std::int64_t base = g_->slot(u, 0);
       for (auto it = std::lower_bound(row.begin(), row.end(), sh.first);
            it != row.end() && *it < sh.last; ++it) {
+        if (halted_[static_cast<std::size_t>(*it)]) continue;
         const std::int64_t s = g_->mirror_slot(base + (it - row.begin()));
         if (bcast || in.epoch[s] == want) {
-          sh.grouped.push_back(static_cast<std::uint32_t>(s));
+          sh.grouped.push_back(grouped_key(*it, s));
         }
       }
     }
   }
-  std::sort(sh.grouped.begin(), sh.grouped.end());
+  std::ranges::sort(sh.grouped);
 }
 
 void Runtime::step_sweep(int shard, VertexProgram& program) {
@@ -377,47 +462,87 @@ void Runtime::step_sweep(int shard, VertexProgram& program) {
     inbox.msgs_.push_back(MsgView{
         p, std::span<const std::int64_t>(words_of(u) + in.off[s], in.len[s])});
   };
-
-  // Sweep the live list in canonical (ascending) order, compacting it in
-  // place: only step(v) itself can halt v, so survival is known right after
-  // the call and the list never needs a separate rebuild pass. Grouped
-  // entries are ascending too, so one cursor walks them alongside, skipping
-  // those addressed to halted vertices.
-  std::size_t w = 0;
-  std::size_t cursor = 0;
-  std::uint64_t next_ports = 0;
-  const std::size_t live_count = sh.live.size();
-  for (std::size_t i = 0; i < live_count; ++i) {
-    const V v = sh.live[i];
-    inbox.msgs_.clear();
-    su = 0;
-    const auto row = g_->neighbors(v);
-    const std::int64_t base = g_->slot(v, 0);
-    if (grouped) {
-      const std::int64_t end = base + static_cast<std::int64_t>(row.size());
-      while (cursor < sh.grouped.size() && sh.grouped[cursor] < base) ++cursor;
-      for (; cursor < sh.grouped.size() && sh.grouped[cursor] < end; ++cursor) {
-        const auto p = static_cast<std::size_t>(sh.grouped[cursor] - base);
-        take(static_cast<int>(p), row[p], sh.grouped[cursor]);
-      }
-    } else {
-      for (std::size_t p = 0; p < row.size(); ++p) {
-        take(static_cast<int>(p), row[p], static_cast<std::size_t>(base) + p);
-      }
-    }
+  // Steps v on the assembled inbox (v woke up: `prev` is the wake_ value it
+  // slept with) and files it in next round's awake list if it stays awake.
+  sh.awake_next.clear();
+  const auto step = [&](V v, std::int32_t prev) {
     sh.work_items += 1 + inbox.msgs_.size();
+    wake_[static_cast<std::size_t>(v)] = kAwake;
     {
       Ctx ctx(*this, shard, v);
       ProgramScope callback;
       program.step(ctx, inbox);
     }
-    if (!halted_[static_cast<std::size_t>(v)]) {
-      sh.live[w++] = v;
-      next_ports += row.size();
+    if (settle(sh, v, prev)) sh.awake_next.push_back(v);
+  };
+
+  if (grouped) {
+    // Visit, in ascending order, the union of three ascending sequences:
+    // the awake list, this round's timed wake-ups (the heap yields them by
+    // vertex) and the receivers of the sorted grouped keys, none of them
+    // halted. The live list is not touched.
+    std::size_t ai = 0;
+    std::size_t cursor = 0;
+    for (;;) {
+      V due = kNoVertex;
+      while (!sh.timers.empty() && timer_round(sh.timers.front()) <= round_) {
+        const std::uint64_t key = sh.timers.front();
+        if (wake_[static_cast<std::size_t>(timer_vertex(key))] ==
+            timer_round(key)) {
+          due = timer_vertex(key);
+          break;
+        }
+        pop_timer(sh.timers);  // its vertex woke earlier or sleeps toward another
+      }
+      V v = std::min(ai < sh.awake.size() ? sh.awake[ai] : kNoVertex, due);
+      if (cursor < sh.grouped.size()) {
+        v = std::min(v, grouped_receiver(sh.grouped[cursor]));
+      }
+      if (v == kNoVertex) break;
+      if (ai < sh.awake.size() && sh.awake[ai] == v) ++ai;
+      if (v == due) pop_timer(sh.timers);
+      inbox.msgs_.clear();
+      su = 0;
+      const auto row = g_->neighbors(v);
+      const auto base = static_cast<std::size_t>(g_->slot(v, 0));
+      for (; cursor < sh.grouped.size() &&
+             grouped_receiver(sh.grouped[cursor]) == v;
+           ++cursor) {
+        const std::size_t s = grouped_slot(sh.grouped[cursor]);
+        take(static_cast<int>(s - base), row[s - base], s);
+      }
+      step(v, wake_[static_cast<std::size_t>(v)]);
     }
+  } else {
+    // Scan every live vertex's ports in canonical order -- mail has to be
+    // found -- compacting the list in place: it drops the vertices that
+    // halted since the last scan and those that halt now. A sleeper with
+    // no mail and no wake-up due is not stepped; due ones are recognized
+    // by their wake_ round, so this round's keys are simply dropped.
+    while (!sh.timers.empty() && timer_round(sh.timers.front()) <= round_) {
+      pop_timer(sh.timers);
+    }
+    std::size_t w = 0;
+    const std::size_t live_count = sh.live.size();
+    for (std::size_t i = 0; i < live_count; ++i) {
+      const V v = sh.live[i];
+      if (halted_[static_cast<std::size_t>(v)]) continue;
+      inbox.msgs_.clear();
+      su = 0;
+      const auto row = g_->neighbors(v);
+      const auto base = static_cast<std::size_t>(g_->slot(v, 0));
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        take(static_cast<int>(p), row[p], base + p);
+      }
+      const std::int32_t prev = wake_[static_cast<std::size_t>(v)];
+      if (prev == kAwake || prev == round_ || !inbox.msgs_.empty()) {
+        step(v, prev);
+      }
+      if (!halted_[static_cast<std::size_t>(v)]) sh.live[w++] = v;
+    }
+    sh.live.resize(w);
   }
-  sh.live.resize(w);
-  sh.live_ports = next_ports;
+  std::swap(sh.awake, sh.awake_next);
 }
 
 void Runtime::merge_shards() {
@@ -725,10 +850,7 @@ void Runtime::check_replay() {
   }
   // The replayed prefix is fully re-verified; the rest of the run is new
   // ground.
-  if (replay_checked_ == replay_target_.size()) {
-    replay_target_ = PhaseLog{};
-    replay_checked_ = 0;
-  }
+  if (replay_checked_ == replay_target_.size()) replay_target_ = PhaseLog{};
 }
 
 Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
@@ -748,9 +870,13 @@ Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
         static_cast<std::uint64_t>(g_->num_vertices()) * sizeof(SenderRecord);
   }
   mb.vertex_bytes += halted_.capacity();
+  mb.vertex_bytes += wake_.capacity() * sizeof(std::int32_t);
   for (const Shard& sh : shards_) {
     mb.index_bytes += sh.live.capacity() * sizeof(V);
-    mb.index_bytes += sh.grouped.capacity() * sizeof(std::uint32_t);
+    mb.index_bytes +=
+        (sh.awake.capacity() + sh.awake_next.capacity()) * sizeof(V);
+    mb.index_bytes += sh.timers.capacity() * sizeof(std::uint64_t);
+    mb.index_bytes += sh.grouped.capacity() * sizeof(std::uint64_t);
     for (const auto& s : sh.scratch) {
       mb.index_bytes += s.capacity() * sizeof(std::int64_t);
     }

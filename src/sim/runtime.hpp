@@ -9,11 +9,18 @@
 // Programs are written against the VertexProgram interface:
 //   * begin(ctx)         -- local initialization; may send and/or halt.
 //   * step(ctx, inbox)   -- called once per round for every non-halted
-//                           vertex with the messages delivered this round.
+//                           vertex with the messages delivered this round,
+//                           unless the vertex sleeps (below).
 //
 // A vertex that halts stops participating; a phase ends when every vertex
 // has halted (stats.rounds then equals the number of communication rounds
-// consumed) or throws when max_rounds is exceeded.
+// consumed) or throws when max_rounds is exceeded. A vertex that calls
+// ctx.sleep_until(r) (in begin or step) is not stepped again until a
+// message reaches it or round r comes (Ctx::kUntilMail: only mail wakes
+// it). Sleeping is not halting: the vertex still counts as live in
+// active_per_round and keeps its phase running; only work_items, which
+// counts activations, sees the skipped steps. A program may sleep only
+// where its step with an empty inbox would change nothing.
 //
 // Session architecture (see DESIGN.md, "Runtime sessions"): the paper's
 // algorithms are long *compositions* of phases -- Algorithm 2 chains
@@ -43,16 +50,20 @@
 // observation that "all vertices are active at (almost) all times" holds
 // for the headline presets as a whole, but most individual sub-phases
 // (layer peeling, greedy sweeps, refinement tails) spend the bulk of their
-// rounds with a small, shrinking live set. Each round is therefore driven
-// by the live set and the vertices that actually spoke: every shard keeps a
-// compacted, canonically ordered live-vertex list (maintained incrementally
-// as vertices halt, not re-derived by an O(n) flag sweep), and each round
+// rounds with a small, shrinking live set, and inside a phase most live
+// vertices only wait (for a color class's turn, for their parents). Each
+// round is therefore driven by the vertices that can act: every shard keeps
+// a canonically ordered live-vertex list and an awake list (live vertices
+// that do not sleep), plus a heap of timed wake-ups, and each round
 // assembles inboxes in one of two delivery modes -- a port scan over the
 // live vertices' ports, reading each neighbor's record and then the slot
-// arena (message-dense rounds), or grouped delivery that walks each
-// speaker's sorted adjacency row over the receiving shard's vertex range
-// (sparse rounds). Per-round cost is O(live + messages); both modes are
-// bit-identical in outputs, RunStats and PhaseLog.
+// arena (message-dense rounds; a sleeper with no mail and no wake-up due is
+// not stepped), or grouped delivery that walks each speaker's sorted
+// adjacency row over the receiving shard's vertex range and steps only the
+// ascending merge of those receivers, the awake list and this round's
+// wake-ups (sparse rounds). A port-scan round costs O(live ports); a
+// grouped round O(awake + due + messages). Both modes are bit-identical in
+// outputs, RunStats and PhaseLog.
 //
 // Sharded execution: the vertex set is split into `shards` contiguous blocks
 // of equal round work (degree plus a per-vertex constant, see kVertexCost);
@@ -82,6 +93,7 @@
 #include <exception>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <string>
@@ -200,6 +212,16 @@ class Ctx {
     broadcast(std::span<const std::int64_t>(payload.begin(), payload.size()));
   }
   void halt();
+
+  /// Puts this vertex to sleep: it is not stepped again until a message
+  /// reaches it (stepped in that round with its inbox) or round `round`
+  /// comes (stepped with whatever arrived). kUntilMail waits for mail
+  /// alone. `round` must be after the current one; the latest call in a
+  /// begin or step wins, and every step starts awake. Allowed in begin.
+  /// Sleeping changes no output: the program promises that a step of this
+  /// vertex with an empty inbox before `round` would change nothing.
+  void sleep_until(int round);
+  static constexpr int kUntilMail = std::numeric_limits<int>::max();
 
   /// Runtime-owned scratch buffer (cleared by nobody: callers .clear() it).
   /// One instance per executor shard, so programs that need transient
@@ -444,6 +466,10 @@ class Runtime {
   /// each leaf and PhaseSpan as each span opens. Throws invariant_error on
   /// a mismatch.
   void check_replay();
+  /// Entries of the held log verified since the last resume (or
+  /// reset_log): equal to the held log's size once the replay has
+  /// finished, 0 when none was armed. Kept after the target is dropped.
+  std::size_t replay_verified() const { return replay_checked_; }
 
   /// Worker threads owned by this session (== shards() - 1; spawned once at
   /// construction, parked between phases).
@@ -468,9 +494,11 @@ class Runtime {
   struct MemoryBreakdown {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
-    /// speakers/grouped/live/scratch/inbox workspaces, by capacity
+    /// speakers/grouped/live/awake/timer/scratch/inbox workspaces, by
+    /// capacity
     std::uint64_t index_bytes = 0;
-    /// broadcast records (both arenas) + halted flags: per-vertex
+    /// broadcast records (both arenas) + halted flags + wake rounds:
+    /// per-vertex
     std::uint64_t vertex_bytes = 0;
     std::uint64_t total() const {
       return arena_bytes + payload_bytes + index_bytes + vertex_bytes;
@@ -565,27 +593,35 @@ class Runtime {
     std::uint32_t max_msg_words = 0;
     V newly_halted = 0;
     std::exception_ptr error;
-    /// The shard's non-halted vertices in ascending
-    /// (canonical) order. Rebuilt after begin(), then compacted in place
-    /// during each step sweep -- a vertex can only halt itself, so the
-    /// sweep that runs step(v) also decides v's survival. Never re-derived
-    /// from the halted flags between rounds.
+    /// The shard's non-halted vertices in ascending (canonical) order,
+    /// sleepers included. Rebuilt after begin(), then compacted in place by
+    /// the port-scan rounds that walk it anyway: grouped rounds never touch
+    /// it, so it may still hold vertices that halted since.
     std::vector<V> live;
-    /// Sum of degree(v) over `live`: the cost of a receiver-driven port
-    /// scan, maintained alongside the list so delivery can pick the
-    /// cheaper assembly mode per round.
+    /// Sum of degree(v) over the shard's non-halted vertices: the cost of a
+    /// receiver-driven port scan, which picks the cheaper assembly mode per
+    /// round. do_halt subtracts as each vertex halts.
     std::uint64_t live_ports = 0;
+    /// Live vertices that do not sleep, ascending: stepped next round with
+    /// or without mail. Each step sweep writes `awake_next` and swaps.
+    std::vector<V> awake, awake_next;
+    /// Timed wake-ups: a min-heap of (round << 32 | vertex) keys, so one
+    /// round's come out in ascending vertex order. A key is live while
+    /// wake_[vertex] still equals its round; the rest are dropped when they
+    /// surface or when the heap fills (push_timer).
+    std::vector<std::uint64_t> timers;
     /// Summed degree of the vertices this shard added to `speakers` in the
     /// current sweep; merge_shards folds it into spoken_ports_.
     std::uint64_t spoken_ports = 0;
-    /// Grouped-delivery workspace: the receiver slots (32-bit: CsrBuilder
-    /// rejects larger graphs) of last round's messages to this shard,
-    /// sorted, hence grouped by receiver in canonical port order. Grouped
+    /// Grouped-delivery workspace: one (receiver << 32 | receiver slot) key
+    /// per message of last round to a live vertex of this shard (slots are
+    /// 32-bit: CsrBuilder rejects larger graphs), sorted, hence grouped by
+    /// receiver in canonical port order, with the receiver at hand. Grouped
     /// delivery runs only when spoken_ports_ * kGroupedDeliveryFactor <=
     /// live_ports <= slot_hi - slot_lo, and every entry is a distinct
     /// (speaker, neighbor) pair, so reserving (slot_hi - slot_lo) /
     /// kGroupedDeliveryFactor + 1 entries makes it allocation-free.
-    std::vector<std::uint32_t> grouped;
+    std::vector<std::uint64_t> grouped;
   };
 
   int shard_of(V v) const {
@@ -603,10 +639,18 @@ class Runtime {
   std::uint32_t append_words(Arena& out, int shard,
                              std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
+  void do_sleep(V v, int round);
+  /// Files v after its begin() or step(): true if v stays awake. A timed
+  /// sleep pushes a wake-up unless v's pending one (`prev`) already holds
+  /// that round; a halted vertex's wake-ups are invalidated.
+  bool settle(Shard& sh, V v, std::int32_t prev);
+  /// Pushes a timed wake-up, first dropping dead keys if the heap is full.
+  void push_timer(Shard& sh, V v, std::int32_t round);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
-  /// Step sweep of one shard: live-list driven, with per-round choice
-  /// between grouped delivery and a live port scan.
+  /// Step sweep of one shard, with per-round choice between grouped
+  /// delivery (steps receivers, awake vertices and due wake-ups) and a
+  /// live port scan (steps every live vertex but the mailless sleepers).
   void step_sweep(int shard, VertexProgram& program);
   /// Fills the shard's grouped workspace from last round's speakers.
   void gather_grouped(int shard, const Arena& in, std::int32_t want);
@@ -637,6 +681,10 @@ class Runtime {
   Arena arenas_[2];
   int in_idx_ = 0;  // arenas_[in_idx_] feeds this round's inboxes
   std::vector<std::uint8_t> halted_;
+  /// Per vertex, written only by its own shard: 0 = awake, else the round
+  /// it sleeps until (Ctx::kUntilMail: until mail). Reset by each begin
+  /// sweep; a vertex is awake whenever its begin() or step() runs.
+  std::vector<std::int32_t> wake_;
   V live_ = 0;
   int round_ = 0;
   /// Summed degree of the previous round's speakers (all shards): the
@@ -650,8 +698,8 @@ class Runtime {
   std::int32_t stamp_base_ = 0;
   RunStats stats_;
   PhaseLog log_;
-  /// Replay (see resume): the held log the re-run must reproduce, and how
-  /// many of its entries are verified so far. Empty when not replaying.
+  /// Replay (see resume): the held log the re-run must reproduce (empty
+  /// when not replaying), and how many of its entries were verified.
   PhaseLog replay_target_;
   std::size_t replay_checked_ = 0;
   std::function<void(int)> observer_;

@@ -6,9 +6,10 @@
 // only against an independent model like this one.
 //
 // A probe decides what a vertex does from (vertex, degree, round, inbox)
-// alone. model::interpret runs it on a map from (receiver, port) to
-// payload, one map per round; model::ProbeProgram runs the same probe as a
-// VertexProgram on sim::Runtime and records every (vertex, round) inbox.
+// alone, including whether it sleeps (Ctx::sleep_until). model::interpret
+// runs it on a map from (receiver, port) to payload, one map per round;
+// model::ProbeProgram runs the same probe as a VertexProgram on
+// sim::Runtime and records every (vertex, round) inbox it is stepped with.
 // model::same_as_model compares the two transcripts and every RunStats
 // field except work_items.
 #pragma once
@@ -46,6 +47,8 @@ struct Action {
   std::optional<Words> broadcast;          ///< payload to every neighbor
   std::vector<std::pair<int, Words>> sends;  ///< (port, payload)
   bool halt = false;
+  /// Ctx::sleep_until's argument (Ctx::kUntilMail: until mail), if any.
+  std::optional<int> sleep_until;
 };
 
 /// Must be a pure function of its arguments: the runtime calls it from
@@ -62,14 +65,17 @@ struct Run {
 };
 
 /// Runs `probe` to completion under the model: every live vertex acts once
-/// per round in ascending order, a message sent in round r reaches the
-/// receiver's mirror port at the start of round r + 1, and an inbox lists
-/// its messages in port order. Messages to a halted vertex are never read.
+/// per round in ascending order unless it sleeps, a message sent in round r
+/// reaches the receiver's mirror port at the start of round r + 1, and an
+/// inbox lists its messages in port order. Messages to a halted vertex are
+/// never read. A sleeper acts again in the first round that brings it mail
+/// or equals the round it sleeps until, and is awake after acting.
 inline Run interpret(const dvc::Graph& g, const Probe& probe, int max_rounds) {
   const V n = g.num_vertices();
   Run run;
   run.transcript.resize(static_cast<std::size_t>(n));
   std::vector<bool> halted(static_cast<std::size_t>(n), false);
+  std::vector<int> sleeps(static_cast<std::size_t>(n), 0);  // 0 = awake
   std::map<std::pair<V, int>, Words> mail, next;  // (receiver, port)
   std::uint64_t words = 0;
   const auto post = [&](V from, int port, const Words& payload) {
@@ -91,6 +97,7 @@ inline Run interpret(const dvc::Graph& g, const Probe& probe, int max_rounds) {
     }
     for (const auto& [port, payload] : a.sends) post(v, port, payload);
     if (a.halt) halted[static_cast<std::size_t>(v)] = true;
+    sleeps[static_cast<std::size_t>(v)] = a.sleep_until.value_or(0);
   };
   const auto end_round = [&] {
     run.stats.words += words;
@@ -116,6 +123,8 @@ inline Run interpret(const dvc::Graph& g, const Probe& probe, int max_rounds) {
            it != mail.end() && it->first.first == v; ++it) {
         inbox.push_back({it->first.second, it->second});
       }
+      const int until = sleeps[static_cast<std::size_t>(v)];
+      if (until != 0 && until != round && inbox.empty()) continue;
       act(v, round, inbox);
       run.transcript[static_cast<std::size_t>(v)].emplace_back(round,
                                                                std::move(inbox));
@@ -153,6 +162,7 @@ class ProbeProgram : public dvc::sim::VertexProgram {
     if (a.broadcast) ctx.broadcast(*a.broadcast);
     for (const auto& [port, payload] : a.sends) ctx.send(port, payload);
     if (a.halt) ctx.halt();
+    if (a.sleep_until) ctx.sleep_until(*a.sleep_until);
   }
   Probe probe_;
   int max_words_;

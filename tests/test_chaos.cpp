@@ -44,6 +44,16 @@ using service::JobStatus;
 using service::JobTicket;
 using service::ServiceConfig;
 
+/// Size of the log a run holds when its phase `k` (the k-th run_phase,
+/// 0-based) throws: every entry of the fault-free run's log `full` before
+/// that phase's leaf, the spans open around it included.
+std::size_t held_log_size(const sim::PhaseLog& full, int k) {
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (!full[i].span && k-- == 0) return i;
+  }
+  return full.size();
+}
+
 /// A program that never halts and never speaks: the canonical runaway the
 /// progress watchdog exists to convert into a prompt structural failure.
 class Silent : public sim::VertexProgram {
@@ -394,6 +404,9 @@ TEST(ServiceChaos, RetryHealsTransientFaultBitIdentically) {
   EXPECT_TRUE(res.recovered);
   EXPECT_TRUE(dvc_test::bit_identical(solo, res.result))
       << "healed job vs fault-free solo run";
+  // The retry verified every entry attempt 0 held (it died in phase 1).
+  EXPECT_EQ(res.replay_verified_entries, held_log_size(solo.phases, 1));
+  EXPECT_GT(res.replay_verified_entries, 0u);
 
   const auto m = svc.metrics();
   EXPECT_EQ(m.retries, 1u);
@@ -524,6 +537,11 @@ TEST(ServiceChaos, ConcurrentFaultStormHealsBitIdentically) {
     if (!want) want = color_graph(inputs[j % 2].g, 4, presets[(j / 2) % 2]);
     EXPECT_TRUE(dvc_test::bit_identical(*want, res.result))
         << "job " << j << " (attempts " << res.attempts << ") vs solo run";
+    // A healed job's retry verified the whole log attempt 0 held when its
+    // phase 1 failed; a job that never failed replayed nothing.
+    EXPECT_EQ(res.replay_verified_entries,
+              res.recovered ? held_log_size(want->phases, 1) : 0u)
+        << "job " << j;
   }
   const auto m = svc.metrics();
   EXPECT_GT(m.faults_injected, 0u);

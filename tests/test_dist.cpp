@@ -890,12 +890,32 @@ TEST(DistService, SigkilledWorkerIsHealedByRetryCheckpointBitIdentically) {
   spec.dist.kill_at_sweep = 4;  // mid-pipeline, past the first boundary
   spec.dist.kill_worker = 1;
   spec.dist.kill_attempt = 0;  // attempt 0 dies; the retry runs clean
+  const JobSpec attempt0 = spec;
   const JobResult res = svc.wait(svc.submit(std::move(spec)));
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.recovered) << "the job must have healed through a retry";
   EXPECT_EQ(res.attempts, 2);
   EXPECT_TRUE(dvc_test::bit_identical(base, res.result))
       << "healed result diverged from fault-free";
+
+  // The retry verified the whole log attempt 0 held: rerun that attempt
+  // outside the service, kill included, and count what it recorded.
+  std::size_t held = 0;
+  {
+    sim::Runtime rt(g, 2, /*inline_shards=*/true);
+    DistConfig cfg;
+    cfg.workers = attempt0.dist.workers;
+    cfg.backend = attempt0.dist.backend;
+    cfg.kill_at_sweep = attempt0.dist.kill_at_sweep;
+    cfg.kill_worker = attempt0.dist.kill_worker;
+    DistSession session(rt, cfg);
+    EXPECT_THROW(color_graph(rt, attempt0.arboricity_bound, attempt0.preset,
+                             attempt0.knobs),
+                 transient_error);
+    held = rt.log().size();
+  }
+  EXPECT_GT(held, 0u);
+  EXPECT_EQ(res.replay_verified_entries, held);
 
   const auto metrics = svc.metrics();
   EXPECT_GE(metrics.retries, 1u);

@@ -34,6 +34,53 @@ namespace {
 using dvc_test::FloodAll;
 namespace model = dvc_test::model;
 
+namespace sleepers {
+
+constexpr int kMail = sim::Ctx::kUntilMail;
+
+/// Random sleeper: until its halting round (6 + v % 37) a vertex speaks in
+/// 2 of every `quiet` steps (a broadcast or one port send) and usually
+/// sleeps toward a timed wake-up up to 40 rounds ahead. At quiet = 4 mail
+/// wakes many sleepers early and leaves their keys behind in the timer
+/// heap -- enough of them to fill it and force the dead-key sweep -- and
+/// most rounds scan ports; at quiet = 32 most rounds are grouped. Every
+/// decision hashes (vertex, round, inbox), so the run is a pure function of
+/// the graph.
+model::Action churn(std::uint64_t quiet, V v, int degree, int round,
+                    const model::Inbox& inbox) {
+  std::uint64_t h = detail::digest_mix(
+      detail::digest_mix(static_cast<std::uint64_t>(v),
+                         static_cast<std::uint64_t>(round)),
+      inbox.size());
+  for (const model::Msg& m : inbox) {
+    h = detail::digest_mix(h, static_cast<std::uint64_t>(m.data[0]));
+  }
+  model::Action a;
+  const int last = 6 + static_cast<int>(v % 37);
+  if (round >= last) {
+    a.halt = true;
+    return a;
+  }
+  if (degree > 0 && h % quiet == 0) {
+    a.broadcast = model::Words{static_cast<std::int64_t>(h % 1000)};
+  } else if (degree > 0 && h % quiet == 1) {
+    a.sends.push_back({static_cast<int>(h % static_cast<std::uint64_t>(degree)),
+                       {round}});
+  }
+  if (h % 3 != 0) {
+    a.sleep_until = std::min(last, round + 1 + static_cast<int>((h >> 8) % 40));
+  }
+  return a;
+}
+
+model::Probe churn(std::uint64_t quiet) {
+  return [quiet](V v, int degree, int round, const model::Inbox& inbox) {
+    return churn(quiet, v, degree, round, inbox);
+  };
+}
+
+}  // namespace sleepers
+
 // --- 1. Warm phases allocate nothing --------------------------------------
 
 TEST(Runtime, PhasesAfterTheFirstAllocateNothing) {
@@ -114,6 +161,14 @@ TEST(Runtime, PolylogPresetSpawnsNoThreadsAfterConstructionAndRerunsCleanly) {
   EXPECT_EQ(sim::Runtime::lifetime_threads_spawned(), spawned);
 
   EXPECT_TRUE(dvc_test::bit_identical(first, second));
+
+  // A warm phase of sleepers -- awake lists, timed wake-ups, dead-key
+  // sweeps of a full timer heap -- allocates no machinery either.
+  model::run_on(rt, sleepers::churn(4), /*max_words=*/1, 64);
+  const std::uint64_t sleeping = dvc_test::machinery_allocs();
+  model::run_on(rt, sleepers::churn(4), /*max_words=*/1, 64);
+  EXPECT_EQ(dvc_test::machinery_allocs() - sleeping, 0u)
+      << "runtime machinery allocated during a warm sleeping phase";
 }
 
 TEST(RuntimeDeathTest, FailedPoolSpawnThrowsInsteadOfTerminating) {
@@ -290,6 +345,241 @@ TEST(Runtime, WorkItemsCountActivationsPlusDeliveredMessages) {
   const auto n = static_cast<std::uint64_t>(g.num_vertices());
   const auto activations = n * static_cast<std::uint64_t>(stats.rounds + 1);
   EXPECT_EQ(stats.work_items, activations + stats.messages);
+}
+
+// --- Sleep contract (Ctx::sleep_until) -------------------------------------
+
+namespace sleepers {
+
+using Steps = std::vector<std::pair<V, int>>;
+
+/// The probe with every sleep dropped: every live vertex steps every round.
+model::Probe awake(model::Probe probe) {
+  return [probe = std::move(probe)](V v, int degree, int round,
+                                    const model::Inbox& inbox) {
+    model::Action a = probe(v, degree, round, inbox);
+    a.sleep_until.reset();
+    return a;
+  };
+}
+
+/// The (vertex, round) pairs a transcript stepped, by vertex then round.
+Steps steps(const model::Transcript& t) {
+  Steps out;
+  for (std::size_t v = 0; v < t.size(); ++v) {
+    for (const auto& [round, inbox] : t[v]) out.emplace_back(static_cast<V>(v), round);
+  }
+  return out;
+}
+
+/// At 1, 2 and 3 shards: the run steps exactly `want` and matches the
+/// model's transcript, and against the run that never sleeps every RunStats
+/// field but work_items is equal -- active_per_round included -- while
+/// work_items falls by one per skipped step.
+void check(const Graph& g, const model::Probe& probe, const Steps& want) {
+  constexpr int kCap = 32;
+  const model::Run expected = model::interpret(g, probe, kCap);
+  EXPECT_EQ(steps(expected.transcript), want) << "the model disagrees";
+  for (const int shards : {1, 2, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    const model::Run got = model::run_on(rt, probe, 0, kCap);
+    EXPECT_TRUE(model::same_as_model(expected, got));
+    EXPECT_EQ(steps(got.transcript), want);
+    const model::Run plain = model::run_on(rt, awake(probe), 0, kCap);
+    sim::RunStats stats = got.stats;
+    stats.work_items = plain.stats.work_items;
+    EXPECT_TRUE(stats == plain.stats) << "sleeping moved more than work_items";
+    EXPECT_EQ(plain.stats.work_items - got.stats.work_items,
+              steps(plain.transcript).size() - want.size());
+  }
+}
+
+}  // namespace sleepers
+
+TEST(Sleep, UntilMailSkipsStepsUntilAMessageArrives) {
+  // Path 0-1-2. Vertex 1 sleeps until mail in round 1; vertex 0 speaks to
+  // it in round 2 and halts, so vertex 1 is next stepped in round 3.
+  sleepers::check(path_graph(3),
+                  [](V v, int, int round, const model::Inbox& inbox) {
+                    model::Action a;
+                    if (round == 0) return a;
+                    if (v == 0 && round == 2) {
+                      a.broadcast = model::Words{7};
+                      a.halt = true;
+                    } else if (v == 1) {
+                      if (inbox.empty()) a.sleep_until = sleepers::kMail;
+                      else a.halt = true;
+                    } else if (v == 2) {
+                      a.halt = true;
+                    }
+                    return a;
+                  },
+                  {{0, 1}, {0, 2}, {1, 1}, {1, 3}, {2, 1}});
+}
+
+TEST(Sleep, TimedWakeStepsTheVertexInThatRound) {
+  sleepers::check(path_graph(2),
+                  [](V v, int, int round, const model::Inbox&) {
+                    model::Action a;
+                    if (round == 0) return a;
+                    if (v == 1 || round == 4) a.halt = true;
+                    else if (round == 1) a.sleep_until = 4;
+                    return a;
+                  },
+                  {{0, 1}, {0, 4}, {1, 1}});
+}
+
+TEST(Sleep, SleepInBeginSkipsRoundOne) {
+  // Vertex 0 sleeps until round 3 from begin() and speaks then; vertex 1
+  // sleeps until mail from begin() and halts on it in round 4.
+  sleepers::check(path_graph(2),
+                  [](V v, int, int round, const model::Inbox& inbox) {
+                    model::Action a;
+                    if (v == 0) {
+                      if (round == 0) a.sleep_until = 3;
+                      if (round == 3) a.broadcast = model::Words{3};
+                      if (round == 4) a.halt = true;
+                    } else if (round == 0) {
+                      a.sleep_until = sleepers::kMail;
+                    } else if (!inbox.empty()) {
+                      a.halt = true;
+                    }
+                    return a;
+                  },
+                  {{0, 3}, {0, 4}, {1, 4}});
+}
+
+TEST(Sleep, ResleepBeforeTheWakeUpFallsDue) {
+  // Path 0-1-2. The ends sleep until round 5 from begin(); vertex 1's
+  // round-1 broadcast wakes both in round 2. Vertex 0 re-sleeps until 7,
+  // so its round-5 wake-up must not step it; vertex 2 re-sleeps until 5
+  // again, and is stepped in round 5 exactly once.
+  sleepers::check(path_graph(3),
+                  [](V v, int, int round, const model::Inbox& inbox) {
+                    model::Action a;
+                    if (v == 0) {
+                      if (round == 0) {
+                        a.sleep_until = 5;
+                      } else if (round == 7) {
+                        a.broadcast = model::Words{0};
+                        a.halt = true;
+                      } else if (!inbox.empty()) {
+                        a.sleep_until = 7;
+                      }
+                    } else if (v == 1) {
+                      if (round == 1) {
+                        a.broadcast = model::Words{1};
+                        a.sleep_until = sleepers::kMail;
+                      } else if (!inbox.empty()) {
+                        a.halt = true;
+                      }
+                    } else {
+                      if (round == 0 || (round < 5 && !inbox.empty())) {
+                        a.sleep_until = 5;
+                      } else if (round == 5) {
+                        a.halt = true;
+                      }
+                    }
+                    return a;
+                  },
+                  {{0, 2}, {0, 7}, {1, 1}, {1, 8}, {2, 2}, {2, 5}});
+}
+
+TEST(Sleep, SleepThenHaltLeavesNoWakeUpBehind) {
+  // Path 0-1-2-3. Vertex 0 sleeps and halts in one step; vertex 1 sleeps
+  // until round 6 and halts on vertex 2's round-2 broadcast, so its dead
+  // round-6 wake-up surfaces while the phase still runs; vertex 3 is woken
+  // early by the same broadcast and re-sleeps from round 4 to round 8.
+  sleepers::check(path_graph(4),
+                  [](V v, int, int round, const model::Inbox& inbox) {
+                    model::Action a;
+                    if (round == 0) return a;
+                    if (v == 0) {
+                      a.sleep_until = 3;
+                      a.halt = true;
+                    } else if (v == 1) {
+                      if (round == 1) a.sleep_until = 6;
+                      else if (!inbox.empty()) a.halt = true;
+                    } else if (v == 2) {
+                      if (round == 2) {
+                        a.broadcast = model::Words{2};
+                        a.halt = true;
+                      }
+                    } else if (round == 1) {
+                      a.sleep_until = 4;
+                    } else if (round == 8) {
+                      a.halt = true;
+                    } else if (!inbox.empty()) {
+                      a.sleep_until = 8;
+                    }
+                    return a;
+                  },
+                  {{0, 1}, {1, 1}, {1, 3}, {2, 1}, {2, 2}, {3, 1}, {3, 3}, {3, 8}});
+}
+
+TEST(Sleep, EveryVertexAsleepWithNoMailStillHitsTheRoundCapAndTheWatchdog) {
+  // Half the vertices sleep until mail, half until round 50, from begin();
+  // nobody speaks. Sleeping is not halting: the phase runs into its round
+  // cap, and an armed watchdog fires at the round it fires without sleep.
+  const Graph g = cycle_graph(8);
+  const model::Probe probe = [](V v, int, int round, const model::Inbox&) {
+    model::Action a;
+    if (round == 0) a.sleep_until = v % 2 == 0 ? sleepers::kMail : 50;
+    return a;
+  };
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    model::ProbeProgram prog(g.num_vertices(), probe, 0);
+    EXPECT_THROW(rt.run_phase(prog, 10), invariant_error);
+    EXPECT_EQ(sleepers::steps(prog.transcript()), sleepers::Steps{});
+
+    int fired_at[2] = {-1, -1};
+    for (const bool sleep : {true, false}) {
+      model::ProbeProgram watched(g.num_vertices(),
+                                  sleep ? probe : sleepers::awake(probe), 0);
+      const sim::ScopedWatchdog watchdog(rt, 3);
+      try {
+        rt.run_phase(watched, 10);
+      } catch (const sim::watchdog_error& e) {
+        fired_at[sleep] = e.round;
+      }
+    }
+    EXPECT_EQ(fired_at[1], 3);
+    EXPECT_EQ(fired_at[1], fired_at[0]);
+  }
+}
+
+TEST(Sleep, RandomSleepersMatchTheReferenceModelAtAnyShardCount) {
+  // Both delivery modes, halts, early wake-ups and a timer heap that fills
+  // up, against the model's transcript.
+  for (const Graph& g : {random_near_regular(600, 6, 3), rmat_graph(9, 8, 5)}) {
+    for (const std::uint64_t quiet : {4, 32}) {
+      const model::Probe probe = sleepers::churn(quiet);
+      const model::Run want = model::interpret(g, probe, 64);
+      ASSERT_GT(want.stats.messages, 0u);
+      for (const int shards : {1, 2, 5}) {
+        SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) + " quiet=" +
+                     std::to_string(quiet) + " shards=" + std::to_string(shards));
+        sim::Runtime rt(g, shards);
+        EXPECT_TRUE(model::same_as_model(
+            want, model::run_on(rt, probe, /*max_words=*/1, 64)));
+      }
+    }
+  }
+}
+
+TEST(Sleep, SleepUntilANonFutureRoundIsAPreconditionError) {
+  const Graph g = path_graph(2);
+  const model::Probe probe = [](V, int, int round, const model::Inbox&) {
+    model::Action a;
+    a.sleep_until = round;
+    return a;
+  };
+  sim::Runtime rt(g);
+  model::ProbeProgram prog(g.num_vertices(), probe, 0);
+  EXPECT_THROW(rt.run_phase(prog, 4), precondition_error);
 }
 
 namespace local_rule {
