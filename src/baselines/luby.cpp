@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
-#include "common/wire.hpp"
 #include "sim/runtime.hpp"
 
 namespace dvc {
@@ -64,15 +63,9 @@ class LubyProgram : public sim::VertexProgram {
   std::vector<std::uint8_t> take() { return std::move(in_mis_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const auto s = static_cast<std::size_t>(v);
-    w.u8(in_mis_[s]);
-    w.i64(my_priority_[s]);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const auto s = static_cast<std::size_t>(v);
-    in_mis_[s] = r.u8();
-    my_priority_[s] = r.i64();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(in_mis_.data()),
+            sim::StateColumn::vertex(my_priority_.data())};
   }
 
  private:

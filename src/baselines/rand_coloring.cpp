@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -59,23 +58,10 @@ class TrialColoringProgram : public sim::VertexProgram {
   std::int64_t palette() const { return palette_; }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const auto s = static_cast<std::size_t>(v);
-    w.i64(colors_[s]);
-    w.i64(proposal_[s]);
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      w.i64(taken_[static_cast<std::size_t>(g_->slot(v, p))]);
-    }
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const auto s = static_cast<std::size_t>(v);
-    colors_[s] = r.i64();
-    proposal_[s] = r.i64();
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      taken_[static_cast<std::size_t>(g_->slot(v, p))] = r.i64();
-    }
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(colors_.data()),
+            sim::StateColumn::vertex(proposal_.data()),
+            sim::StateColumn::slot(taken_.data())};
   }
 
  private:

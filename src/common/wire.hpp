@@ -1,7 +1,6 @@
 // Flat-buffer serialization: little-endian encode/decode, the checksum
-// fold, and the framed wire protocol the src/dist/ transport speaks (and
-// dist-capable programs ship their per-vertex state in). Everything here is
-// format, not policy: no I/O, no simulator types.
+// fold, and the framed wire protocol the src/dist/ transport speaks.
+// Everything here is format, not policy: no I/O, no simulator types.
 //
 // The codec works on whole words, not bytes: each fixed-width field is one
 // memcpy of its native representation (the host must be little-endian, see
@@ -152,7 +151,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 4;
+inline constexpr std::uint8_t kFrameVersion = 5;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it

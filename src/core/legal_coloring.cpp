@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
-#include "common/wire.hpp"
 #include "core/arbdefective.hpp"
 #include "decomp/h_partition.hpp"
 #include "defective/reduce.hpp"
@@ -114,10 +113,9 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
     // layer coloring is legal.)
     class OrientProgram : public sim::VertexProgram {
      public:
-      OrientProgram(const Graph& graph, Orientation& s,
-                    const std::vector<std::int64_t>& grp,
+      OrientProgram(Orientation& s, const std::vector<std::int64_t>& grp,
                     const std::vector<int>& level, const Coloring& psi)
-          : g_(&graph), sigma_(&s), groups_(&grp), level_(&level), psi_(&psi) {}
+          : sigma_(&s), groups_(&grp), level_(&level), psi_(&psi) {}
       std::string name() const override { return "final-orient"; }
       int max_words() const override { return final_orient_max_words(); }
       void begin(sim::Ctx& ctx) override {
@@ -147,37 +145,16 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
         ctx.halt();
       }
       bool dist_capable() const override { return true; }
-      void save_vertex_state(V v, wire::ByteWriter& w) const override {
-        const int deg = g_->degree(v);
-        for (int p = 0; p < deg; ++p) {
-          w.u8(static_cast<std::uint8_t>(sigma_->dir(v, p)));
-        }
-      }
-      void load_vertex_state(V v, wire::ByteReader& r) override {
-        const int deg = g_->degree(v);
-        for (int p = 0; p < deg; ++p) {
-          // Unoriented slots stay as constructed; only decided directions
-          // replay through the single-slot orient calls.
-          switch (static_cast<EdgeDir>(r.u8())) {
-            case EdgeDir::Out:
-              sigma_->orient_out_local(v, p);
-              break;
-            case EdgeDir::In:
-              sigma_->orient_in_local(v, p);
-              break;
-            case EdgeDir::Unoriented:
-              break;
-          }
-        }
+      std::vector<sim::StateColumn> state_columns() override {
+        return {sim::StateColumn::slot(sigma_->slot_dirs())};
       }
      private:
-      const Graph* g_;
       Orientation* sigma_;
       const std::vector<std::int64_t>* groups_;
       const std::vector<int>* level_;
       const Coloring* psi_;
     };
-    OrientProgram program(g, sigma, groups, hp.level, layers.colors);
+    OrientProgram program(sigma, groups, hp.level, layers.colors);
     const sim::RunStats& st =
         rt.run_phase(program, sim::kOneExchangeRoundCap, "final-orient");
     out.total += st;

@@ -1,7 +1,6 @@
 #include "core/mis.hpp"
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 #include "core/legal_coloring.hpp"
 
 namespace dvc {
@@ -28,15 +27,9 @@ class ColorSweepProgram : public sim::VertexProgram {
   std::vector<std::uint8_t> take() { return std::move(in_mis_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const auto s = static_cast<std::size_t>(v);
-    w.u8(in_mis_[s]);
-    w.u8(blocked_[s]);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const auto s = static_cast<std::size_t>(v);
-    in_mis_[s] = r.u8();
-    blocked_[s] = r.u8();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(in_mis_.data()),
+            sim::StateColumn::vertex(blocked_.data())};
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -18,7 +17,8 @@ class SimpleArbProgram : public sim::VertexProgram {
         groups_(groups),
         colors_(static_cast<std::size_t>(g.num_vertices()), -1),
         pending_(static_cast<std::size_t>(g.num_vertices()), 0),
-        histogram_(static_cast<std::size_t>(g.num_vertices())) {}
+        histogram_(static_cast<std::size_t>(g.num_vertices()) *
+                       static_cast<std::size_t>(k)) {}
 
   std::string name() const override { return "simple-arbdefective"; }
   int max_words() const override { return simple_arbdefective_max_words(); }
@@ -42,7 +42,6 @@ class SimpleArbProgram : public sim::VertexProgram {
         if (msg.data[0] == mine && sigma_->is_out(v, msg.port)) ++parents;
       }
       pending_[static_cast<std::size_t>(v)] = parents;
-      histogram_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(k_), 0);
       if (parents == 0) {
         select_and_finish(ctx, v, mine);
       } else {
@@ -53,7 +52,7 @@ class SimpleArbProgram : public sim::VertexProgram {
     for (const sim::MsgView& msg : inbox) {
       if (msg.data[0] != mine) continue;
       if (!sigma_->is_out(v, msg.port)) continue;
-      ++histogram_[static_cast<std::size_t>(v)][static_cast<std::size_t>(msg.data[1])];
+      ++hist_of(v)[msg.data[1]];
       --pending_[static_cast<std::size_t>(v)];
     }
     if (pending_[static_cast<std::size_t>(v)] == 0) {
@@ -66,21 +65,11 @@ class SimpleArbProgram : public sim::VertexProgram {
   Coloring take_colors() { return std::move(colors_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const auto s = static_cast<std::size_t>(v);
-    w.i64(colors_[s]);
-    w.i32(pending_[s]);
-    const auto& hist = histogram_[s];
-    w.u32(static_cast<std::uint32_t>(hist.size()));
-    for (const int h : hist) w.i32(h);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const auto s = static_cast<std::size_t>(v);
-    colors_[s] = r.i64();
-    pending_[s] = r.i32();
-    auto& hist = histogram_[s];
-    hist.resize(r.u32());
-    for (int& h : hist) h = r.i32();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(colors_.data()),
+            sim::StateColumn::vertex(pending_.data()),
+            sim::StateColumn::vertex(histogram_.data(),
+                                     static_cast<std::size_t>(k_))};
   }
 
  private:
@@ -88,14 +77,18 @@ class SimpleArbProgram : public sim::VertexProgram {
     return groups_ ? (*groups_)[static_cast<std::size_t>(v)] : 0;
   }
 
+  /// v's row of the histogram: how many parents took each color.
+  int* hist_of(V v) {
+    return histogram_.data() +
+           static_cast<std::size_t>(v) * static_cast<std::size_t>(k_);
+  }
+
   void select_and_finish(sim::Ctx& ctx, V v, std::int64_t mine) {
     // Color used by the fewest parents (ties: smallest color).
-    const auto& hist = histogram_[static_cast<std::size_t>(v)];
+    const int* hist = hist_of(v);
     int best = 0;
     for (int c = 1; c < k_; ++c) {
-      if (hist[static_cast<std::size_t>(c)] < hist[static_cast<std::size_t>(best)]) {
-        best = c;
-      }
+      if (hist[c] < hist[best]) best = c;
     }
     colors_[static_cast<std::size_t>(v)] = best;
     ctx.broadcast({mine, best});
@@ -108,7 +101,8 @@ class SimpleArbProgram : public sim::VertexProgram {
   const std::vector<std::int64_t>* groups_;
   Coloring colors_;
   std::vector<int> pending_;
-  std::vector<std::vector<int>> histogram_;
+  /// n rows of k counts (flat, row v at v * k).
+  std::vector<int> histogram_;
 };
 
 }  // namespace

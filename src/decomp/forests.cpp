@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -41,17 +40,8 @@ class ForestLabelProgram : public sim::VertexProgram {
   }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      w.i32((*forest_of_slot_)[static_cast<std::size_t>(g_->slot(v, p))]);
-    }
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      (*forest_of_slot_)[static_cast<std::size_t>(g_->slot(v, p))] = r.i32();
-    }
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::slot(forest_of_slot_->data())};
   }
 
  private:

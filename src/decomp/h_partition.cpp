@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -41,11 +40,8 @@ class HPartitionProgram : public sim::VertexProgram {
   const std::vector<int>& levels() const { return level_; }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    w.i32(level_[static_cast<std::size_t>(v)]);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    level_[static_cast<std::size_t>(v)] = r.i32();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(level_.data())};
   }
 
  private:

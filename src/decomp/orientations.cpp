@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
-#include "common/wire.hpp"
 #include "defective/small_degree.hpp"
 
 namespace dvc {
@@ -15,11 +14,11 @@ namespace {
 // layer, same defective color").
 class OrientExchangeProgram : public sim::VertexProgram {
  public:
-  OrientExchangeProgram(const Graph& g, Orientation& sigma,
+  OrientExchangeProgram(Orientation& sigma,
                         const std::vector<std::int64_t>* groups,
                         const std::vector<std::int64_t>& key1,
                         const std::vector<std::int64_t>& key2)
-      : g_(&g), sigma_(&sigma), groups_(groups), key1_(&key1), key2_(&key2) {}
+      : sigma_(&sigma), groups_(groups), key1_(&key1), key2_(&key2) {}
 
   std::string name() const override { return "orient-exchange"; }
   int max_words() const override { return orient_exchange_max_words(); }
@@ -53,29 +52,8 @@ class OrientExchangeProgram : public sim::VertexProgram {
   }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      w.u8(static_cast<std::uint8_t>(sigma_->dir(v, p)));
-    }
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      // Unoriented is the fresh state every slot starts in; writing it
-      // through orient_*_local's single-slot discipline is impossible, so
-      // skip -- only decided directions need replaying.
-      switch (static_cast<EdgeDir>(r.u8())) {
-        case EdgeDir::Out:
-          sigma_->orient_out_local(v, p);
-          break;
-        case EdgeDir::In:
-          sigma_->orient_in_local(v, p);
-          break;
-        case EdgeDir::Unoriented:
-          break;
-      }
-    }
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::slot(sigma_->slot_dirs())};
   }
 
  private:
@@ -83,7 +61,6 @@ class OrientExchangeProgram : public sim::VertexProgram {
     return groups_ ? (*groups_)[static_cast<std::size_t>(v)] : 0;
   }
 
-  const Graph* g_;
   Orientation* sigma_;
   const std::vector<std::int64_t>* groups_;
   const std::vector<std::int64_t>* key1_;
@@ -94,7 +71,7 @@ sim::RunStats run_orient_exchange(sim::Runtime& rt, Orientation& sigma,
                                   const std::vector<std::int64_t>* groups,
                                   const std::vector<std::int64_t>& key1,
                                   const std::vector<std::int64_t>& key2) {
-  OrientExchangeProgram program(rt.graph(), sigma, groups, key1, key2);
+  OrientExchangeProgram program(sigma, groups, key1, key2);
   return rt.run_phase(program, sim::kOneExchangeRoundCap, "orient-exchange");
 }
 

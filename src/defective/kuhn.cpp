@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -83,11 +82,8 @@ class RecolorProgram : public sim::VertexProgram {
   Coloring take_colors() { return std::move(colors_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    w.i64(colors_[static_cast<std::size_t>(v)]);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    colors_[static_cast<std::size_t>(v)] = r.i64();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(colors_.data())};
   }
 
  private:

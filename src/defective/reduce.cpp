@@ -1,9 +1,9 @@
 #include "defective/reduce.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
-#include "common/wire.hpp"
 
 namespace dvc {
 namespace {
@@ -31,7 +31,7 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
         groups_(groups),
         colors_(static_cast<std::size_t>(g.num_vertices()), -1),
         pending_(static_cast<std::size_t>(g.num_vertices()), 0),
-        parent_colors_(static_cast<std::size_t>(g.num_vertices())) {}
+        parent_colors_(static_cast<std::size_t>(g.num_slots()), -1) {}
 
   std::string name() const override { return "greedy-by-orientation"; }
   int max_words() const override { return greedy_by_orientation_max_words(); }
@@ -60,7 +60,8 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
     for (const sim::MsgView& msg : inbox) {
       if (msg.data[0] != mine) continue;
       if (!sigma_->is_out(v, msg.port)) continue;
-      parent_colors_[static_cast<std::size_t>(v)].push_back(msg.data[1]);
+      parent_colors_[static_cast<std::size_t>(g_->slot(v, msg.port))] =
+          static_cast<std::int32_t>(msg.data[1]);
       --pending_[static_cast<std::size_t>(v)];
     }
     if (pending_[static_cast<std::size_t>(v)] == 0) {
@@ -73,26 +74,22 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
   Coloring take_colors() { return std::move(colors_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    const auto s = static_cast<std::size_t>(v);
-    w.i64(colors_[s]);
-    w.i32(pending_[s]);
-    const auto& parents = parent_colors_[s];
-    w.u32(static_cast<std::uint32_t>(parents.size()));
-    for (const std::int64_t c : parents) w.i64(c);
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    const auto s = static_cast<std::size_t>(v);
-    colors_[s] = r.i64();
-    pending_[s] = r.i32();
-    auto& parents = parent_colors_[s];
-    parents.resize(r.u32());
-    for (std::int64_t& c : parents) c = r.i64();
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(colors_.data()),
+            sim::StateColumn::vertex(pending_.data()),
+            sim::StateColumn::slot(parent_colors_.data())};
   }
 
  private:
   void choose_and_finish(sim::Ctx& ctx, V v, std::int64_t mine) {
-    auto& taken = parent_colors_[static_cast<std::size_t>(v)];
+    auto& taken = ctx.scratch();
+    taken.clear();
+    const int deg = g_->degree(v);
+    for (int p = 0; p < deg; ++p) {
+      const std::int32_t c =
+          parent_colors_[static_cast<std::size_t>(g_->slot(v, p))];
+      if (c >= 0) taken.push_back(c);
+    }
     std::sort(taken.begin(), taken.end());
     std::int64_t pick = 0;
     for (const std::int64_t c : taken) {
@@ -111,7 +108,8 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
   const std::vector<std::int64_t>* groups_;
   Coloring colors_;
   std::vector<int> pending_;
-  std::vector<std::vector<std::int64_t>> parent_colors_;
+  /// Per slot: the color the parent on that port announced (-1 = none yet).
+  std::vector<std::int32_t> parent_colors_;
 };
 
 // Kuhn-Wattenhofer: phases of D+1 rounds, each phase halves the palette by
@@ -218,21 +216,10 @@ class KwReduceProgram : public sim::VertexProgram {
   Coloring take_colors() { return std::move(colors_); }
 
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V v, wire::ByteWriter& w) const override {
-    w.i64(colors_[static_cast<std::size_t>(v)]);
-    w.i32(synced_[static_cast<std::size_t>(v)]);
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      w.i64(port_colors_[static_cast<std::size_t>(g_->slot(v, p))]);
-    }
-  }
-  void load_vertex_state(V v, wire::ByteReader& r) override {
-    colors_[static_cast<std::size_t>(v)] = r.i64();
-    synced_[static_cast<std::size_t>(v)] = r.i32();
-    const int deg = g_->degree(v);
-    for (int p = 0; p < deg; ++p) {
-      port_colors_[static_cast<std::size_t>(g_->slot(v, p))] = r.i64();
-    }
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(colors_.data()),
+            sim::StateColumn::vertex(synced_.data()),
+            sim::StateColumn::slot(port_colors_.data())};
   }
 
  private:
@@ -293,6 +280,9 @@ ReduceResult greedy_by_orientation(sim::Runtime& rt, const Orientation& sigma,
                                    std::int64_t palette,
                                    const std::vector<std::int64_t>* groups) {
   DVC_REQUIRE(palette >= 1, "palette must be positive");
+  DVC_REQUIRE(palette <= std::numeric_limits<std::int32_t>::max(),
+              "palette must fit in int32 (parent colors are stored per slot "
+              "as int32)");
   const Graph& g = rt.graph();
   GreedyByOrientationProgram program(g, sigma, palette, groups);
   ReduceResult out;

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <utility>
 
 #include <sys/socket.h>
@@ -169,6 +170,29 @@ struct WorkerSlice {
   int shard_lo = 0, shard_hi = 0;
   V vtx_lo = 0, vtx_hi = 0;
 };
+
+/// The rows of `col` a worker owns: its vertex range, or for a slot column
+/// the CSR slot range of those vertices (contiguous, maybe empty).
+std::span<std::uint8_t> owned_rows(const Graph& g, const sim::StateColumn& col,
+                                   const WorkerSlice& sl) {
+  const bool by_slot = col.rows == sim::StateColumn::Rows::kSlot;
+  const std::int64_t lo = by_slot ? g.slot(sl.vtx_lo, 0) : sl.vtx_lo;
+  const std::int64_t hi = by_slot ? g.slot(sl.vtx_hi, 0) : sl.vtx_hi;
+  return {static_cast<std::uint8_t*>(col.base) +
+              static_cast<std::size_t>(lo) * col.row_bytes,
+          static_cast<std::size_t>(hi - lo) * col.row_bytes};
+}
+
+/// A worker's kState payload size: its owned rows of every column.
+std::size_t state_bytes(const Graph& g,
+                        const std::vector<sim::StateColumn>& columns,
+                        const WorkerSlice& sl) {
+  std::size_t total = 0;
+  for (const sim::StateColumn& col : columns) {
+    total += owned_rows(g, col, sl).size();
+  }
+  return total;
+}
 
 /// The worker half of the protocol -- identical logic for a forked process
 /// (owns_runtime_state = true: it does its own round bookkeeping on its
@@ -373,12 +397,15 @@ struct WorkerCore {
     return out;
   }
 
-  /// kFinish -> kState: every owned vertex's program state, in ascending
-  /// vertex order, via the program's save hook.
+  /// kFinish -> kState: the owned rows of every program state column, one
+  /// copy per column, in the order state_columns() lists them.
   std::vector<std::uint8_t> handle_finish(const wire::FrameHeader& h) {
+    const std::vector<sim::StateColumn> columns = program->state_columns();
     ByteWriter w = wire::open_frame();
-    for (V v = slice.vtx_lo; v < slice.vtx_hi; ++v) {
-      program->save_vertex_state(v, w);
+    w.buf.reserve(w.buf.size() + state_bytes(rt->graph(), columns, slice) +
+                  wire::kFrameTrailerBytes);
+    for (const sim::StateColumn& col : columns) {
+      w.bytes(owned_rows(rt->graph(), col, slice));
     }
     return wire::seal_frame(static_cast<std::uint8_t>(FrameType::kState),
                             h.phase, h.round, std::move(w.buf));
@@ -670,6 +697,7 @@ class DistExecutor final : public sim::PhaseExecutor {
     const auto finish = wire::encode_frame(
         static_cast<std::uint8_t>(FrameType::kFinish), phase, -1, {});
     for (int w = 0; w < worker_count(); ++w) send_to(w, finish);
+    const std::vector<sim::StateColumn> columns = program.state_columns();
     for (int w = 0; w < worker_count(); ++w) {
       std::vector<std::uint8_t> frame = recv_from(w);
       const wire::FrameHeader h = wire::decode_frame_header(frame);
@@ -680,15 +708,17 @@ class DistExecutor final : public sim::PhaseExecutor {
       DVC_ENSURE(h.type == static_cast<std::uint8_t>(FrameType::kState),
                  "expected a state frame, got type " +
                      std::to_string(static_cast<int>(h.type)));
-      ByteReader r{payload, 0, "state frame"};
       const WorkerSlice& sl = slices_[static_cast<std::size_t>(w)];
-      for (V v = sl.vtx_lo; v < sl.vtx_hi; ++v) {
-        program.load_vertex_state(v, r);
-      }
-      DVC_ENSURE(r.pos == payload.size(),
+      DVC_ENSURE(payload.size() == state_bytes(rt.graph(), columns, sl),
                  "worker " + std::to_string(w) +
                      " state frame size disagrees with the program's "
-                     "save/load contract");
+                     "state columns");
+      const std::uint8_t* at = payload.data();
+      for (const sim::StateColumn& col : columns) {
+        const std::span<std::uint8_t> rows = owned_rows(rt.graph(), col, sl);
+        std::copy_n(at, rows.size(), rows.data());
+        at += rows.size();
+      }
     }
     // The phase loop exited with live_ == 0, but the halts happened in the
     // workers: restore the coordinator's own halted bitmap to the phase-end

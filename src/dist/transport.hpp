@@ -26,7 +26,7 @@ enum class FrameType : std::uint8_t {
   kMsgs = 2,    ///< worker -> coordinator -> worker: cross-worker messages
   kStats = 3,   ///< worker -> coordinator: per-shard sweep counters
   kFinish = 4,  ///< coordinator -> worker: phase done, ship program state
-  kState = 5,   ///< worker -> coordinator: per-vertex program state
+  kState = 5,   ///< worker -> coordinator: owned program state rows
   kError = 6,   ///< worker -> coordinator: the sweep threw; payload encodes it
 };
 

@@ -58,6 +58,9 @@ class Orientation {
   bool is_unoriented(V v, int port) const {
     return dir(v, port) == EdgeDir::Unoriented;
   }
+  /// The per-slot direction store itself (EdgeDir values), for a program
+  /// that ships the directions it decided as a flat state column.
+  std::int8_t* slot_dirs() { return dir_.data(); }
 
   int out_degree(V v) const;
   int in_degree(V v) const;

@@ -106,11 +106,6 @@
 #include "sim/fault.hpp"
 #include "sim/phase_log.hpp"
 
-namespace dvc::wire {
-struct ByteReader;  // the byte codec dist-capable programs ship state with
-struct ByteWriter;
-}  // namespace dvc::wire
-
 namespace dvc::dist {
 struct RuntimeAccess;  // distributed transport's window into the session
 }
@@ -239,6 +234,27 @@ class Ctx {
   V v_;
 };
 
+/// One column of a dist-capable program's state: fixed-width rows of
+/// `row_bytes` bytes from `base`, one row per vertex or one per directed
+/// slot. A vertex row may hold several elements (a k-wide histogram). A
+/// worker owns the rows of its vertex range [lo, hi), and for a slot column
+/// the CSR slot range [slot(lo, 0), slot(hi, 0)), which is contiguous.
+struct StateColumn {
+  enum class Rows : std::uint8_t { kVertex, kSlot };
+  void* base = nullptr;
+  std::size_t row_bytes = 0;
+  Rows rows = Rows::kVertex;
+
+  template <typename T>
+  static StateColumn vertex(T* base, std::size_t width = 1) {
+    return {base, width * sizeof(T), Rows::kVertex};
+  }
+  template <typename T>
+  static StateColumn slot(T* base) {
+    return {base, sizeof(T), Rows::kSlot};
+  }
+};
+
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
@@ -260,22 +276,17 @@ class VertexProgram {
   /// per-v's-slot entries, including driver-owned arrays reached through
   /// pointers -- which is exactly the race-freedom contract sharded
   /// execution already demands. Under that promise a worker process that
-  /// owns v's shard computes v's state correctly in isolation, and
-  /// save/load_vertex_state below ship it back to the coordinator at the
-  /// phase boundary. Programs that do not opt in run their phases locally
-  /// on the coordinator (still bit-identical, just not distributed).
+  /// owns v's shard computes v's state correctly in isolation. All of that
+  /// state must live in the flat columns state_columns() declares: at the
+  /// phase boundary each worker ships its owned rows of every column back
+  /// to the coordinator, one bulk copy per column. Programs that do not opt
+  /// in run their phases locally on the coordinator (still bit-identical,
+  /// just not distributed).
   virtual bool dist_capable() const { return false; }
-  /// Serializes every per-vertex mutable of `v` (in a fixed order) into `w`.
-  virtual void save_vertex_state(V v, wire::ByteWriter& w) const {
-    (void)v;
-    (void)w;
-  }
-  /// Inverse of save_vertex_state: overwrites v's mutables from `r`. Must
-  /// consume exactly the bytes save_vertex_state wrote.
-  virtual void load_vertex_state(V v, wire::ByteReader& r) {
-    (void)v;
-    (void)r;
-  }
+  /// Every mutable of a dist-capable program, as flat columns (none for a
+  /// stateless one). Read at each distributed phase's end, by every worker
+  /// and by the coordinator; the columns must not move during the phase.
+  virtual std::vector<StateColumn> state_columns() { return {}; }
 };
 
 class Runtime;
@@ -284,8 +295,8 @@ class Runtime;
 /// run_phase_body offers each phase to the installed executor; an accepting
 /// executor replaces the two shard-pool dispatches (begin sweep, step
 /// sweeps) with its own -- worker processes sweeping their shard partitions
-/// and exchanging arena words over the wire -- while the coordinator's own
-/// merge/stats/PhaseLog machinery runs unchanged. Bit-identity of a
+/// and exchanging arena words through a transport -- while the coordinator's
+/// own merge/stats/PhaseLog machinery runs unchanged. Bit-identity of a
 /// distributed phase is therefore structural: the executor's only output
 /// channel is the same per-shard counters and arena cells an in-process
 /// sweep fills.

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/rand_coloring.hpp"
 #include "core/api.hpp"
 #include "decomp/forests.hpp"
 #include "dist/dist.hpp"
@@ -128,6 +129,32 @@ inline ::testing::AssertionResult bit_identical(
                                          << " vs " << got.num_forests;
   }
   return oracle_detail::same_run(want.total, got.total, want_log, got_log);
+}
+
+/// Every deterministic field of two runs of one phase: its RunStats and
+/// the session log each run recorded into (the caller compares the
+/// program's own outputs).
+inline ::testing::AssertionResult bit_identical(
+    const dvc::sim::RunStats& want, const dvc::sim::PhaseLog& want_log,
+    const dvc::sim::RunStats& got, const dvc::sim::PhaseLog& got_log) {
+  return oracle_detail::same_run(want, got, want_log, got_log);
+}
+
+/// Every deterministic field of two randomized trial colorings, each with
+/// the session log its run recorded into.
+inline ::testing::AssertionResult bit_identical(
+    const dvc::RandColoringResult& want, const dvc::sim::PhaseLog& want_log,
+    const dvc::RandColoringResult& got, const dvc::sim::PhaseLog& got_log) {
+  if (want.colors != got.colors) {
+    return ::testing::AssertionFailure()
+           << "colors differ at "
+           << oracle_detail::first_difference(want.colors, got.colors);
+  }
+  if (want.palette != got.palette) {
+    return ::testing::AssertionFailure()
+           << "palette " << want.palette << " vs " << got.palette;
+  }
+  return bit_identical(want.stats, want_log, got.stats, got_log);
 }
 
 /// A service job against the run it must reproduce: the job succeeded and

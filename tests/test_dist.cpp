@@ -38,6 +38,8 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/luby.hpp"
+#include "baselines/rand_coloring.hpp"
 #include "common/check.hpp"
 #include "common/wire.hpp"
 #include "core/api.hpp"
@@ -68,13 +70,11 @@ using service::JobStatus;
 using service::ServiceConfig;
 
 /// FloodAll with the distribution contract opted in: it keeps no per-vertex
-/// mutable state, so the save/load hooks are empty and trivially correct.
+/// mutable state, so it declares no state columns.
 class DistFlood : public FloodAll {
  public:
   using FloodAll::FloodAll;
   bool dist_capable() const override { return true; }
-  void save_vertex_state(V, wire::ByteWriter&) const override {}
-  void load_vertex_state(V, wire::ByteReader&) override {}
 };
 
 /// No unreaped child processes may survive a DistSession: the coordinator
@@ -300,9 +300,10 @@ TEST(Wire, U64ReadWithSevenBytesLeftThrows) {
 }
 
 TEST(Wire, VersionOneFrameIsCorruption) {
-  // Every older version: 1 (the byte-at-a-time checksum) and 2 (relay
-  // entries per cut edge, addressed by receiver slot).
-  for (const std::uint8_t version : {1, 2}) {
+  // Every older version: 1 (the byte-at-a-time checksum), 2 (relay entries
+  // per cut edge, addressed by receiver slot), 3 (two unused counters in a
+  // kError payload) and 4 (kState written vertex by vertex).
+  for (const std::uint8_t version : {1, 2, 3, 4}) {
     std::vector<std::uint8_t> frame = wire::encode_frame(1, 0, 0, {});
     frame[4] = version;
     reseal_frame(frame);
@@ -554,6 +555,133 @@ TEST(DistWire, LoopbackRelayAddsNoPayloadWords) {
     return rt.memory_breakdown().payload_bytes;
   };
   EXPECT_EQ(payload_bytes(/*loopback=*/true), payload_bytes(false));
+}
+
+TEST(DistWire, BaselinesCrossTheWireBitIdentically) {
+  // Luby's MIS and the randomized trial coloring ship a vertex column each
+  // (and the trial coloring a slot column); neither runs in the oracle.
+  const Graph g = random_gnm(300, 1200, 5);
+  sim::Runtime ref(g, 4, /*inline_shards=*/true);
+  const MisResult want_mis = luby_mis(ref, 17);
+  const sim::PhaseLog want_mis_log = ref.log();
+  ref.reset_log();
+  const RandColoringResult want_col = randomized_delta_plus_one(ref, 17);
+  ASSERT_TRUE(is_legal_coloring(g, want_col.colors));
+  const std::pair<Backend, int> axes[] = {
+      {Backend::kLoopback, 2}, {Backend::kLoopback, 3}, {Backend::kFork, 2}};
+  for (const auto& [backend, workers] : axes) {
+    SCOPED_TRACE(std::string(dist::backend_name(backend)) + " x" +
+                 std::to_string(workers));
+    sim::Runtime rt(g, 4, /*inline_shards=*/true);
+    const DistSession session(
+        rt, DistConfig{.workers = workers, .backend = backend});
+    const MisResult mis = luby_mis(rt, 17);
+    EXPECT_TRUE(dvc_test::bit_identical(want_mis, mis));
+    EXPECT_TRUE(dvc_test::bit_identical(want_mis.total, want_mis_log,
+                                        mis.total, rt.log()));
+    rt.reset_log();
+    const RandColoringResult col = randomized_delta_plus_one(rt, 17);
+    EXPECT_TRUE(dvc_test::bit_identical(want_col, ref.log(), col, rt.log()));
+    EXPECT_TRUE(std::ranges::all_of(
+        session.metrics(),
+        [](const PhaseWireMetrics& m) { return m.distributed; }));
+  }
+  expect_no_zombie_children();
+}
+
+/// A probe of the state codec's edges: a width-3 vertex column, an int8
+/// and an int64 slot column, each a pure function of what a vertex heard.
+/// Isolated vertices halt in begin with a row of their own.
+class ColumnProbe : public sim::VertexProgram {
+ public:
+  static constexpr int kRounds = 4;
+  explicit ColumnProbe(const Graph& g)
+      : g_(&g),
+        triple_(3 * static_cast<std::size_t>(g.num_vertices()), 0),
+        heard_(static_cast<std::size_t>(g.num_slots()), 0),
+        last_(static_cast<std::size_t>(g.num_slots()), -1) {}
+  std::string name() const override { return "column-probe"; }
+  int max_words() const override { return 1; }
+  bool dist_capable() const override { return true; }
+  std::vector<sim::StateColumn> state_columns() override {
+    return {sim::StateColumn::vertex(triple_.data(), 3),
+            sim::StateColumn::slot(heard_.data()),
+            sim::StateColumn::slot(last_.data())};
+  }
+  void begin(sim::Ctx& ctx) override {
+    if (ctx.degree() == 0) {
+      std::int32_t* t = row(ctx.vertex());
+      t[0] = -1;
+      t[1] = -2;
+      t[2] = static_cast<std::int32_t>(ctx.id());
+      ctx.halt();
+      return;
+    }
+    ctx.broadcast({ctx.id()});
+  }
+  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
+    const V v = ctx.vertex();
+    std::int32_t* t = row(v);
+    t[0] += static_cast<std::int32_t>(inbox.size());
+    t[1] = ctx.round();
+    for (const sim::MsgView& msg : inbox) {
+      const auto s = static_cast<std::size_t>(g_->slot(v, msg.port));
+      ++heard_[s];
+      last_[s] = msg.data[0] << 33 | ctx.round();
+      t[2] ^= static_cast<std::int32_t>(msg.data[0] * ctx.round());
+    }
+    if (ctx.round() == kRounds) {
+      ctx.halt();
+    } else if ((ctx.id() + ctx.round()) % 3 != 0) {
+      ctx.broadcast({ctx.id() * ctx.round()});
+    }
+  }
+  const std::vector<std::int32_t>& triple() const { return triple_; }
+  const std::vector<std::int8_t>& heard() const { return heard_; }
+  const std::vector<std::int64_t>& last() const { return last_; }
+
+ private:
+  std::int32_t* row(V v) {
+    return triple_.data() + 3 * static_cast<std::size_t>(v);
+  }
+
+  const Graph* g_;
+  std::vector<std::int32_t> triple_;
+  std::vector<std::int8_t> heard_;
+  std::vector<std::int64_t> last_;
+};
+
+TEST(DistWire, StateColumnsShipEveryWidthAndAnEmptySlotRange) {
+  // 40 connected vertices, then 120 isolated ones: the last worker's slice
+  // holds only isolated vertices, so its slot columns ship zero rows.
+  const Graph g = Graph::from_edges(160, random_gnm(40, 120, 9).edges());
+  for (const int workers : {2, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sim::Runtime ref(g, workers, /*inline_shards=*/true);
+    const V last_lo =
+        ref.shard_bounds()[static_cast<std::size_t>(workers) - 1];
+    ASSERT_LT(last_lo, g.num_vertices());
+    ASSERT_EQ(g.slot(last_lo, 0), g.num_slots())
+        << "the last worker's slice must hold only isolated vertices";
+    ColumnProbe want(g);
+    const sim::RunStats want_stats =
+        ref.run_phase(want, ColumnProbe::kRounds + 2);
+    for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+      SCOPED_TRACE(dist::backend_name(backend));
+      sim::Runtime rt(g, workers, /*inline_shards=*/true);
+      const DistSession session(
+          rt, DistConfig{.workers = workers, .backend = backend});
+      ColumnProbe got(g);
+      const sim::RunStats stats = rt.run_phase(got, ColumnProbe::kRounds + 2);
+      ASSERT_TRUE(session.metrics().back().distributed);
+      EXPECT_EQ(got.triple(), want.triple());
+      EXPECT_EQ(got.heard(), want.heard());
+      EXPECT_EQ(got.last(), want.last());
+      EXPECT_TRUE(dvc_test::bit_identical(want_stats, ref.log(), stats,
+                                          rt.log()));
+    }
+  }
+  expect_no_zombie_children();
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "common/check.hpp"
 #include "core/api.hpp"
 #include "decomp/h_partition.hpp"
+#include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 #include "sim/runtime.hpp"
 #include "determinism_oracle.hpp"
@@ -169,6 +170,26 @@ TEST(Runtime, PolylogPresetSpawnsNoThreadsAfterConstructionAndRerunsCleanly) {
   model::run_on(rt, sleepers::churn(4), /*max_words=*/1, 64);
   EXPECT_EQ(dvc_test::machinery_allocs() - sleeping, 0u)
       << "runtime machinery allocated during a warm sleeping phase";
+}
+
+TEST(Runtime, WarmPolylogColoringAllocationsDoNotGrowWithN) {
+  // Program state lives in flat columns, a few vectors per phase, so a warm
+  // coloring's heap allocations (program state and driver bookkeeping
+  // included) are a per-phase constant, not a per-vertex one: a histogram
+  // row per vertex in simple-arbdefective once made 164,360 at this size.
+  const Graph g = rmat_graph(14, 8, 1);
+  const int bound = degeneracy(g);
+  sim::Runtime rt(g, 1);
+  const LegalColoringResult first = color_graph(rt, bound, Preset::PolylogTime);
+  rt.reset_log();
+  const std::uint64_t before = dvc_test::alloc_count();
+  const LegalColoringResult second =
+      color_graph(rt, bound, Preset::PolylogTime);
+  const std::uint64_t allocs = dvc_test::alloc_count() - before;
+  EXPECT_LE(allocs, static_cast<std::uint64_t>(g.num_vertices()) / 16)
+      << "a warm polylog coloring of " << g.num_vertices()
+      << " vertices allocated " << allocs << " times";
+  EXPECT_TRUE(dvc_test::bit_identical(first, second));
 }
 
 TEST(RuntimeDeathTest, FailedPoolSpawnThrowsInsteadOfTerminating) {
